@@ -236,7 +236,6 @@ def build_parser() -> _Parser:
     def add_common(sp):
         sp.add_argument("--field", required=True, help='field spec "n" or "n:0xHEX"')
         sp.add_argument("--modulus", help="modulus override as hex", default=None)
-        sp.add_argument("--json", action="store_true", help="JSON output (always on)")
 
     sp = sub.add_parser("field-info", help="inspect one concrete field")
     add_common(sp)

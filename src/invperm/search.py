@@ -18,8 +18,19 @@ lists and counts are identical for any worker count.  For spaces too
 large to touch candidate-by-candidate (identity at n = 6, normalized at
 n >= 6) the trace half of the mod-16 condition is solved once as a
 linear system over the coefficient bits and only the solution coset is
-enumerated; the skipped candidates fail a necessary condition, which
-the audit samples re-verify by full bijectivity.
+enumerated.  The skipped candidates fail that necessary condition; the
+audit does not re-check them.  It re-verifies by full bijectivity the
+first 8 rejected candidates of each enumerated block, up to 256 in all
+(ROADMAP.md, item 4, plans an audit that also samples the skipped part).
+
+With L1 fixed, every table the pipeline reads is GF(2)-affine in the
+coefficient bits of L2*: the packed coefficient word, L2* on the kernel
+of L1*, R(b) = L1*(b) L2*(b) and F = L1(x^-1) + L2(x).  A fixed-L1
+search therefore enumerates a coset origin + span(basis) of
+coefficient vectors (raw enumeration is the coset with the standard
+basis) and decodes each table as the XOR of precomputed images of the
+origin and the basis vectors, with no field multiplications per
+candidate.
 """
 
 from __future__ import annotations
@@ -143,26 +154,6 @@ def _decode_digits(ctx: FieldContext, ms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decode_coset(ctx: FieldContext, ms: np.ndarray, origin, basis) -> np.ndarray:
-    """Coefficient rows origin ^ (chosen basis combination) per index.
-
-    Basis bits are consumed in 8-bit chunks through small lookup tables,
-    which keeps the decode at a few gathers per candidate even for
-    cosets of dimension ~30.
-    """
-    n = ctx.n
-    d = len(basis)
-    out = np.tile(np.asarray(origin, dtype=np.int64), (ms.shape[0], 1))
-    for lo in range(0, d, 8):
-        width = min(8, d - lo)
-        tab = np.zeros((1 << width, n), dtype=np.int64)
-        for t in range(width):
-            step = 1 << t
-            tab[step : 2 * step] = tab[:step] ^ np.asarray(basis[lo + t], dtype=np.int64)
-        out ^= tab[(ms >> lo) & ((1 << width) - 1)]
-    return out
-
-
 # -- linear presolve of the trace condition ------------------------------------
 
 
@@ -262,71 +253,161 @@ def _fixed_l1_env(n: int, modulus: Optional[int], kind: str) -> dict:
         "kernel_pts": [int(b) for b in np.nonzero(l1s_tab == 0)[0] if b != 0],
         "kz": kz,
         "trq": trq,
+        "decoders": {},  # (origin, basis) -> _coset_decoder tables
     }
     _PROC_CACHE[key] = env
     return env
 
 
+def _search_coset(env: dict, kind: str):
+    """(origin, basis, presolved): the L2* coefficient coset a search enumerates.
+
+    Bit k of a candidate index selects basis[k].  Identity L1 at n <= 5
+    enumerates raw digits (bit i*n + t is bit t of c_i); normalized L1
+    at n = 5 frees c_1 .. c_(n-1) and sets c_0 = 1 + their sum; larger
+    fields enumerate the trace-presolved coset.
+    """
+    ctx = env["ctx"]
+    n = ctx.n
+
+    def unit(i: int, t: int, lead: bool = False) -> Tuple[int, ...]:
+        vec = [0] * n
+        vec[i] = 1 << t
+        if lead:
+            vec[0] = 1 << t  # keep the coefficient sum fixed
+        return tuple(vec)
+
+    if kind == "identity" and n <= 5:
+        basis = tuple(unit(i, t) for i in range(n) for t in range(n))
+        return (0,) * n, basis, False
+    if kind == "normalized" and n == 5:
+        basis = tuple(unit(i, t, lead=True) for i in range(1, n) for t in range(n))
+        return (1,) + (0,) * (n - 1), basis, False
+    coset = _trace_presolve(ctx, env["l1s_tab"], force_value_one=kind == "normalized")
+    if coset is None:
+        raise AssertionError("the constraint system cannot be infeasible")
+    origin, basis = coset
+    if len(basis) > 30:
+        raise AssertionError(f"presolve left an infeasible space 2^{len(basis)}")
+    return origin, tuple(basis), True
+
+
+class _SpanMap:
+    """GF(2)-affine map from candidate indices m to rows:
+    origin XOR the images of the set bits of m.
+
+    Index bits are consumed in 8-bit chunks through span tables (the
+    XOR of every subset of 8 images), one gather per chunk.
+    """
+
+    def __init__(self, origin: np.ndarray, images: np.ndarray):
+        self.origin = origin
+        self.spans = []
+        for lo in range(0, len(images), 8):
+            part = images[lo : lo + 8]
+            tab = np.zeros((1 << len(part),) + part.shape[1:], dtype=images.dtype)
+            for t, image in enumerate(part):
+                tab[1 << t : 2 << t] = tab[: 1 << t] ^ image
+            self.spans.append(tab)
+
+    def __call__(self, ms: np.ndarray) -> np.ndarray:
+        out = np.repeat(self.origin[None], ms.size, axis=0)
+        for k, tab in enumerate(self.spans):
+            # np.take copies whole rows; fancy indexing goes element-wise
+            out ^= np.take(tab, (ms >> (8 * k)) & 0xFF, axis=0)
+        return out
+
+
+def _coset_decoder(env: dict, origin, basis) -> Dict[str, _SpanMap]:
+    """Linear decoders of the tables the pipeline reads, per coset.
+
+    "coeffs" gives the L2* coefficient vector packed into one uint64
+    (c_i at bit n*i), "kernel" L2* at the nonzero kernel points of L1*,
+    "probe" and "r" the table R(b) = L1*(b) L2*(b) at the probe points
+    and everywhere, and "f" the table of F = L1(x^-1) + L2(x).  Built
+    once per process and coset, from the images of the origin and of
+    each basis vector.
+    """
+    key = (origin, basis)
+    dec = env["decoders"].get(key)
+    if dec is not None:
+        return dec
+    ctx = env["ctx"]
+    n = ctx.n
+    maps = [LinearizedPoly(ctx, tuple(c)) for c in (origin, *basis)]
+    # fixed-L1 searches run at n <= 8, so every field element fits a byte
+    l2s = np.array([m.table() for m in maps], dtype=np.uint8)
+    r = ctx.mul_vec(env["l1s_tab"], l2s).astype(np.uint8)
+    f = np.array([m.adjoint().table() for m in maps], dtype=np.uint8)
+    f[0] ^= env["l1_on_inv"].astype(np.uint8)
+    packed = np.array(
+        [sum(c << (n * i) for i, c in enumerate(m.coeffs)) for m in maps], dtype=np.uint64
+    )
+    probe = [1, 2, 3, 4][: ctx.order - 1]
+    dec = {
+        name: _SpanMap(tab[0], tab[1:])
+        for name, tab in (
+            ("coeffs", packed),
+            ("kernel", l2s[:, env["kernel_pts"]]),
+            ("probe", r[:, probe]),
+            ("r", r),
+            ("f", f),
+        )
+    }
+    env["decoders"][key] = dec
+    return dec
+
+
+def _unpack_coeffs(ctx: FieldContext, packed: np.ndarray) -> np.ndarray:
+    """(B, n) coefficient rows from packed uint64 coefficient words."""
+    shifts = np.arange(0, ctx.n * ctx.n, ctx.n, dtype=np.uint64)
+    return ((packed[:, None] >> shifts) & np.uint64(ctx.mask)).astype(np.int64)
+
+
 def _fixed_l1_block(args) -> dict:
     """Run the filter pipeline on one candidate block; pure function of args."""
-    (n, modulus, kind, start, size, enumeration, origin, basis, use_mod16) = args
+    (n, modulus, kind, start, size, origin, basis, use_mod16) = args
     env = _fixed_l1_env(n, modulus, kind)
     ctx: FieldContext = env["ctx"]
-    mf = _mulflat(ctx)
+    dec = _coset_decoder(env, origin, basis)
     ms = np.arange(start, start + size, dtype=np.int64)
-    if enumeration == "digits":
-        coeffs = _decode_digits(ctx, ms)
-    else:
-        coeffs = _decode_coset(ctx, ms, origin, basis)
     counts = {}
-    nonzero = coeffs.any(axis=1)
+    packed = dec["coeffs"](ms)
+    nonzero = packed != 0
     counts["nonzero"] = int(nonzero.sum())
-    alive = np.nonzero(nonzero)[0]
+    alive = ms[nonzero]  # candidate indices, not block offsets
 
     # kernel stage: L2* must not vanish on the nonzero kernel of L1*
     if env["kernel_pts"]:
-        vals = _tables_from_coeffs(ctx, coeffs[alive], pts=env["kernel_pts"])
-        alive = alive[(vals != 0).all(axis=1)]
+        alive = alive[(dec["kernel"](alive) != 0).all(axis=1)]
     counts["kernel-intersection"] = int(alive.size)
 
     if use_mod16:
         # probe a few points first, then confirm the full condition
-        probe = [1, 2, 3, 4][: ctx.order - 1]
-        t2s = _tables_from_coeffs(ctx, coeffs[alive], pts=probe)
-        r = mf[(env["l1s_tab"][probe][None, :] << n) | t2s]
-        alive = alive[env["trq"][r].all(axis=1)]
-        t2s_full = _tables_from_coeffs(ctx, coeffs[alive])
-        r_full = mf[(env["l1s_tab"][None, :] << n) | t2s_full]
-        keep = env["trq"][r_full].all(axis=1)
+        alive = alive[np.take(env["trq"], dec["probe"](alive)).all(axis=1)]
+        r_full = dec["r"](alive)
+        keep = np.take(env["trq"], r_full).all(axis=1)
         alive = alive[keep]
         r_full = r_full[keep]
         counts["mod16-necessary"] = int(alive.size)
     else:
-        t2s_full = _tables_from_coeffs(ctx, coeffs[alive])
-        r_full = mf[(env["l1s_tab"][None, :] << n) | t2s_full]
+        r_full = dec["r"](alive)
 
-    keep = env["kz"][r_full].all(axis=1)
-    alive = alive[keep]
+    alive = alive[np.take(env["kz"], r_full).all(axis=1)]
     counts["kloosterman-zero"] = int(alive.size)
 
+    bij = _bij_mask(ctx, dec["f"](alive))
+    counts["bijective"] = int(bij.sum())
     witnesses = []
-    if alive.size:
-        d = _adjoint_coeffs(ctx, coeffs[alive])
-        l2_tabs = _tables_from_coeffs(ctx, d)
-        f = env["l1_on_inv"][None, :] ^ l2_tabs
-        bij = _bij_mask(ctx, f)
-        counts["bijective"] = int(bij.sum())
-        for row in d[bij]:
-            l2 = LinearizedPoly(ctx, tuple(int(v) for v in row))
-            witnesses.append((env["l1"].to_text(), l2.to_text()))
-    else:
-        counts["bijective"] = 0
+    for row in _unpack_coeffs(ctx, packed[alive[bij] - start]):
+        l2 = LinearizedPoly(ctx, tuple(int(v) for v in row)).adjoint()
+        witnesses.append((env["l1"].to_text(), l2.to_text()))
 
     # audit sample: first few rejected candidates, re-checked exactly
-    audit = []
-    rejected = np.setdiff1d(np.nonzero(nonzero)[0], alive, assume_unique=False)
-    for idx in rejected[:8]:
-        audit.append(tuple(int(v) for v in coeffs[idx]))
+    rejected = nonzero.copy()
+    rejected[alive - start] = False
+    picks = _unpack_coeffs(ctx, packed[np.flatnonzero(rejected)[:8]])
+    audit = [tuple(int(v) for v in row) for row in picks]
     return {"counts": counts, "witnesses": witnesses, "audit": audit}
 
 
@@ -345,8 +426,6 @@ def _run_fixed_l1(
     kind: str,
     mode: str,
     space: int,
-    total: int,
-    enumeration: str,
     origin,
     basis,
     use_mod16: bool,
@@ -356,12 +435,11 @@ def _run_fixed_l1(
 ) -> SearchReport:
     ctx = make_field(n, modulus)
     t0 = time.perf_counter()
-    blocks = []
-    start = 0
-    while start < total:
-        size = min(BLOCK, total - start)
-        blocks.append((n, modulus, kind, start, size, enumeration, origin, basis, use_mod16))
-        start += size
+    total = 1 << len(basis)
+    blocks = [
+        (n, modulus, kind, start, min(BLOCK, total - start), origin, basis, use_mod16)
+        for start in range(0, total, BLOCK)
+    ]
     results = _dispatch(_fixed_l1_block, blocks, workers, progress)
     counts = {name: 0 for name in _STAGE_ORDER}
     witnesses: List[Tuple[str, str]] = []
@@ -428,30 +506,15 @@ def identity_L1_search(
     """
     if not 2 <= n <= 6:
         raise ValueError("identity-L1 search supports 2 <= n <= 6")
-    ctx = make_field(n, modulus)
-    space = (1 << (n * n)) - 1
+    origin, basis, presolved = _search_coset(_fixed_l1_env(n, modulus, "identity"), "identity")
     notes = ("candidates parameterized by adjoint coefficients",)
-    if n <= 5:
-        return _run_fixed_l1(
-            n, modulus, "identity", "full", space, 1 << (n * n), "digits",
-            None, None, use_mod16=n >= 4, workers=workers, notes=notes,
-            progress=progress,
+    if presolved:
+        notes += (
+            f"trace condition presolved: 2^{len(basis)} of 2^{n*n} candidates satisfy it",
         )
-    l1s_tab = np.arange(ctx.order, dtype=np.int64)  # identity adjoint
-    coset = _trace_presolve(ctx, l1s_tab, force_value_one=False)
-    if coset is None:
-        raise AssertionError("homogeneous trace system cannot be infeasible")
-    origin, basis = coset
-    d = len(basis)
-    if d > 30:
-        raise AssertionError(f"presolve left an infeasible space 2^{d}")
-    notes = notes + (
-        f"trace condition presolved: 2^{d} of 2^{n*n} candidates satisfy it",
-    )
     return _run_fixed_l1(
-        n, modulus, "identity", "filtered", space, 1 << d, "coset",
-        origin, tuple(basis), use_mod16=True, workers=workers, notes=notes,
-        progress=progress,
+        n, modulus, "identity", "filtered" if presolved else "full", (1 << (n * n)) - 1,
+        origin, basis, use_mod16=n >= 4, workers=workers, notes=notes, progress=progress,
     )
 
 
@@ -467,40 +530,20 @@ def normalized_search(
     """
     if not 5 <= n <= 8:
         raise ValueError("normalized search supports 5 <= n <= 8")
-    ctx = make_field(n, modulus)
-    space = 1 << (n * (n - 1))
-    env = _fixed_l1_env(n, modulus, "normalized")
-    presolve_trace = n >= 6
-    coset = _trace_presolve(ctx, env["l1s_tab"], force_value_one=True) if presolve_trace else None
+    origin, basis, presolved = _search_coset(
+        _fixed_l1_env(n, modulus, "normalized"), "normalized"
+    )
     notes = (
         "L1 fixed to x^(2^(n-1)) + x; candidates parameterized by adjoint "
         "coefficients under L2*(1) = 1",
     )
-    if not presolve_trace:
-        # enumerate (c_1 .. c_{n-1}) freely; c_0 = 1 + their sum
-        basis = []
-        for i in range(1, n):
-            for t in range(n):
-                vec = [0] * n
-                vec[i] = 1 << t
-                vec[0] = 1 << t  # keep the coefficient sum fixed
-                basis.append(tuple(vec))
-        origin = tuple([1] + [0] * (n - 1))
-        d = len(basis)
-    else:
-        if coset is None:
-            raise AssertionError("constraint system cannot be infeasible")
-        origin, basis = coset
-        d = len(basis)
-        if d > 30:
-            raise AssertionError(f"presolve left an infeasible space 2^{d}")
-        notes = notes + (
-            f"trace condition presolved: 2^{d} of 2^{n*(n-1)} candidates satisfy it",
+    if presolved:
+        notes += (
+            f"trace condition presolved: 2^{len(basis)} of 2^{n*(n-1)} candidates satisfy it",
         )
     return _run_fixed_l1(
-        n, modulus, "normalized", "normalized", space, 1 << d, "coset",
-        origin, tuple(basis), use_mod16=True, workers=workers, notes=notes,
-        progress=progress,
+        n, modulus, "normalized", "normalized", 1 << (n * (n - 1)),
+        origin, basis, use_mod16=True, workers=workers, notes=notes, progress=progress,
     )
 
 
@@ -671,7 +714,7 @@ def _canonical_batch_arrays(ctx, buf, gram, gram_inv):
     }
 
 
-def _pairs_search_n3(ctx: FieldContext, workers: int, progress=None) -> SearchReport:
+def _pairs_search_n3(ctx: FieldContext, progress=None) -> SearchReport:
     """Raw search over every nonzero pair (n <= 3)."""
     t0 = time.perf_counter()
     n = ctx.n
@@ -737,7 +780,7 @@ def _pairs_search_n3(ctx: FieldContext, workers: int, progress=None) -> SearchRe
         stages=stages,
         witnesses=tuple(sorted(witnesses)),
         elapsed_s=time.perf_counter() - t0,
-        workers=workers,
+        workers=1,
         partitions=nmaps - 1,
         block_size=nmaps - 1,
         audit_sampled=len(audit_rows),
@@ -745,7 +788,7 @@ def _pairs_search_n3(ctx: FieldContext, workers: int, progress=None) -> SearchRe
     )
 
 
-def _canonical_search_n4(ctx: FieldContext, workers: int, progress=None) -> SearchReport:
+def _canonical_search_n4(ctx: FieldContext, progress=None) -> SearchReport:
     """Orbit-representative search with the full filter pipeline (n = 4)."""
     t0 = time.perf_counter()
     n = ctx.n
@@ -804,7 +847,7 @@ def _canonical_search_n4(ctx: FieldContext, workers: int, progress=None) -> Sear
         stages=stages,
         witnesses=tuple(sorted(witnesses)),
         elapsed_s=time.perf_counter() - t0,
-        workers=workers,
+        workers=1,
         partitions=(examined + BLOCK - 1) // BLOCK,
         block_size=BLOCK,
         audit_sampled=len(audit_rows),
@@ -816,13 +859,18 @@ def _canonical_search_n4(ctx: FieldContext, workers: int, progress=None) -> Sear
 def full_search(
     n: int, modulus: Optional[int] = None, workers: int = 1, progress=None
 ) -> SearchReport:
-    """Complete coverage of nonzero pairs: raw at n <= 3, canonical at n = 4."""
+    """Complete coverage of nonzero pairs: raw at n <= 3, canonical at n = 4.
+
+    Runs in the calling process; any other worker count is rejected.
+    """
     if n > 4:
         raise ValueError(
             "full enumeration is only tractable for n <= 4; "
             "use normalized_search or identity_L1_search"
         )
+    if workers != 1:
+        raise ValueError(f"full search runs in one process; got workers={workers}")
     ctx = make_field(n, modulus)
     if n <= 3:
-        return _pairs_search_n3(ctx, workers, progress)
-    return _canonical_search_n4(ctx, workers, progress)
+        return _pairs_search_n3(ctx, progress)
+    return _canonical_search_n4(ctx, progress)

@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from invperm import verify
+from invperm import search, verify
 from invperm.gf2n import alternate_modulus, make_field
 from invperm.kloosterman import kloosterman_all, kloosterman_zeros
 from invperm.vbf import AffineMap, AffineMapProduct, TruthTable, check_ccz_witness
@@ -83,6 +83,21 @@ def test_criterion3_nonexistence_normalized5(normalized5_report):
 def test_criterion3_nonexistence_normalized6(normalized6_report):
     assert normalized6_report.witness_count == 0
     ok("criterion 3, n=6: normalized search found 0 witnesses")
+
+
+def test_criterion3_nonexistence_normalized7():
+    rep = search.normalized_search(7)
+    assert rep.witness_count == 0
+    assert rep.examined == 1 << 21  # the whole trace-presolved coset
+    assert dict(rep.stages) == {
+        "nonzero": 1 << 21,
+        "kernel-intersection": 1 << 21,
+        "mod16-necessary": 0,
+        "kloosterman-zero": 0,
+        "bijective": 0,
+    }
+    assert rep.audit_violations == 0
+    ok("criterion 3, n=7: normalized search over the 2^21 presolved coset found 0 witnesses")
 
 
 def test_criterion3_nonexistence_identity5(identity5_report):

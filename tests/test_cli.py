@@ -167,6 +167,15 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+def test_search_full_rejects_workers(capsys):
+    # the full search runs in one process; a worker count it would
+    # ignore is an input error, not a claim in the report
+    code, doc, err = run_cli(capsys, "search", "full", "--field", "3", "--workers", "2")
+    assert code == 1
+    assert doc is None
+    assert "workers" in err
+
+
 def test_search_rangeerror_message(capsys):
     code, _, err = run_cli(capsys, "search", "full", "--field", "5")
     assert code == 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from invperm import gf2mat, search
-from invperm.gf2n import make_field
+from invperm.gf2n import alternate_modulus, make_field
 from invperm.inverse_perm import build_F, perm_criterion_kloosterman
 from invperm.linmap import LinearizedPoly
 
@@ -203,8 +203,10 @@ def test_trace_presolve_is_exact():
     ctx = make_field(4)
     l1s_tab = np.arange(ctx.order, dtype=np.int64)
     origin, basis = search._trace_presolve(ctx, l1s_tab, force_value_one=False)
+    env = search._fixed_l1_env(4, None, "identity")
+    dec = search._coset_decoder(env, origin, tuple(basis))
     ms = np.arange(1 << len(basis), dtype=np.int64)
-    coset = search._decode_coset(ctx, ms, origin, tuple(basis))
+    coset = search._unpack_coeffs(ctx, dec["coeffs"](ms))
     coset_set = {tuple(int(v) for v in row) for row in coset}
     xs = np.arange(ctx.order)
     brute = set()
@@ -217,14 +219,66 @@ def test_trace_presolve_is_exact():
     assert coset_set == brute
 
 
-def test_worker_determinism():
-    a = search.identity_L1_search(4, workers=1)
-    b = search.identity_L1_search(4, workers=3)
+def _assert_same_report(a, b):
     assert a.witnesses == b.witnesses
     assert a.stages == b.stages
     da = json.dumps(a.to_json_dict(include_volatile=False), sort_keys=True)
     db = json.dumps(b.to_json_dict(include_volatile=False), sort_keys=True)
     assert da == db
+
+
+def test_worker_determinism():
+    a = search.identity_L1_search(4, workers=1)
+    b = search.identity_L1_search(4, workers=3)
+    _assert_same_report(a, b)
+
+
+def test_worker_determinism_coset_path():
+    # pool workers rebuild the per-process decode tables from scratch
+    a = search.normalized_search(5, workers=1)
+    b = search.normalized_search(5, workers=2)
+    _assert_same_report(a, b)
+
+
+def _coset_rows(origin, basis, ms):
+    """Coefficient rows origin ^ basis[k] over the set bits k of each m."""
+    rows = []
+    for m in ms:
+        row = list(origin)
+        for k, vec in enumerate(basis):
+            if (int(m) >> k) & 1:
+                row = [a ^ b for a, b in zip(row, vec)]
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("alternate", [False, True])
+@pytest.mark.parametrize(
+    "kind,n", [("normalized", n) for n in (5, 6, 7, 8)] + [("identity", n) for n in (3, 4, 5)]
+)
+def test_linear_decoder_matches_multiplication(kind, n, alternate):
+    # the XOR-of-images decode equals the product-table evaluation of
+    # L2*, R = L1* L2* and F = L1(x^-1) + L2(x) on random coset indices
+    modulus = alternate_modulus(n) if alternate else None
+    env = search._fixed_l1_env(n, modulus, kind)
+    ctx = env["ctx"]
+    origin, basis, _ = search._search_coset(env, kind)
+    dec = search._coset_decoder(env, origin, basis)
+    top = (1 << len(basis)) - 1
+    rng = np.random.default_rng(n)
+    ms = np.concatenate([[0, top], rng.integers(0, top + 1, 300)]).astype(np.int64)
+    coeffs = _coset_rows(origin, basis, ms)
+    if kind == "identity":
+        # raw enumeration is the coset with the standard basis
+        assert np.array_equal(coeffs, search._decode_digits(ctx, ms))
+    assert np.array_equal(search._unpack_coeffs(ctx, dec["coeffs"](ms)), coeffs)
+    l2s = search._tables_from_coeffs(ctx, coeffs)
+    r = ctx.mul_vec(env["l1s_tab"][None, :], l2s)
+    assert np.array_equal(dec["r"](ms), r)
+    assert np.array_equal(dec["probe"](ms), r[:, [1, 2, 3, 4]])
+    assert np.array_equal(dec["kernel"](ms), l2s[:, env["kernel_pts"]])
+    l2 = search._tables_from_coeffs(ctx, search._adjoint_coeffs(ctx, coeffs))
+    assert np.array_equal(dec["f"](ms), env["l1_on_inv"][None, :] ^ l2)
 
 
 def test_report_json_shape(identity4_report):
