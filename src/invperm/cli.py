@@ -19,12 +19,11 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import sys
 import time
 from typing import Optional
-
-import numpy as np
 
 from . import __version__
 from .gf2n import make_field, parse_field_spec
@@ -135,10 +134,14 @@ def cmd_kloosterman(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ctx = _field(args)
     kw = {}
     if args.samples is not None:
+        if args.samples < 1:
+            raise UsageError(f"--samples must be at least 1; got {args.samples}")
+        if "samples" not in inspect.signature(CLAIMS[args.claim]).parameters:
+            raise UsageError(f"claim {args.claim} takes no --samples")
         kw["samples"] = args.samples
+    ctx = _field(args)
     res = run_claim(args.claim, ctx.n, ctx.modulus, **kw)
     _emit(
         args,

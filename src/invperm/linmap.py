@@ -173,7 +173,7 @@ class LinearizedPoly:
 
     def kernel(self) -> "Subspace":
         basis = gf2mat.nullspace(self.matrix(), self.ctx.n)
-        return Subspace.from_basis(self.ctx, basis)
+        return Subspace(self.ctx, basis)
 
     def image(self) -> "Subspace":
         return Subspace.from_elements(self.ctx, (self(1 << j) for j in range(self.ctx.n)))
@@ -195,10 +195,6 @@ class Subspace:
         self.ctx = ctx
         self.basis: Tuple[int, ...] = tuple(sorted(red, reverse=True))
         self.dim = len(self.basis)
-
-    @classmethod
-    def from_basis(cls, ctx: FieldContext, basis: Iterable[int]) -> "Subspace":
-        return cls(ctx, basis)
 
     @classmethod
     def from_elements(cls, ctx: FieldContext, elems: Iterable[int]) -> "Subspace":

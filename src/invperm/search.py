@@ -7,10 +7,23 @@ Three drivers:
   of invertible linear maps (a permutation survives left composition
   with a bijection, so orbit representatives cover the question).
 * normalized_search (5 <= n <= 8): L1 fixed to x^(2^(n-1)) + x, L2
-  ranging over the affine constraint L2*(1) = 1, with the filter
-  pipeline kernel-intersection -> mod-16 necessary condition ->
-  Kloosterman-zero membership -> full bijectivity.
+  ranging over the affine constraint L2*(1) = 1.
 * identity_L1_search (n <= 6): L1 = x, all nonzero L2.
+
+Every search, and verify_proposition2, runs one filter funnel
+(_funnel): nonzero -> kernel-intersection -> mod-16 necessary condition
+(n >= 4) -> Kloosterman-zero membership -> full bijectivity.  The
+funnel reads its tables through decoders, functions of candidate
+indices.  full_search and verify_proposition2 look rows up in batches
+of (L1, L2) tables: all nonzero pairs at n <= 3, canonical orbit
+representatives at n = 4, or random coefficient rows.  With L1 fixed,
+every table the funnel reads is GF(2)-affine in the coefficient bits of
+L2*: the packed coefficient word, L2* on the kernel of L1*,
+R(b) = L1*(b) L2*(b) and F.  A fixed-L1 search therefore enumerates a
+coset origin + span(basis) of coefficient vectors (raw enumeration is
+the coset with the standard basis) and decodes each table as the XOR of
+precomputed images of the origin and the basis vectors, with no field
+multiplications per candidate.
 
 Candidates are enumerated in deterministic blocks; worker processes
 split blocks and results are merged order-independently, so witness
@@ -18,26 +31,24 @@ lists and counts are identical for any worker count.  For spaces too
 large to touch candidate-by-candidate (identity at n = 6, normalized at
 n >= 6) the trace half of the mod-16 condition is solved once as a
 linear system over the coefficient bits and only the solution coset is
-enumerated.  The skipped candidates fail that necessary condition; the
-audit does not re-check them.  It re-verifies by full bijectivity the
-first 8 rejected candidates of each enumerated block, up to 256 in all
-(ROADMAP.md, item 4, plans an audit that also samples the skipped part).
+enumerated.
 
-With L1 fixed, every table the pipeline reads is GF(2)-affine in the
-coefficient bits of L2*: the packed coefficient word, L2* on the kernel
-of L1*, R(b) = L1*(b) L2*(b) and F = L1(x^-1) + L2(x).  A fixed-L1
-search therefore enumerates a coset origin + span(basis) of
-coefficient vectors (raw enumeration is the coset with the standard
-basis) and decodes each table as the XOR of precomputed images of the
-origin and the basis vectors, with no field multiplications per
-candidate.
+Every search audits with one rule: the first 8 candidates of each block
+or batch that the funnel rejected, up to 256 in all, are re-checked
+with build_F(...).is_permutation().  build_F evaluates F from the two
+maps themselves, so it is an oracle independent of the decoders whose
+F rows the funnel's bijectivity stage reads.  Candidates the presolve
+skips fail a necessary condition and are never sampled (ROADMAP.md,
+item 4, plans an audit that also covers them).
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -54,6 +65,10 @@ __all__ = [
     "full_search",
     "normalized_search",
     "identity_L1_search",
+    "all_pair_batches",
+    "canonical_batches",
+    "random_pair_batches",
+    "criterion_mismatches",
     "canonical_pairs",
     "canonical_key",
     "canonical_pair_count",
@@ -113,21 +128,12 @@ class SearchReport:
 # -- shared vectorized helpers -------------------------------------------------
 
 
-def _mulflat(ctx: FieldContext) -> np.ndarray:
-    return ctx.mul_table.reshape(-1)
-
-
-def _tables_from_coeffs(ctx: FieldContext, coeffs: np.ndarray, pts=None) -> np.ndarray:
-    """Value tables of sum_i c_i x^(2^i) for a batch of coefficient rows.
-
-    coeffs has shape (B, n); the result has shape (B, 2^n) or
-    (B, len(pts)) when pts restricts the evaluation points.
-    """
-    mf = _mulflat(ctx)
-    pw = ctx.pow2k_table if pts is None else ctx.pow2k_table[:, pts]
-    out = np.zeros((coeffs.shape[0], pw.shape[1]), dtype=np.int64)
+def _tables_from_coeffs(ctx: FieldContext, coeffs: np.ndarray) -> np.ndarray:
+    """(B, 2^n) value tables of sum_i c_i x^(2^i) for (B, n) coefficient rows."""
+    mf = ctx.mul_table.reshape(-1)
+    out = np.zeros((coeffs.shape[0], ctx.order), dtype=np.int64)
     for i in range(ctx.n):
-        out ^= mf[(coeffs[:, i, None] << ctx.n) | pw[i][None, :]]
+        out ^= mf[(coeffs[:, i, None] << ctx.n) | ctx.pow2k_table[i][None, :]]
     return out
 
 
@@ -138,11 +144,6 @@ def _adjoint_coeffs(ctx: FieldContext, coeffs: np.ndarray) -> np.ndarray:
     for j in range(n):
         out[:, j] = ctx.pow2k_table[j][coeffs[:, (n - j) % n]]
     return out
-
-
-def _bij_mask(ctx: FieldContext, tables: np.ndarray) -> np.ndarray:
-    ref = np.arange(ctx.order, dtype=np.int64)
-    return (np.sort(tables, axis=1) == ref[None, :]).all(axis=1)
 
 
 def _decode_digits(ctx: FieldContext, ms: np.ndarray) -> np.ndarray:
@@ -220,7 +221,102 @@ def _trace_presolve(ctx: FieldContext, l1star_tab: np.ndarray, force_value_one: 
     return _solve_coset(ctx, rows, rhs)
 
 
-# -- the fixed-L1 pipeline -------------------------------------------------------
+# -- the filter funnel -----------------------------------------------------------
+
+
+_PROBE = [1, 2, 3, 4]  # points where R is tested before the full mod-16 check
+
+
+def _criterion_tables(ctx: FieldContext) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-element lookups: K(a) = 0, and Tr(a) = Q(a) = 0 (16 | K(a))."""
+    return kloosterman_all(ctx) == 0, (ctx.trace_table == 0) & (qform_table(ctx) == 0)
+
+
+def _funnel(ms: np.ndarray, dec: dict, kz: np.ndarray, trq: np.ndarray):
+    """Filter candidate indices ms through the stages of the criterion.
+
+    dec holds decoders, functions of candidate indices: "kernel" gives
+    values that vanish where the adjoint kernels meet outside 0, "probe"
+    and "r" the table R(b) = L1*(b) L2*(b) at the _PROBE points and
+    everywhere, "f" the table of F = L1(x^-1) + L2(x).  A stage runs only
+    when its decoder is given: without "probe" there is no mod-16 stage,
+    and with "f" alone the funnel tests the bijectivity of every
+    candidate.  Returns the stage counts, the Kloosterman-zero survivors
+    and their bijectivity mask.
+    """
+    counts = {"nonzero": int(ms.size)}
+    alive = ms
+    if "kernel" in dec:
+        alive = alive[(dec["kernel"](alive) != 0).all(axis=1)]
+    counts["kernel-intersection"] = int(alive.size)
+    if "r" in dec:
+        if "probe" in dec:  # a few points first, then the full mod-16 condition
+            alive = alive[np.take(trq, dec["probe"](alive)).all(axis=1)]
+        r = dec["r"](alive)
+        if "probe" in dec:
+            keep = np.take(trq, r).all(axis=1)
+            alive, r = alive[keep], r[keep]
+            counts["mod16-necessary"] = int(alive.size)
+        alive = alive[np.take(kz, r).all(axis=1)]
+        counts["kloosterman-zero"] = int(alive.size)
+    f = np.sort(dec["f"](alive), axis=1)
+    bij = (f == np.arange(kz.size)).all(axis=1)
+    counts["bijective"] = int(bij.sum())
+    return counts, alive, bij
+
+
+def _audit_picks(ms: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The audit rule: the first 8 candidates of ms the funnel did not keep.
+
+    ms is sorted and kept is a subset of it, as the funnel leaves them.
+    """
+    rejected = np.ones(ms.size, dtype=bool)
+    rejected[np.searchsorted(ms, kept)] = False
+    return ms[rejected][:8]
+
+
+def _report(ctx: FieldContext, results, to_pair, t0: float, **fields) -> SearchReport:
+    """Merge per-block results in block order and re-check the audit sample.
+
+    to_pair turns an audit row into the (L1, L2) pair build_F evaluates.
+    """
+    counts: Counter = Counter()
+    witnesses: List[Tuple[str, str]] = []
+    audit: list = []
+    for res in results:
+        counts.update(res["counts"])
+        witnesses.extend(res["witnesses"])
+        audit.extend(res["audit"][: AUDIT_CAP - len(audit)])
+    violations = sum(build_F(*to_pair(row)).is_permutation() for row in audit)
+    return SearchReport(
+        field_spec=ctx.spec,
+        stages=tuple(counts.items()),
+        witnesses=tuple(sorted(witnesses)),
+        elapsed_s=time.perf_counter() - t0,
+        audit_sampled=len(audit),
+        audit_violations=violations,
+        **fields,
+    )
+
+
+def _dispatch(fn, blocks, partitions: int, workers: int = 1, progress=None) -> list:
+    """fn over blocks in order, in this process or on a pool of workers."""
+
+    def collect(mapped):
+        results = []
+        for i, res in enumerate(mapped):
+            results.append(res)
+            if progress:
+                progress({"partition": i + 1, "partitions": partitions})
+        return results
+
+    if workers <= 1 or partitions <= 1:
+        return collect(map(fn, blocks))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return collect(pool.map(fn, blocks, chunksize=1))
+
+
+# -- fixed-L1 searches -----------------------------------------------------------
 
 
 _PROC_CACHE: Dict[tuple, dict] = {}
@@ -243,8 +339,7 @@ def _fixed_l1_env(n: int, modulus: Optional[int], kind: str) -> dict:
     else:
         raise ValueError(kind)
     l1s_tab = l1.adjoint().table()
-    kz = kloosterman_all(ctx) == 0
-    trq = (ctx.trace_table == 0) & (qform_table(ctx) == 0)
+    kz, trq = _criterion_tables(ctx)
     env = {
         "ctx": ctx,
         "l1": l1,
@@ -319,7 +414,7 @@ class _SpanMap:
 
 
 def _coset_decoder(env: dict, origin, basis) -> Dict[str, _SpanMap]:
-    """Linear decoders of the tables the pipeline reads, per coset.
+    """Linear decoders of the tables the funnel reads, per coset.
 
     "coeffs" gives the L2* coefficient vector packed into one uint64
     (c_i at bit n*i), "kernel" L2* at the nonzero kernel points of L1*,
@@ -343,7 +438,7 @@ def _coset_decoder(env: dict, origin, basis) -> Dict[str, _SpanMap]:
     packed = np.array(
         [sum(c << (n * i) for i, c in enumerate(m.coeffs)) for m in maps], dtype=np.uint64
     )
-    probe = [1, 2, 3, 4][: ctx.order - 1]
+    probe = _PROBE[: ctx.order - 1]
     dec = {
         name: _SpanMap(tab[0], tab[1:])
         for name, tab in (
@@ -365,134 +460,64 @@ def _unpack_coeffs(ctx: FieldContext, packed: np.ndarray) -> np.ndarray:
 
 
 def _fixed_l1_block(args) -> dict:
-    """Run the filter pipeline on one candidate block; pure function of args."""
+    """Run the funnel on one candidate block; pure function of args."""
     (n, modulus, kind, start, size, origin, basis, use_mod16) = args
     env = _fixed_l1_env(n, modulus, kind)
     ctx: FieldContext = env["ctx"]
-    dec = _coset_decoder(env, origin, basis)
+    dec = dict(_coset_decoder(env, origin, basis))
+    if not env["kernel_pts"]:
+        del dec["kernel"]  # L1* is injective: decoding zero columns costs time
+    if not use_mod16:
+        del dec["probe"]
     ms = np.arange(start, start + size, dtype=np.int64)
-    counts = {}
     packed = dec["coeffs"](ms)
-    nonzero = packed != 0
-    counts["nonzero"] = int(nonzero.sum())
-    alive = ms[nonzero]  # candidate indices, not block offsets
+    ms = ms[packed != 0]  # candidate indices, not block offsets
+    counts, alive, bij = _funnel(ms, dec, env["kz"], env["trq"])
 
-    # kernel stage: L2* must not vanish on the nonzero kernel of L1*
-    if env["kernel_pts"]:
-        alive = alive[(dec["kernel"](alive) != 0).all(axis=1)]
-    counts["kernel-intersection"] = int(alive.size)
+    def coeff_rows(sel):
+        return [tuple(row) for row in _unpack_coeffs(ctx, packed[sel - start]).tolist()]
 
-    if use_mod16:
-        # probe a few points first, then confirm the full condition
-        alive = alive[np.take(env["trq"], dec["probe"](alive)).all(axis=1)]
-        r_full = dec["r"](alive)
-        keep = np.take(env["trq"], r_full).all(axis=1)
-        alive = alive[keep]
-        r_full = r_full[keep]
-        counts["mod16-necessary"] = int(alive.size)
-    else:
-        r_full = dec["r"](alive)
-
-    alive = alive[np.take(env["kz"], r_full).all(axis=1)]
-    counts["kloosterman-zero"] = int(alive.size)
-
-    bij = _bij_mask(ctx, dec["f"](alive))
-    counts["bijective"] = int(bij.sum())
-    witnesses = []
-    for row in _unpack_coeffs(ctx, packed[alive[bij] - start]):
-        l2 = LinearizedPoly(ctx, tuple(int(v) for v in row)).adjoint()
-        witnesses.append((env["l1"].to_text(), l2.to_text()))
-
-    # audit sample: first few rejected candidates, re-checked exactly
-    rejected = nonzero.copy()
-    rejected[alive - start] = False
-    picks = _unpack_coeffs(ctx, packed[np.flatnonzero(rejected)[:8]])
-    audit = [tuple(int(v) for v in row) for row in picks]
-    return {"counts": counts, "witnesses": witnesses, "audit": audit}
+    l1 = env["l1"].to_text()
+    return {
+        "counts": counts,
+        "witnesses": [
+            (l1, LinearizedPoly(ctx, row).adjoint().to_text()) for row in coeff_rows(alive[bij])
+        ],
+        "audit": coeff_rows(_audit_picks(ms, alive[bij])),
+    }
 
 
-_STAGE_ORDER = [
-    "nonzero",
-    "kernel-intersection",
-    "mod16-necessary",
-    "kloosterman-zero",
-    "bijective",
-]
-
-
-def _run_fixed_l1(
-    n: int,
-    modulus: Optional[int],
-    kind: str,
-    mode: str,
-    space: int,
-    origin,
-    basis,
-    use_mod16: bool,
-    workers: int,
-    notes: Tuple[str, ...],
-    progress=None,
-) -> SearchReport:
-    ctx = make_field(n, modulus)
+def _run_fixed_l1(n: int, modulus: Optional[int], kind: str, workers: int, progress):
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1; got {workers}")
     t0 = time.perf_counter()
+    env = _fixed_l1_env(n, modulus, kind)
+    origin, basis, presolved = _search_coset(env, kind)
+    if kind == "identity":
+        mode = "filtered" if presolved else "full"
+        space, free = (1 << (n * n)) - 1, n * n
+        notes = ("candidates parameterized by adjoint coefficients",)
+    else:
+        mode, space, free = "normalized", 1 << (n * (n - 1)), n * (n - 1)
+        notes = (
+            "L1 fixed to x^(2^(n-1)) + x; candidates parameterized by adjoint "
+            "coefficients under L2*(1) = 1",
+        )
+    if presolved:
+        notes += (f"trace condition presolved: 2^{len(basis)} of 2^{free} candidates satisfy it",)
+    use_mod16 = kind == "normalized" or n >= 4
     total = 1 << len(basis)
     blocks = [
         (n, modulus, kind, start, min(BLOCK, total - start), origin, basis, use_mod16)
         for start in range(0, total, BLOCK)
     ]
-    results = _dispatch(_fixed_l1_block, blocks, workers, progress)
-    counts = {name: 0 for name in _STAGE_ORDER}
-    witnesses: List[Tuple[str, str]] = []
-    audit_rows: List[tuple] = []
-    for res in results:
-        for k, v in res["counts"].items():
-            counts[k] += v
-        witnesses.extend(res["witnesses"])
-        if len(audit_rows) < AUDIT_CAP:
-            audit_rows.extend(res["audit"])
-    env = _fixed_l1_env(n, modulus, kind)
-    audit_violations = 0
-    for coeff_row in audit_rows[:AUDIT_CAP]:
-        l2 = LinearizedPoly(ctx, coeff_row).adjoint()
-        if build_F(env["l1"], l2).is_permutation():
-            audit_violations += 1
-    stages = tuple(
-        (name, counts[name]) for name in _STAGE_ORDER if use_mod16 or name != "mod16-necessary"
+    results = _dispatch(_fixed_l1_block, blocks, len(blocks), workers, progress)
+    ctx = env["ctx"]
+    return _report(
+        ctx, results, lambda row: (env["l1"], LinearizedPoly(ctx, row).adjoint()), t0,
+        mode=mode, space=space, examined=total, workers=workers,
+        partitions=len(blocks), block_size=BLOCK, notes=notes,
     )
-    return SearchReport(
-        field_spec=ctx.spec,
-        mode=mode,
-        space=space,
-        examined=total,
-        stages=stages,
-        witnesses=tuple(sorted(witnesses)),
-        elapsed_s=time.perf_counter() - t0,
-        workers=workers,
-        partitions=len(blocks),
-        block_size=BLOCK,
-        audit_sampled=min(len(audit_rows), AUDIT_CAP),
-        audit_violations=audit_violations,
-        notes=notes,
-    )
-
-
-def _dispatch(fn, blocks, workers: int, progress=None):
-    results = []
-    if workers <= 1 or len(blocks) <= 1:
-        for i, b in enumerate(blocks):
-            results.append(fn(b))
-            if progress:
-                progress({"partition": i + 1, "partitions": len(blocks)})
-        return results
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for i, res in enumerate(pool.map(fn, blocks, chunksize=1)):
-            results.append(res)
-            if progress:
-                progress({"partition": i + 1, "partitions": len(blocks)})
-    return results
-
-
-# -- public searches -------------------------------------------------------------
 
 
 def identity_L1_search(
@@ -506,16 +531,7 @@ def identity_L1_search(
     """
     if not 2 <= n <= 6:
         raise ValueError("identity-L1 search supports 2 <= n <= 6")
-    origin, basis, presolved = _search_coset(_fixed_l1_env(n, modulus, "identity"), "identity")
-    notes = ("candidates parameterized by adjoint coefficients",)
-    if presolved:
-        notes += (
-            f"trace condition presolved: 2^{len(basis)} of 2^{n*n} candidates satisfy it",
-        )
-    return _run_fixed_l1(
-        n, modulus, "identity", "filtered" if presolved else "full", (1 << (n * n)) - 1,
-        origin, basis, use_mod16=n >= 4, workers=workers, notes=notes, progress=progress,
-    )
+    return _run_fixed_l1(n, modulus, "identity", workers, progress)
 
 
 def normalized_search(
@@ -530,21 +546,7 @@ def normalized_search(
     """
     if not 5 <= n <= 8:
         raise ValueError("normalized search supports 5 <= n <= 8")
-    origin, basis, presolved = _search_coset(
-        _fixed_l1_env(n, modulus, "normalized"), "normalized"
-    )
-    notes = (
-        "L1 fixed to x^(2^(n-1)) + x; candidates parameterized by adjoint "
-        "coefficients under L2*(1) = 1",
-    )
-    if presolved:
-        notes += (
-            f"trace condition presolved: 2^{len(basis)} of 2^{n*(n-1)} candidates satisfy it",
-        )
-    return _run_fixed_l1(
-        n, modulus, "normalized", "normalized", 1 << (n * (n - 1)),
-        origin, basis, use_mod16=True, workers=workers, notes=notes, progress=progress,
-    )
+    return _run_fixed_l1(n, modulus, "normalized", workers, progress)
 
 
 # -- canonical-orbit machinery -----------------------------------------------------
@@ -618,16 +620,8 @@ def _gram_rows(ctx: FieldContext) -> List[int]:
     ]
 
 
-def _batch_columns(mat_rows: np.ndarray, n: int) -> np.ndarray:
-    """(B, n) row-int matrices -> (B, n) column images of the basis."""
-    cols = np.zeros_like(mat_rows)
-    for j in range(n):
-        for i in range(n):
-            cols[:, j] |= ((mat_rows[:, i] >> j) & 1) << i
-    return cols
-
-
 def _batch_transpose(mat_rows: np.ndarray, n: int) -> np.ndarray:
+    """(B, n) row-int matrices -> their transposes, the column images of the basis."""
     out = np.zeros_like(mat_rows)
     for i in range(n):
         for j in range(n):
@@ -698,10 +692,10 @@ def _canonical_batch_arrays(ctx, buf, gram, gram_inv):
     stacked = np.array(buf, dtype=np.int64)
     m1 = stacked & ctx.mask
     m2 = stacked >> n
-    t1 = _tables_from_cols(ctx, _batch_columns(m1, n))
-    t2 = _tables_from_cols(ctx, _batch_columns(m2, n))
-    t1s = _tables_from_cols(ctx, _batch_columns(_batch_adjoint(m1, gram, gram_inv, n), n))
-    t2s = _tables_from_cols(ctx, _batch_columns(_batch_adjoint(m2, gram, gram_inv, n), n))
+    t1 = _tables_from_cols(ctx, _batch_transpose(m1, n))
+    t2 = _tables_from_cols(ctx, _batch_transpose(m2, n))
+    t1s = _tables_from_cols(ctx, _batch_transpose(_batch_adjoint(m1, gram, gram_inv, n), n))
+    t2s = _tables_from_cols(ctx, _batch_transpose(_batch_adjoint(m2, gram, gram_inv, n), n))
     return {
         "stacked": stacked,
         "m1": m1,
@@ -714,146 +708,92 @@ def _canonical_batch_arrays(ctx, buf, gram, gram_inv):
     }
 
 
-def _pairs_search_n3(ctx: FieldContext, progress=None) -> SearchReport:
-    """Raw search over every nonzero pair (n <= 3)."""
-    t0 = time.perf_counter()
-    n = ctx.n
-    q = ctx.order
-    nmaps = 1 << (n * n)
-    mf = _mulflat(ctx)
-    all_coeffs = _decode_digits(ctx, np.arange(nmaps, dtype=np.int64))
-    tabs = _tables_from_coeffs(ctx, all_coeffs)
-    adj = _tables_from_coeffs(ctx, _adjoint_coeffs(ctx, all_coeffs))
-    kermask = (
-        (adj == 0).astype(np.int64) << np.arange(q, dtype=np.int64)[None, :]
-    ).sum(axis=1)
-    kz = kloosterman_all(ctx) == 0
-    use_mod16 = n >= 4
-    trq = (ctx.trace_table == 0) & (qform_table(ctx) == 0)
-    ref = np.arange(q, dtype=np.int64)
-    counts = {name: 0 for name in _STAGE_ORDER}
-    witnesses = []
-    audit_rows = []
-    space = (nmaps - 1) ** 2
-    counts["nonzero"] = space
-    for m1 in range(1, nmaps):
-        # kernel-intersection: adjoint kernels share only 0
-        kmask = (kermask[m1] & kermask[1:]) == 1
-        counts["kernel-intersection"] += int(kmask.sum())
-        alive = np.nonzero(kmask)[0] + 1
-        r = mf[(adj[m1][None, :] << n) | adj[alive]]
-        if use_mod16:
-            keep = trq[r].all(axis=1)
-            alive = alive[keep]
-            r = r[keep]
-            counts["mod16-necessary"] += int(alive.size)
-        keep = kz[r].all(axis=1)
-        alive = alive[keep]
-        counts["kloosterman-zero"] += int(alive.size)
-        if alive.size:
-            f = tabs[m1][ctx.inv_table][None, :] ^ tabs[alive]
-            bij = (np.sort(f, axis=1) == ref[None, :]).all(axis=1)
-            counts["bijective"] += int(bij.sum())
-            for m2 in alive[bij]:
-                l1 = LinearizedPoly(ctx, tuple(int(v) for v in all_coeffs[m1]))
-                l2 = LinearizedPoly(ctx, tuple(int(v) for v in all_coeffs[m2]))
-                witnesses.append((l1.to_text(), l2.to_text()))
-        if len(audit_rows) < AUDIT_CAP and m1 % 97 == 1:
-            dead = np.nonzero(~kmask)[0]
-            if dead.size:
-                audit_rows.append((m1, int(dead[0] + 1)))
-        if progress and m1 % 64 == 0:
-            progress({"partition": m1 // 64, "partitions": (nmaps - 2) // 64 + 1})
-    audit_violations = 0
-    for m1, m2 in audit_rows:
-        f = tabs[m1][ctx.inv_table] ^ tabs[m2]
-        if np.array_equal(np.sort(f), ref):
-            audit_violations += 1
-    stages = tuple(
-        (nm, counts[nm]) for nm in _STAGE_ORDER if use_mod16 or nm != "mod16-necessary"
-    )
-    return SearchReport(
-        field_spec=ctx.spec,
-        mode="full",
-        space=space,
-        examined=space,
-        stages=stages,
-        witnesses=tuple(sorted(witnesses)),
-        elapsed_s=time.perf_counter() - t0,
-        workers=1,
-        partitions=nmaps - 1,
-        block_size=nmaps - 1,
-        audit_sampled=len(audit_rows),
-        audit_violations=audit_violations,
-    )
+# -- pair batches ----------------------------------------------------------------
+#
+# A pair batch holds, per row, the value tables t1, t2 of L1, L2 and
+# t1s, t2s of their adjoints, a nonzero mask, and the maps themselves as
+# coefficient rows c1, c2 or (canonical_batches) row-int matrices m1, m2.
 
 
-def _canonical_search_n4(ctx: FieldContext, progress=None) -> SearchReport:
-    """Orbit-representative search with the full filter pipeline (n = 4)."""
-    t0 = time.perf_counter()
-    n = ctx.n
-    mf = _mulflat(ctx)
-    kz = kloosterman_all(ctx) == 0
-    trq = (ctx.trace_table == 0) & (qform_table(ctx) == 0)
-    counts = {name: 0 for name in _STAGE_ORDER}
-    witnesses = []
-    audit_rows = []
-    audit_violations = 0
-    examined = 0
-    batch_idx = 0
-    for batch in canonical_batches(ctx):
-        b = batch["stacked"].shape[0]
-        examined += b
-        batch_idx += 1
-        if progress:
-            progress({"partition": batch_idx, "candidates_done": examined})
-        nonzero = batch["nonzero"]
-        counts["nonzero"] += int(nonzero.sum())
-        alive = np.nonzero(nonzero)[0]
-        t1s, t2s = batch["t1s"], batch["t2s"]
-        keep = ((t1s[alive] == 0) & (t2s[alive] == 0)).sum(axis=1) == 1
-        alive = alive[keep]
-        counts["kernel-intersection"] += int(alive.size)
-        r = mf[(t1s[alive] << n) | t2s[alive]]
-        keep = trq[r].all(axis=1)
-        alive = alive[keep]
-        r = r[keep]
-        counts["mod16-necessary"] += int(alive.size)
-        keep = kz[r].all(axis=1)
-        alive = alive[keep]
-        counts["kloosterman-zero"] += int(alive.size)
-        if alive.size:
-            f = batch["t1"][alive][:, ctx.inv_table] ^ batch["t2"][alive]
-            bij = _bij_mask(ctx, f)
-            counts["bijective"] += int(bij.sum())
-            for idx in alive[bij]:
-                l1 = LinearizedPoly.from_matrix(ctx, [int(v) for v in batch["m1"][idx]])
-                l2 = LinearizedPoly.from_matrix(ctx, [int(v) for v in batch["m2"][idx]])
-                witnesses.append((l1.to_text(), l2.to_text()))
-        # audit: first rejected nonzero candidate of the batch
-        if len(audit_rows) < AUDIT_CAP:
-            rejected = np.setdiff1d(np.nonzero(nonzero)[0], alive)
-            for idx in rejected[:4]:
-                f = batch["t1"][idx][ctx.inv_table] ^ batch["t2"][idx]
-                audit_rows.append(0)
-                if _bij_mask(ctx, f[None, :])[0]:
-                    audit_violations += 1
-    stages = tuple((nm, counts[nm]) for nm in _STAGE_ORDER)
-    return SearchReport(
-        field_spec=ctx.spec,
-        mode="canonical",
-        space=((1 << (n * n)) - 1) ** 2,
-        examined=examined,
-        stages=stages,
-        witnesses=tuple(sorted(witnesses)),
-        elapsed_s=time.perf_counter() - t0,
-        workers=1,
-        partitions=(examined + BLOCK - 1) // BLOCK,
-        block_size=BLOCK,
-        audit_sampled=len(audit_rows),
-        audit_violations=audit_violations,
-        notes=("one representative per left-composition orbit",),
-    )
+def _coeff_batch(ctx: FieldContext, c1: np.ndarray, c2: np.ndarray) -> dict:
+    """Pair batch of the maps with coefficient rows c1 (L1) and c2 (L2)."""
+    t1s, t2s = (_tables_from_coeffs(ctx, _adjoint_coeffs(ctx, c)) for c in (c1, c2))
+    return {
+        "c1": c1,
+        "c2": c2,
+        "t1": _tables_from_coeffs(ctx, c1),
+        "t2": _tables_from_coeffs(ctx, c2),
+        "t1s": t1s,
+        "t2s": t2s,
+        "nonzero": c1.any(axis=1) & c2.any(axis=1),
+    }
+
+
+def all_pair_batches(ctx: FieldContext) -> Iterator[dict]:
+    """Every pair of nonzero maps (n <= 3), one batch per L1.
+
+    The tables of all maps are built once; each batch pairs one L1,
+    as broadcast views, with every L2.
+    """
+    nmaps = 1 << (ctx.n * ctx.n)
+    coeffs = _decode_digits(ctx, np.arange(1, nmaps, dtype=np.int64))
+    every = _coeff_batch(ctx, coeffs, coeffs)
+    for i in range(nmaps - 1):
+        l1 = {k: np.broadcast_to(every[k][i], every[k].shape) for k in ("c1", "t1", "t1s")}
+        yield dict(every, **l1)
+
+
+def random_pair_batches(ctx: FieldContext, samples: int, seed: int) -> Iterator[dict]:
+    """Seeded random coefficient pairs, in batches of 2^14 rows."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples, 1 << 14):
+        b = min(1 << 14, samples - start)
+        c1 = rng.integers(0, ctx.order, (b, ctx.n), dtype=np.int64)
+        c2 = rng.integers(0, ctx.order, (b, ctx.n), dtype=np.int64)
+        yield _coeff_batch(ctx, c1, c2)
+
+
+def _pair_decoder(ctx: FieldContext, batch: dict, use_mod16: bool) -> dict:
+    """Funnel decoders over the row indices of a pair batch."""
+    mf, n = ctx.mul_table.reshape(-1), ctx.n
+    t1, t2, t1s, t2s = batch["t1"], batch["t2"], batch["t1s"], batch["t2s"]
+
+    def product(pts):
+        return lambda i: mf[(t1s[i][:, pts] << n) | t2s[i][:, pts]]
+
+    dec = {
+        # zero exactly where b != 0 lies in both adjoint kernels
+        "kernel": lambda i: t1s[i, 1:] | t2s[i, 1:],
+        "r": product(slice(None)),
+        "f": lambda i: t1[i][:, ctx.inv_table] ^ t2[i],
+    }
+    if use_mod16:
+        dec["probe"] = product(_PROBE)
+    return dec
+
+
+def _row_pair(ctx: FieldContext, batch: dict, i: int) -> Tuple[LinearizedPoly, LinearizedPoly]:
+    """(L1, L2) of row i of a pair batch."""
+    if "c1" in batch:
+        return tuple(LinearizedPoly(ctx, tuple(batch[k][i].tolist())) for k in ("c1", "c2"))
+    return tuple(LinearizedPoly.from_matrix(ctx, batch[k][i].tolist()) for k in ("m1", "m2"))
+
+
+def criterion_mismatches(ctx: FieldContext, batches) -> Iterator[tuple]:
+    """Rows of pair batches where the exact criterion and bijectivity differ.
+
+    The criterion is the funnel without its mod-16 stage (a consequence
+    of the criterion, not part of it); bijectivity is the funnel run with
+    its last stage alone.  Yields, per batch, the number of nonzero rows
+    checked and a lazy iterator over the (L1, L2) pairs that disagree.
+    """
+    kz, trq = _criterion_tables(ctx)
+    for batch in batches:
+        rows = np.flatnonzero(batch["nonzero"])
+        dec = _pair_decoder(ctx, batch, use_mod16=False)
+        _, crit, _ = _funnel(rows, dec, kz, trq)
+        _, _, bij = _funnel(rows, {"f": dec["f"]}, kz, trq)
+        yield rows.size, map(partial(_row_pair, ctx, batch), rows[np.isin(rows, crit) != bij])
 
 
 def full_search(
@@ -870,7 +810,29 @@ def full_search(
         )
     if workers != 1:
         raise ValueError(f"full search runs in one process; got workers={workers}")
+    t0 = time.perf_counter()
     ctx = make_field(n, modulus)
     if n <= 3:
-        return _pairs_search_n3(ctx, progress)
-    return _canonical_search_n4(ctx, progress)
+        batches, partitions = all_pair_batches(ctx), (1 << (n * n)) - 1
+        mode, examined, block, notes = "full", partitions**2, partitions, ()
+    else:
+        batches, examined = canonical_batches(ctx), canonical_pair_count(n)
+        partitions = -(-examined // BLOCK)
+        mode, block, notes = "canonical", BLOCK, ("one representative per left-composition orbit",)
+    kz, trq = _criterion_tables(ctx)
+
+    def run(batch):
+        rows = np.flatnonzero(batch["nonzero"])
+        counts, alive, bij = _funnel(rows, _pair_decoder(ctx, batch, n >= 4), kz, trq)
+        witnesses = [_row_pair(ctx, batch, i) for i in alive[bij]]
+        return {
+            "counts": counts,
+            "witnesses": [(l1.to_text(), l2.to_text()) for l1, l2 in witnesses],
+            "audit": [_row_pair(ctx, batch, i) for i in _audit_picks(rows, alive[bij])],
+        }
+
+    results = _dispatch(run, batches, partitions, progress=progress)
+    return _report(
+        ctx, results, lambda pair: pair, t0, mode=mode, space=((1 << (n * n)) - 1) ** 2,
+        examined=examined, workers=1, partitions=partitions, block_size=block, notes=notes,
+    )

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 from . import gf2mat
-from .gf2n import FieldContext, make_field
+from .gf2n import FieldContext, make_field, parse_field_spec
 from .linmap import LinearizedPoly
 
 __all__ = [
@@ -216,16 +216,10 @@ class TruthTable:
     def load(cls, path) -> "TruthTable":
         with open(path) as fh:
             header = fh.readline().strip()
-            n, modulus = _parse_header(header)
+            n, modulus = parse_field_spec(header)
             ctx = make_field(n, modulus)
             vals = [int(line, 16) for line in fh if line.strip()]
         return cls(ctx, vals)
-
-
-def _parse_header(header: str) -> Tuple[int, Optional[int]]:
-    from .gf2n import parse_field_spec
-
-    return parse_field_spec(header)
 
 
 @dataclass(frozen=True)

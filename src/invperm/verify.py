@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from .gf2n import FieldContext, make_field
 from .inverse_perm import (
-    hyperplane_union_size,
     image_set_Ma,
     ma_hyperplane_form,
-    quad_solvable,
     recurrence_coeffs,
     verify_conditions,
     x8_coefficient_parity,
@@ -29,12 +28,10 @@ from .inverse_perm import (
 from .kloosterman import kloosterman_all, kloosterman_zeros, qform_table
 from .linmap import LinearizedPoly
 from .search import (
-    _adjoint_coeffs,
-    _bij_mask,
-    _decode_digits,
-    _mulflat,
-    _tables_from_coeffs,
+    all_pair_batches,
     canonical_batches,
+    criterion_mismatches,
+    random_pair_batches,
 )
 from .vbf import TruthTable
 
@@ -85,21 +82,6 @@ def verify_theorem3(n: int, modulus: Optional[int] = None) -> VerifyResult:
     return res
 
 
-def _criterion_and_bij_for_batch(ctx, c1: np.ndarray, c2: np.ndarray):
-    """Vectorized (criterion, bijectivity) verdicts for coefficient batches."""
-    mf = _mulflat(ctx)
-    kz = kloosterman_all(ctx) == 0
-    t1s = _tables_from_coeffs(ctx, _adjoint_coeffs(ctx, c1))
-    t2s = _tables_from_coeffs(ctx, _adjoint_coeffs(ctx, c2))
-    kernel_ok = ((t1s == 0) & (t2s == 0)).sum(axis=1) == 1
-    r = mf[(t1s << ctx.n) | t2s]
-    crit = kernel_ok & kz[r].all(axis=1)
-    t1 = _tables_from_coeffs(ctx, c1)
-    t2 = _tables_from_coeffs(ctx, c2)
-    bij = _bij_mask(ctx, t1[:, ctx.inv_table] ^ t2)
-    return crit, bij
-
-
 def verify_proposition2(
     n: int,
     modulus: Optional[int] = None,
@@ -110,7 +92,7 @@ def verify_proposition2(
 
     Exhaustive over all nonzero pairs for n <= 3, over all canonical
     orbit representatives at n = 4, and over seeded random pairs for
-    n >= 5.
+    n >= 5 (a drawn pair with a zero map is not counted).
     """
     ctx = make_field(n, modulus)
     res = VerifyResult("proposition2", ctx.spec, 0)
@@ -120,46 +102,17 @@ def verify_proposition2(
     )
     if n <= 3:
         res.details["mode"] = "exhaustive"
-        nmaps = 1 << (n * n)
-        coeffs = _decode_digits(ctx, np.arange(nmaps, dtype=np.int64))
-        for m1 in range(1, nmaps):
-            c1 = np.tile(coeffs[m1], (nmaps - 1, 1))
-            crit, bij = _criterion_and_bij_for_batch(ctx, c1, coeffs[1:])
-            res.cases += nmaps - 1
-            for m2 in np.nonzero(crit != bij)[0]:
-                res.note({"l1": m1, "l2": int(m2) + 1})
+        batches = all_pair_batches(ctx)
     elif n == 4:
         res.details["mode"] = "canonical"
-        mf = _mulflat(ctx)
-        kz = kloosterman_all(ctx) == 0
-        for batch in canonical_batches(ctx):
-            keep = batch["nonzero"]
-            t1s, t2s = batch["t1s"][keep], batch["t2s"][keep]
-            kernel_ok = ((t1s == 0) & (t2s == 0)).sum(axis=1) == 1
-            r = mf[(t1s << n) | t2s]
-            crit = kernel_ok & kz[r].all(axis=1)
-            bij = _bij_mask(ctx, batch["t1"][keep][:, ctx.inv_table] ^ batch["t2"][keep])
-            res.cases += int(keep.sum())
-            for idx in np.nonzero(crit != bij)[0]:
-                res.note({"stacked_rows": [int(v) for v in batch["stacked"][keep][idx]]})
+        batches = canonical_batches(ctx)
     else:
         res.details["mode"] = f"random(samples={samples}, seed={seed})"
-        rng = np.random.default_rng(seed)
-        done = 0
-        while done < samples:
-            b = min(1 << 14, samples - done)
-            c1 = rng.integers(0, ctx.order, (b, n), dtype=np.int64)
-            c2 = rng.integers(0, ctx.order, (b, n), dtype=np.int64)
-            crit, bij = _criterion_and_bij_for_batch(ctx, c1, c2)
-            for idx in np.nonzero(crit != bij)[0]:
-                res.note(
-                    {
-                        "l1": ",".join(f"{v:x}" for v in c1[idx]),
-                        "l2": ",".join(f"{v:x}" for v in c2[idx]),
-                    }
-                )
-            done += b
-            res.cases += b
+        batches = random_pair_batches(ctx, samples, seed)
+    for checked, bad in criterion_mismatches(ctx, batches):
+        res.cases += checked
+        for l1, l2 in islice(bad, MAX_VIOLATIONS):
+            res.note({"l1": l1.to_text(), "l2": l2.to_text()})
     return res
 
 

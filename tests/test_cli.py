@@ -193,8 +193,62 @@ def test_kloosterman_modulus_flag(capsys):
 
 
 def test_search_progress_stream(capsys):
-    code, doc, err = run_cli(capsys, "search", "full", "--field", "3", "--progress")
-    assert code == 0
-    progress_lines = [l for l in err.splitlines() if l.startswith("{")]
-    assert progress_lines
-    assert json.loads(progress_lines[0])["partition"] == 1
+    for mode, n in (("full", "3"), ("full", "4"), ("normalized", "5")):
+        code, doc, err = run_cli(capsys, "search", mode, "--field", n, "--progress")
+        assert code == 0
+        records = [json.loads(l) for l in err.splitlines() if l.startswith("{")]
+        assert records
+        # one schema for every search: partitions done out of a known total
+        assert all(set(r) == {"partition", "partitions"} for r in records)
+        assert records[0]["partition"] == 1
+        last = records[-1]
+        assert last["partition"] == last["partitions"] == doc["result"]["partitions"]
+
+
+@pytest.mark.parametrize("mode", ["normalized", "identity-l1"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_search_rejects_workers_below_one(capsys, mode, workers):
+    code, doc, err = run_cli(capsys, "search", mode, "--field", "5", "--workers", workers)
+    assert code == 1
+    assert doc is None
+    assert "workers" in err
+
+
+@pytest.mark.parametrize("claim", ["theorem3", "lemma2", "prop3", "theorem8"])
+def test_verify_samples_on_exhaustive_claim_exits_one(capsys, claim):
+    # these claims take no sample count: an input error, not a traceback
+    code, doc, err = run_cli(capsys, "verify", claim, "--field", "5", "--samples", "10")
+    assert code == 1
+    assert doc is None
+    assert "--samples" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-4"])
+def test_verify_samples_below_one_exits_one(capsys, samples):
+    # zero samples would report ok on 0 cases
+    code, doc, err = run_cli(
+        capsys, "verify", "proposition2", "--field", "5", "--samples", samples
+    )
+    assert code == 1
+    assert doc is None
+    assert "--samples" in err
+
+
+def test_audit_catches_corrupted_kloosterman_table(capsys, monkeypatch):
+    # with every K(a) nonzero the funnel rejects every pair, permutations
+    # included; the audit re-checks rejected rows with build_F, which does
+    # not read the corrupted table, so it must report violations
+    import numpy as np
+
+    from invperm import search
+
+    monkeypatch.setattr(search, "kloosterman_all", lambda ctx: np.ones(ctx.order, dtype=np.int64))
+    rep = search.full_search(2)
+    assert rep.witness_count == 0
+    assert rep.audit_violations > 0
+    # n = 2 pins no expected witness count, so only the audit can flag it
+    code, doc, _ = run_cli(capsys, "search", "full", "--field", "2")
+    assert code == 2
+    assert doc["result"]["expected_witnesses"] is None
+    assert doc["result"]["audit"]["violations"] > 0
+    assert doc["result"]["verdict"] == "violated"

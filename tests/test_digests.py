@@ -1,0 +1,31 @@
+"""Report digests of fast runs at the default modulus, pinned.
+
+A change to the search or verify internals must leave these answers
+byte-identical; a deliberate change to a report has to update its pin.
+"""
+
+import json
+
+import pytest
+
+from invperm import cli
+
+DIGESTS = {
+    "search normalized 5": "e5408324afca8ad1ea61b6b7a7f8a24d65e0470e03ebc8fc0546bc29cdcdcfb9",
+    "search identity-l1 3": "20a8246214513077159d51cf27b2b90f316d50f9f10f1324b308d7304f153904",
+    "search identity-l1 4": "959ad700fb101bc6f752739ddb83764d1e37e3103026bbab49dca6baebaeecaf",
+    "search full 2": "12ce87a29e6850b35c4da4bfef5d20b66a81824101172c0d4cdfaa8da41cf926",
+    "search full 3": "1c0e90bc6f8254d466b92ee2c35cca44f10a5c07c79cdb6b408944cd089d516a",
+    "verify proposition2 2": "4b132a1c31dcc5385e0b9a602510dba988fed39287d367d5cff0815abec6b530",
+    "verify proposition2 3": "f1649736cf9581e47bd6ecb3c9bfb321e4e73ef0bafd5a07c1390594c33dcb93",
+    "verify proposition2 5": "de59c0472fb6edefdb2a8f6a2e2fa77c73cd99e5b5ad225a111176f52d0f436f",
+}
+
+
+@pytest.mark.parametrize("run", sorted(DIGESTS))
+def test_result_digest_pinned(capsys, run):
+    cmd, mode, n = run.split()
+    assert cli.run([cmd, mode, "--field", n]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert cli.result_digest(doc["result"]) == "sha256:" + DIGESTS[run]
+    assert doc["manifest"]["digest"] == "sha256:" + DIGESTS[run]

@@ -71,6 +71,13 @@ def test_stage_attrition_monotone(full3_report, full4_report, identity4_report):
         assert rep.audit_violations == 0
 
 
+def test_every_search_audits(full3_report, full4_report, identity3_report, normalized5_report):
+    full2 = search.full_search(2)
+    for rep in (full2, full3_report, full4_report, identity3_report, normalized5_report):
+        assert 0 < rep.audit_sampled <= search.AUDIT_CAP
+        assert rep.audit_violations == 0
+
+
 def test_gaussian_binomial_and_counts():
     assert search.gaussian_binomial(4, 1) == 15
     assert search.gaussian_binomial(4, 2) == 35
