@@ -327,18 +327,7 @@ def x8_coefficient_parity(n: int) -> int:
     """
     if n < 5:
         raise ValueError("the x^8 coefficient argument applies for n >= 5")
-    parity = 0
-    for r in range(n):
-        for s in range(r + 1, n):
-            for i in range(n):
-                for j in range(n):
-                    e = (1 << i) + (1 << j) + (1 << r) + (1 << s)
-                    if _reduced_exponent(e, n) != 8:
-                        continue
-                    if i == r or j == s:
-                        continue
-                    parity ^= 1
-    return parity
+    return sum(value for _, value in x8_tuples(n)) % 2
 
 
 def x8_tuples(n: int):

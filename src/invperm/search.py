@@ -16,7 +16,9 @@ Every search, and verify_proposition2, runs one filter funnel
 funnel reads its tables through decoders, functions of candidate
 indices.  full_search and verify_proposition2 look rows up in batches
 of (L1, L2) tables: all nonzero pairs at n <= 3, canonical orbit
-representatives at n = 4, or random coefficient rows.  With L1 fixed,
+representatives at n = 4, or random rows.  All three are coefficient
+rows, and every table is n^2 product lookups for the images of the
+basis plus their XOR span.  With L1 fixed,
 every table the funnel reads is GF(2)-affine in the coefficient bits of
 L2*: the packed coefficient word, L2* on the kernel of L1*,
 R(b) = L1*(b) L2*(b) and F.  A fixed-L1 search therefore enumerates a
@@ -49,8 +51,8 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import combinations, islice
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -129,11 +131,18 @@ class SearchReport:
 
 
 def _tables_from_coeffs(ctx: FieldContext, coeffs: np.ndarray) -> np.ndarray:
-    """(B, 2^n) value tables of sum_i c_i x^(2^i) for (B, n) coefficient rows."""
-    mf = ctx.mul_table.reshape(-1)
+    """(B, 2^n) value tables of sum_i c_i x^(2^i) for (B, n) coefficient rows.
+
+    The n basis images L(2^j) take n^2 product lookups; the rest of each
+    table is their XOR span, as in LinearizedPoly.table().
+    """
+    n, mf = ctx.n, ctx.mul_table.reshape(-1)
     out = np.zeros((coeffs.shape[0], ctx.order), dtype=np.int64)
-    for i in range(ctx.n):
-        out ^= mf[(coeffs[:, i, None] << ctx.n) | ctx.pow2k_table[i][None, :]]
+    for j in range(n):
+        image = np.zeros(coeffs.shape[0], dtype=np.int64)
+        for i in range(n):
+            image ^= mf[(coeffs[:, i] << n) | int(ctx.pow2k_table[i][1 << j])]
+        out[:, 1 << j : 2 << j] = out[:, : 1 << j] ^ image[:, None]
     return out
 
 
@@ -162,34 +171,12 @@ def _coeff_bit_rows(ctx: FieldContext, weights: np.ndarray) -> List[int]:
     """Rows of Tr(sum_i c_i w_i(a)) = 0 as GF(2) equations in coeff bits.
 
     weights[i][a] = w_i(a); one row per point a, unknowns at position
-    i*n + t for bit t of c_i.
+    i*n + t for bit t of c_i, which is Tr(2^t w_i(a)): bit t of
+    trace_dual_table[w_i(a)].
     """
-    n = ctx.n
-    rows = []
-    tr = ctx.trace_table
-    for a in range(ctx.order):
-        row = 0
-        for i in range(n):
-            w = int(weights[i][a])
-            if w == 0:
-                continue
-            for t in range(n):
-                if tr[ctx.mul(1 << t, w)]:
-                    row |= 1 << (i * n + t)
-        rows.append(row)
-    return rows
-
-
-def _l2star_value_one_rows(ctx: FieldContext) -> Tuple[List[int], int]:
-    """Equations forcing L2*(1) = sum_i c_i = 1, plus their rhs bits."""
-    n = ctx.n
-    rows = []
-    for t in range(n):
-        row = 0
-        for i in range(n):
-            row |= 1 << (i * n + t)
-        rows.append(row)
-    return rows, 1  # rhs: bit pattern of the field element 1
+    bits = ctx.trace_dual_table[weights].astype(np.uint64)
+    shifts = np.arange(0, ctx.n * ctx.n, ctx.n, dtype=np.uint64)[:, None]
+    return np.bitwise_or.reduce(bits << shifts, axis=0).tolist()
 
 
 def _solve_coset(ctx, rows: List[int], rhs: int):
@@ -214,10 +201,10 @@ def _trace_presolve(ctx: FieldContext, l1star_tab: np.ndarray, force_value_one: 
     )
     rows = _coeff_bit_rows(ctx, weights)
     rhs = 0
-    if force_value_one:
-        extra, bits = _l2star_value_one_rows(ctx)
-        rhs = bits << len(rows)
-        rows = rows + extra
+    if force_value_one:  # L2*(1) = sum_i c_i = 1: bit t of the sum is [t = 0]
+        n = ctx.n
+        rhs = 1 << len(rows)
+        rows += [sum(1 << (i * n + t) for i in range(n)) for t in range(n)]
     return _solve_coset(ctx, rows, rhs)
 
 
@@ -613,106 +600,35 @@ def canonical_pairs(
         )
 
 
-def _gram_rows(ctx: FieldContext) -> List[int]:
-    return [
-        sum(ctx.trace(ctx.mul(1 << i, 1 << j)) << j for j in range(ctx.n))
-        for i in range(ctx.n)
-    ]
-
-
-def _batch_transpose(mat_rows: np.ndarray, n: int) -> np.ndarray:
-    """(B, n) row-int matrices -> their transposes, the column images of the basis."""
-    out = np.zeros_like(mat_rows)
-    for i in range(n):
-        for j in range(n):
-            out[:, i] |= ((mat_rows[:, j] >> i) & 1) << j
-    return out
-
-
-def _batch_mul_fixed_right(mat_rows: np.ndarray, fixed: Sequence[int], n: int) -> np.ndarray:
-    """Row-int product (batch A) @ (fixed B)."""
-    out = np.zeros_like(mat_rows)
-    for i in range(n):
-        acc = np.zeros(mat_rows.shape[0], dtype=np.int64)
-        for j in range(n):
-            acc ^= ((mat_rows[:, i] >> j) & 1) * fixed[j]
-        out[:, i] = acc
-    return out
-
-
-def _batch_mul_fixed_left(fixed: Sequence[int], mat_rows: np.ndarray, n: int) -> np.ndarray:
-    """Row-int product (fixed A) @ (batch B)."""
-    out = np.zeros_like(mat_rows)
-    for i in range(n):
-        acc = np.zeros(mat_rows.shape[0], dtype=np.int64)
-        row = fixed[i]
-        for j in range(n):
-            if (row >> j) & 1:
-                acc ^= mat_rows[:, j]
-        out[:, i] = acc
-    return out
-
-
-def _batch_adjoint(mat_rows: np.ndarray, gram: Sequence[int], gram_inv: Sequence[int], n: int):
-    """Adjoint matrices G^-1 M^T G for a batch of row-int matrices."""
-    mt = _batch_transpose(mat_rows, n)
-    x = _batch_mul_fixed_right(mt, gram, n)
-    return _batch_mul_fixed_left(gram_inv, x, n)
-
-
-def _tables_from_cols(ctx: FieldContext, cols: np.ndarray) -> np.ndarray:
-    out = np.zeros((cols.shape[0], ctx.order), dtype=np.int64)
-    for j in range(ctx.n):
-        out[:, 1 << j : 2 << j] = out[:, : 1 << j] ^ cols[:, j, None]
-    return out
-
-
 def canonical_batches(ctx: FieldContext, batch_rows: int = BLOCK):
-    """Canonical representatives as batches of table/matrix arrays.
+    """Canonical representatives as pair batches that also carry their
+    "stacked" n x 2n matrices (L1's matrix in the low n columns).
 
-    Yields dicts with per-candidate arrays: stacked rows, both value
-    tables, both adjoint value tables, and the nonzero mask.
+    Matrix to coefficients is GF(2)-linear, so each n x n half, packed
+    into an n^2-bit index, decodes through one _SpanMap whose images are
+    the coefficient rows of the n^2 unit matrices.
     """
     n = ctx.n
-    gram = _gram_rows(ctx)
-    gram_inv = gf2mat.inverse(gram, n)
-    assert gram_inv is not None  # trace pairing is nondegenerate
-    buf: List[List[int]] = []
-    for rows in _rref_matrices(n):
-        buf.append(rows)
-        if len(buf) >= batch_rows:
-            yield _canonical_batch_arrays(ctx, buf, gram, gram_inv)
-            buf = []
-    if buf:
-        yield _canonical_batch_arrays(ctx, buf, gram, gram_inv)
-
-
-def _canonical_batch_arrays(ctx, buf, gram, gram_inv):
-    n = ctx.n
-    stacked = np.array(buf, dtype=np.int64)
-    m1 = stacked & ctx.mask
-    m2 = stacked >> n
-    t1 = _tables_from_cols(ctx, _batch_transpose(m1, n))
-    t2 = _tables_from_cols(ctx, _batch_transpose(m2, n))
-    t1s = _tables_from_cols(ctx, _batch_transpose(_batch_adjoint(m1, gram, gram_inv, n), n))
-    t2s = _tables_from_cols(ctx, _batch_transpose(_batch_adjoint(m2, gram, gram_inv, n), n))
-    return {
-        "stacked": stacked,
-        "m1": m1,
-        "m2": m2,
-        "t1": t1,
-        "t2": t2,
-        "t1s": t1s,
-        "t2s": t2s,
-        "nonzero": m1.any(axis=1) & m2.any(axis=1),
-    }
+    units = [[1 << j if r == i else 0 for r in range(n)] for i in range(n) for j in range(n)]
+    images = np.array([LinearizedPoly.from_matrix(ctx, u).coeffs for u in units], dtype=np.int64)
+    to_coeffs = _SpanMap(np.zeros(n, dtype=np.int64), images)
+    shifts = np.arange(0, n * n, n, dtype=np.int64)
+    rref = _rref_matrices(n)
+    while buf := list(islice(rref, batch_rows)):
+        stacked = np.array(buf, dtype=np.int64)
+        c1, c2 = (
+            to_coeffs(np.bitwise_or.reduce(half << shifts, axis=1))
+            for half in (stacked & ctx.mask, stacked >> n)
+        )
+        yield dict(_coeff_batch(ctx, c1, c2), stacked=stacked)
 
 
 # -- pair batches ----------------------------------------------------------------
 #
-# A pair batch holds, per row, the value tables t1, t2 of L1, L2 and
-# t1s, t2s of their adjoints, a nonzero mask, and the maps themselves as
-# coefficient rows c1, c2 or (canonical_batches) row-int matrices m1, m2.
+# A pair batch holds, per row, the maps L1, L2 as coefficient rows c1, c2,
+# the value tables t1, t2 of L1, L2 and t1s, t2s of their adjoints, and a
+# nonzero mask.  _coeff_batch builds every batch, from all nonzero maps
+# (n <= 3), canonical representatives (n = 4) or random rows.
 
 
 def _coeff_batch(ctx: FieldContext, c1: np.ndarray, c2: np.ndarray) -> dict:
@@ -774,9 +690,7 @@ def _pair_decoder(ctx: FieldContext, batch: dict, use_mod16: bool) -> dict:
 
 def _row_pair(ctx: FieldContext, batch: dict, i: int) -> Tuple[LinearizedPoly, LinearizedPoly]:
     """(L1, L2) of row i of a pair batch."""
-    if "c1" in batch:
-        return tuple(LinearizedPoly(ctx, tuple(batch[k][i].tolist())) for k in ("c1", "c2"))
-    return tuple(LinearizedPoly.from_matrix(ctx, batch[k][i].tolist()) for k in ("m1", "m2"))
+    return tuple(LinearizedPoly(ctx, tuple(batch[k][i].tolist())) for k in ("c1", "c2"))
 
 
 def criterion_mismatches(ctx: FieldContext, batches) -> Iterator[tuple]:
@@ -825,14 +739,17 @@ def full_search(
         rows = np.flatnonzero(batch["nonzero"])
         counts, alive, bij = _funnel(rows, _pair_decoder(ctx, batch, n >= 4), kz, trq)
         witnesses = [_row_pair(ctx, batch, i) for i in alive[bij]]
+        picks = _audit_picks(rows, alive[bij])
         return {
             "counts": counts,
             "witnesses": [(l1.to_text(), l2.to_text()) for l1, l2 in witnesses],
-            "audit": [_row_pair(ctx, batch, i) for i in _audit_picks(rows, alive[bij])],
+            # coefficient tuples; _report builds maps only for the rows it keeps
+            "audit": [tuple(tuple(batch[k][i].tolist()) for k in ("c1", "c2")) for i in picks],
         }
 
     results = _dispatch(run, batches, partitions, progress=progress)
     return _report(
-        ctx, results, lambda pair: pair, t0, mode=mode, space=((1 << (n * n)) - 1) ** 2,
+        ctx, results, lambda pair: [LinearizedPoly(ctx, c) for c in pair], t0,
+        mode=mode, space=((1 << (n * n)) - 1) ** 2,
         examined=examined, workers=1, partitions=partitions, block_size=block, notes=notes,
     )

@@ -85,15 +85,19 @@ def verify_theorem3(n: int, modulus: Optional[int] = None) -> VerifyResult:
 def verify_proposition2(
     n: int,
     modulus: Optional[int] = None,
-    samples: int = 100_000,
+    samples: Optional[int] = None,
     seed: int = 20240,
 ) -> VerifyResult:
     """Kloosterman criterion == direct bijectivity.
 
     Exhaustive over all nonzero pairs for n <= 3, over all canonical
     orbit representatives at n = 4, and over seeded random pairs for
-    n >= 5 (a drawn pair with a zero map is not counted).
+    n >= 5 (100000 unless samples says otherwise; a drawn pair with a
+    zero map is not counted).  samples is rejected where it would be
+    ignored.
     """
+    if n <= 4 and samples is not None:
+        raise ValueError("proposition2 takes no samples at n <= 4, where it checks every case")
     ctx = make_field(n, modulus)
     res = VerifyResult("proposition2", ctx.spec, 0)
     res.details["statement"] = (
@@ -107,6 +111,7 @@ def verify_proposition2(
         res.details["mode"] = "canonical"
         batches = canonical_batches(ctx)
     else:
+        samples = 100_000 if samples is None else samples
         res.details["mode"] = f"random(samples={samples}, seed={seed})"
         batches = random_pair_batches(ctx, samples, seed)
     for checked, bad in criterion_mismatches(ctx, batches):
@@ -156,16 +161,19 @@ def _hyperplane_masks(ctx: FieldContext) -> List[int]:
 def verify_lemma4(
     n: int,
     modulus: Optional[int] = None,
-    samples: int = 20_000,
+    samples: Optional[int] = None,
     seed: int = 99,
 ) -> VerifyResult:
     """Three hyperplanes cover the field exactly when a + b = c.
 
     Exhaustive over distinct nonzero triples for n <= 6, seeded random
-    triples beyond; also checks the union size formula in the
+    triples beyond (20000 unless samples says otherwise; samples is
+    rejected at n <= 6); also checks the union size formula in the
     non-covering case and the covering triple built inside any scaled
     subfield with k > 1.
     """
+    if n <= 6 and samples is not None:
+        raise ValueError("lemma4 takes no samples at n <= 6, where it checks every case")
     ctx = make_field(n, modulus)
     q = ctx.order
     res = VerifyResult("lemma4", ctx.spec, 0)
@@ -195,6 +203,7 @@ def verify_lemma4(
                         continue
                     check(a, b, c)
     else:
+        samples = 20_000 if samples is None else samples
         res.details["mode"] = f"random(samples={samples}, seed={seed})"
         rng = random.Random(seed)
         done = 0

@@ -234,6 +234,15 @@ def test_verify_samples_below_one_exits_one(capsys, samples):
     assert "--samples" in err
 
 
+@pytest.mark.parametrize("claim,n", [("proposition2", "3"), ("proposition2", "4"), ("lemma4", "5")])
+def test_verify_samples_in_exhaustive_mode_exits_one(capsys, claim, n):
+    # these runs check every case, so a sample count would be ignored
+    code, doc, err = run_cli(capsys, "verify", claim, "--field", n, "--samples", "5")
+    assert code == 1
+    assert doc is None
+    assert "samples" in err
+
+
 def test_audit_catches_corrupted_kloosterman_table(capsys, monkeypatch):
     # with every K(a) nonzero the funnel rejects every pair, permutations
     # included; the audit re-checks rejected rows with build_F, which does

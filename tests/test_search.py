@@ -141,6 +141,46 @@ def test_canonical_pairs_stream(ctx_n=3):
     assert len(keys) == count // 37  # all sampled representatives distinct
 
 
+@pytest.mark.parametrize("alternate", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_canonical_batches_match_maps(n, alternate):
+    # every row at n = 2, 3 and the first batch at n = 4: the coefficient
+    # rows decode the stacked halves [M1 | M2], and the tables are those
+    # of the maps and their adjoints
+    ctx = make_field(n, alternate_modulus(n) if alternate else None)
+    maps = {}
+
+    def expect(half):
+        if half not in maps:
+            l = LinearizedPoly.from_matrix(ctx, list(half))
+            maps[half] = (l.coeffs, l.table(), l.adjoint().table())
+        return maps[half]
+
+    batches = search.canonical_batches(ctx)
+    rows = 0
+    for batch in batches if n < 4 else [next(batches)]:
+        for i, stacked in enumerate(batch["stacked"].tolist()):
+            for half, c, t, ts in (
+                ([r & ctx.mask for r in stacked], "c1", "t1", "t1s"),
+                ([r >> n for r in stacked], "c2", "t2", "t2s"),
+            ):
+                coeffs, table, adjoint = expect(tuple(half))
+                assert tuple(batch[c][i].tolist()) == coeffs
+                assert np.array_equal(batch[t][i], table)
+                assert np.array_equal(batch[ts][i], adjoint)
+            rows += 1
+    assert rows == (search.canonical_pair_count(n) if n < 4 else search.BLOCK)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_tables_from_coeffs_match_maps(n):
+    ctx = make_field(n)
+    coeffs = np.random.default_rng(n).integers(0, ctx.order, (40, n))
+    tables = search._tables_from_coeffs(ctx, coeffs)
+    for row, table in zip(coeffs.tolist(), tables):
+        assert np.array_equal(table, LinearizedPoly(ctx, tuple(row)).table())
+
+
 def test_canonical_search_n4(full4_report):
     rep = full4_report
     assert rep.mode == "canonical"

@@ -59,6 +59,15 @@ def test_lemma4_driver_random_large():
     assert res.ok
 
 
+def test_sampled_claims_keep_default_counts_and_reject_ignored_samples():
+    assert verify.verify_lemma4(7).details["mode"] == "random(samples=20000, seed=99)"
+    assert verify.verify_proposition2(5).details["mode"] == "random(samples=100000, seed=20240)"
+    with pytest.raises(ValueError, match="samples"):
+        verify.verify_lemma4(6, samples=10)
+    with pytest.raises(ValueError, match="samples"):
+        verify.verify_proposition2(4, samples=10)
+
+
 @pytest.mark.parametrize("n", list(range(3, 11)))
 def test_prop3_driver(n):
     res = verify.verify_prop3(n)
