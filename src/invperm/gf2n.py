@@ -27,6 +27,7 @@ __all__ = [
     "irreducible_polys",
     "is_irreducible",
     "parse_field_spec",
+    "span_table",
     "DEFAULT_MODULI",
     "MIN_N",
     "MAX_N",
@@ -129,6 +130,17 @@ def parse_field_spec(spec: str) -> tuple[int, Optional[int]]:
         raise ValueError(f"bad modulus in field spec {spec!r}") from None
 
 
+def span_table(images) -> np.ndarray:
+    """out[m] = XOR of images[k] over the set bits k of m: the value table
+    of the GF(2)-linear map with these basis images.  Keeps the dtype and
+    the trailing dimensions of images."""
+    images = np.asarray(images)
+    out = np.zeros((1 << len(images),) + images.shape[1:], dtype=images.dtype)
+    for k, image in enumerate(images):
+        out[1 << k : 2 << k] = out[: 1 << k] ^ image
+    return out
+
+
 class FieldContext:
     """A concrete model of GF(2^n): degree, modulus, and lookup tables."""
 
@@ -192,16 +204,20 @@ class FieldContext:
         return r
 
     def _build_tables(self) -> None:
-        q = self.order
+        """Squaring, the trace and multiplication by g^k are GF(2)-linear, so
+        each table is the span of n basis images; exp doubles, as
+        exp[k:2k] = g^k exp[:k], and log is its inverse permutation."""
+        q, n = self.order, self.n
         g = self._find_generator()
+        basis = [1 << j for j in range(n)]
         exp = np.zeros(2 * q, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        v = 1
-        for i in range(q - 1):
-            exp[i] = v
-            log[v] = i
-            v = self._mul_raw(v, g)
+        exp[0] = 1
+        for t in range(n):  # the last step also sets exp[q - 1] = g^(q - 1) = 1
+            gk = self._pow_raw(g, 1 << t)
+            exp[1 << t : 2 << t] = span_table([self._mul_raw(gk, b) for b in basis])[exp[: 1 << t]]
         exp[q - 1 : 2 * (q - 1)] = exp[: q - 1]
+        log = np.zeros(q, dtype=np.int64)
+        log[exp[: q - 1]] = np.arange(q - 1)
         self.generator = g
         self._exp = exp
         self._log = log
@@ -209,16 +225,13 @@ class FieldContext:
         inv = np.zeros(q, dtype=np.int64)
         inv[1:] = exp[(q - 1) - log[1:]]
         self.inv_table = inv
+        self.sqr_table = span_table([self._mul_raw(b, b) for b in basis])
         # trace: a + a^2 + ... + a^(2^(n-1)), landing in {0, 1}
-        tr = np.zeros(q, dtype=np.uint8)
-        for a in range(q):
-            t, x = 0, a
-            for _ in range(self.n):
-                t ^= x
-                x = self._mul_raw(x, x)
-            tr[a] = t
-        self.trace_table = tr
-        self.sqr_table = np.array([self._mul_raw(a, a) for a in range(q)], dtype=np.int64)
+        tr, x = np.zeros(n, dtype=np.int64), np.array(basis)
+        for _ in range(n):
+            tr ^= x
+            x = self.sqr_table[x]
+        self.trace_table = span_table(tr.astype(np.uint8))
 
     # -- identity -----------------------------------------------------
 
@@ -334,9 +347,7 @@ class FieldContext:
                 for i in range(self.n):
                     col |= self.trace(self.mul(1 << i, 1 << j)) << i
                 cols.append(col)
-            t = np.zeros(self.order, dtype=np.int64)
-            for j in range(self.n):
-                t[1 << j : 2 << j] = t[: 1 << j] ^ cols[j]
+            t = span_table(np.array(cols, dtype=np.int64))
             t.setflags(write=False)
             self._trace_dual = t
         return self._trace_dual

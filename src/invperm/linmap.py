@@ -18,7 +18,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gf2mat
-from .gf2n import FieldContext
+from .gf2n import FieldContext, span_table
 
 __all__ = ["LinearizedPoly", "Subspace", "bijective_factor", "kernels_intersect_trivially"]
 
@@ -116,12 +116,7 @@ class LinearizedPoly:
 
     def table(self) -> np.ndarray:
         """Values on all 2^n inputs, by linear extension from the basis."""
-        ctx = self.ctx
-        out = np.zeros(ctx.order, dtype=np.int64)
-        for j in range(ctx.n):
-            v = self(1 << j)
-            out[1 << j : 2 << j] = out[: 1 << j] ^ v
-        return out
+        return span_table(np.array([self(1 << j) for j in range(self.ctx.n)], dtype=np.int64))
 
     # -- algebra -----------------------------------------------------------
 
@@ -206,10 +201,7 @@ class Subspace:
 
     def elements(self) -> List[int]:
         """The full span, 2^dim ints in increasing order."""
-        span = [0]
-        for b in self.basis:
-            span += [x ^ b for x in span]
-        return sorted(span)
+        return sorted(span_table(np.array(self.basis, dtype=np.int64)).tolist())
 
     def __contains__(self, x: int) -> bool:
         # rref pivots are the lowest set bits of the basis rows

@@ -10,6 +10,8 @@ Three drivers:
   ranging over the affine constraint L2*(1) = 1.
 * identity_L1_search (n <= 6): L1 = x, all nonzero L2.
 
+The last two hand L1 and the constraint to one driver keyed by L1.
+
 Every search, and verify_proposition2, runs one filter funnel
 (_funnel): nonzero -> kernel-intersection -> mod-16 necessary condition
 (n >= 4) -> Kloosterman-zero membership -> full bijectivity.  The
@@ -29,11 +31,11 @@ multiplications per candidate.
 
 Candidates are enumerated in deterministic blocks; worker processes
 split blocks and results are merged order-independently, so witness
-lists and counts are identical for any worker count.  For spaces too
-large to touch candidate-by-candidate (identity at n = 6, normalized at
-n >= 6) the trace half of the mod-16 condition is solved once as a
-linear system over the coefficient bits and only the solution coset is
-enumerated.
+lists and counts are identical for any worker count.  A fixed-L1
+coset is the solution set of one GF(2) system in the coefficient bits
+of L2*: the trace half of the mod-16 condition when n >= 6, where the
+spaces are too large to touch candidate by candidate, and L2*(1) = 1
+when imposed.  With neither it is the raw digit space.
 
 Every search audits with one rule: the first 8 candidates of each block
 or batch that the funnel rejected, up to 256 in all, are re-checked
@@ -57,7 +59,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from . import gf2mat
-from .gf2n import FieldContext, make_field
+from .gf2n import FieldContext, make_field, span_table
 from .inverse_perm import build_F
 from .kloosterman import kloosterman_all, qform_table
 from .linmap import LinearizedPoly
@@ -155,57 +157,37 @@ def _adjoint_coeffs(ctx: FieldContext, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decode_digits(ctx: FieldContext, ms: np.ndarray) -> np.ndarray:
-    """Coefficient rows from packed base-2^n candidate indices."""
-    n = ctx.n
-    out = np.empty((ms.shape[0], n), dtype=np.int64)
-    for i in range(n):
-        out[:, i] = (ms >> (n * i)) & ctx.mask
-    return out
+def _unpack_coeffs(ctx: FieldContext, packed: np.ndarray) -> np.ndarray:
+    """(B, n) coefficient rows from packed base-2^n words (c_i at bit n*i)."""
+    shifts = np.arange(0, ctx.n * ctx.n, ctx.n, dtype=packed.dtype)
+    return ((packed[:, None] >> shifts) & ctx.mask).astype(np.int64)
 
 
 # -- linear presolve of the trace condition ------------------------------------
 
 
-def _coeff_bit_rows(ctx: FieldContext, weights: np.ndarray) -> List[int]:
-    """Rows of Tr(sum_i c_i w_i(a)) = 0 as GF(2) equations in coeff bits.
+def _trace_rows(ctx: FieldContext, l1star_tab: np.ndarray) -> List[int]:
+    """Rows of Tr(L1*(a) L2*(a)) = 0 as GF(2) equations in L2*'s coeff bits.
 
-    weights[i][a] = w_i(a); one row per point a, unknowns at position
-    i*n + t for bit t of c_i, which is Tr(2^t w_i(a)): bit t of
-    trace_dual_table[w_i(a)].
+    The row of point a is Tr(sum_i c_i w_i(a)), w_i(a) = L1*(a) a^(2^i);
+    bit t of c_i, at position i*n + t, has weight Tr(2^t w_i(a)): bit t
+    of trace_dual_table[w_i(a)].
     """
+    weights = ctx.mul_vec(l1star_tab, ctx.pow2k_table)
     bits = ctx.trace_dual_table[weights].astype(np.uint64)
     shifts = np.arange(0, ctx.n * ctx.n, ctx.n, dtype=np.uint64)[:, None]
     return np.bitwise_or.reduce(bits << shifts, axis=0).tolist()
 
 
 def _solve_coset(ctx, rows: List[int], rhs: int):
-    """Particular solution and nullspace basis as coefficient tuples."""
-    n = ctx.n
-    sol = gf2mat.solve(rows, n * n, rhs)
+    """Particular solution and nullspace basis of rows = rhs in the n^2
+    coefficient bits, as coefficient tuples."""
+    sol = gf2mat.solve(rows, ctx.n * ctx.n, rhs)
     if sol is None:
-        return None
-    basis_bits = gf2mat.nullspace(rows, n * n)
-
-    def unpack(bits: int) -> Tuple[int, ...]:
-        return tuple((bits >> (i * n)) & ctx.mask for i in range(n))
-
-    return unpack(sol), [unpack(b) for b in basis_bits]
-
-
-def _trace_presolve(ctx: FieldContext, l1star_tab: np.ndarray, force_value_one: bool):
-    """Coset of L2* coefficients satisfying Tr(L1*(a) L2*(a)) = 0 for all a
-    (and optionally L2*(1) = 1)."""
-    weights = np.stack(
-        [ctx.mul_vec(l1star_tab, ctx.pow2k_table[i]) for i in range(ctx.n)]
-    )
-    rows = _coeff_bit_rows(ctx, weights)
-    rhs = 0
-    if force_value_one:  # L2*(1) = sum_i c_i = 1: bit t of the sum is [t = 0]
-        n = ctx.n
-        rhs = 1 << len(rows)
-        rows += [sum(1 << (i * n + t) for i in range(n)) for t in range(n)]
-    return _solve_coset(ctx, rows, rhs)
+        raise AssertionError("the constraint system cannot be infeasible")
+    words = np.array([sol, *gf2mat.nullspace(rows, ctx.n * ctx.n)], dtype=np.uint64)
+    origin, *basis = map(tuple, _unpack_coeffs(ctx, words).tolist())
+    return origin, tuple(basis)
 
 
 # -- the filter funnel -----------------------------------------------------------
@@ -309,22 +291,14 @@ def _dispatch(fn, blocks, partitions: int, workers: int = 1, progress=None) -> l
 _PROC_CACHE: Dict[tuple, dict] = {}
 
 
-def _fixed_l1_env(n: int, modulus: Optional[int], kind: str) -> dict:
-    """Per-process cache of the tables a fixed-L1 block needs."""
-    key = (n, modulus, kind)
+def _fixed_l1_env(n: int, modulus: Optional[int], l1_coeffs: Tuple[int, ...]) -> dict:
+    """Per-process cache of the tables a block with this fixed L1 needs."""
+    key = (n, modulus, l1_coeffs)
     env = _PROC_CACHE.get(key)
     if env is not None:
         return env
     ctx = make_field(n, modulus)
-    if kind == "identity":
-        l1 = LinearizedPoly.identity(ctx)
-    elif kind == "normalized":
-        coeffs = [0] * n
-        coeffs[0] = 1
-        coeffs[n - 1] ^= 1
-        l1 = LinearizedPoly(ctx, tuple(coeffs))  # x^(2^(n-1)) + x
-    else:
-        raise ValueError(kind)
+    l1 = LinearizedPoly(ctx, l1_coeffs)
     l1s_tab = l1.adjoint().table()
     kz, trq = _criterion_tables(ctx)
     env = {
@@ -341,37 +315,25 @@ def _fixed_l1_env(n: int, modulus: Optional[int], kind: str) -> dict:
     return env
 
 
-def _search_coset(env: dict, kind: str):
-    """(origin, basis, presolved): the L2* coefficient coset a search enumerates.
+def _search_coset(env: dict, value_one: bool):
+    """(origin, basis): the L2* coefficient coset a fixed-L1 search enumerates.
 
-    Bit k of a candidate index selects basis[k].  Identity L1 at n <= 5
-    enumerates raw digits (bit i*n + t is bit t of c_i); normalized L1
-    at n = 5 frees c_1 .. c_(n-1) and sets c_0 = 1 + their sum; larger
-    fields enumerate the trace-presolved coset.
+    Bit k of a candidate index selects basis[k].  The coset solves one
+    GF(2) system in the coefficient bits (bit i*n + t is bit t of c_i):
+    the trace half of the mod-16 condition when n >= 6, and L2*(1) = 1
+    when value_one.  With neither, it is the raw digit space.
     """
     ctx = env["ctx"]
     n = ctx.n
-
-    def unit(i: int, t: int, lead: bool = False) -> Tuple[int, ...]:
-        vec = [0] * n
-        vec[i] = 1 << t
-        if lead:
-            vec[0] = 1 << t  # keep the coefficient sum fixed
-        return tuple(vec)
-
-    if kind == "identity" and n <= 5:
-        basis = tuple(unit(i, t) for i in range(n) for t in range(n))
-        return (0,) * n, basis, False
-    if kind == "normalized" and n == 5:
-        basis = tuple(unit(i, t, lead=True) for i in range(1, n) for t in range(n))
-        return (1,) + (0,) * (n - 1), basis, False
-    coset = _trace_presolve(ctx, env["l1s_tab"], force_value_one=kind == "normalized")
-    if coset is None:
-        raise AssertionError("the constraint system cannot be infeasible")
-    origin, basis = coset
+    rows = _trace_rows(ctx, env["l1s_tab"]) if n >= 6 else []
+    rhs = 0
+    if value_one:  # L2*(1) = sum_i c_i = 1: bit t of the sum is [t = 0]
+        rhs = 1 << len(rows)
+        rows += [sum(1 << (i * n + t) for i in range(n)) for t in range(n)]
+    origin, basis = _solve_coset(ctx, rows, rhs)
     if len(basis) > 30:
         raise AssertionError(f"presolve left an infeasible space 2^{len(basis)}")
-    return origin, tuple(basis), True
+    return origin, basis
 
 
 class _SpanMap:
@@ -384,13 +346,7 @@ class _SpanMap:
 
     def __init__(self, origin: np.ndarray, images: np.ndarray):
         self.origin = origin
-        self.spans = []
-        for lo in range(0, len(images), 8):
-            part = images[lo : lo + 8]
-            tab = np.zeros((1 << len(part),) + part.shape[1:], dtype=images.dtype)
-            for t, image in enumerate(part):
-                tab[1 << t : 2 << t] = tab[: 1 << t] ^ image
-            self.spans.append(tab)
+        self.spans = [span_table(images[lo : lo + 8]) for lo in range(0, len(images), 8)]
 
     def __call__(self, ms: np.ndarray) -> np.ndarray:
         out = np.repeat(self.origin[None], ms.size, axis=0)
@@ -440,21 +396,15 @@ def _coset_decoder(env: dict, origin, basis) -> Dict[str, _SpanMap]:
     return dec
 
 
-def _unpack_coeffs(ctx: FieldContext, packed: np.ndarray) -> np.ndarray:
-    """(B, n) coefficient rows from packed uint64 coefficient words."""
-    shifts = np.arange(0, ctx.n * ctx.n, ctx.n, dtype=np.uint64)
-    return ((packed[:, None] >> shifts) & np.uint64(ctx.mask)).astype(np.int64)
-
-
 def _fixed_l1_block(args) -> dict:
     """Run the funnel on one candidate block; pure function of args."""
-    (n, modulus, kind, start, size, origin, basis, use_mod16) = args
-    env = _fixed_l1_env(n, modulus, kind)
+    (n, modulus, l1_coeffs, start, size, origin, basis) = args
+    env = _fixed_l1_env(n, modulus, l1_coeffs)
     ctx: FieldContext = env["ctx"]
     dec = dict(_coset_decoder(env, origin, basis))
     if not env["kernel_pts"]:
         del dec["kernel"]  # L1* is injective: decoding zero columns costs time
-    if not use_mod16:
+    if n < 4:
         del dec["probe"]
     ms = np.arange(start, start + size, dtype=np.int64)
     packed = dec["coeffs"](ms)
@@ -474,36 +424,30 @@ def _fixed_l1_block(args) -> dict:
     }
 
 
-def _run_fixed_l1(n: int, modulus: Optional[int], kind: str, workers: int, progress):
+def _run_fixed_l1(
+    l1: LinearizedPoly, value_one: bool, workers: int, progress, notes, **fields
+) -> SearchReport:
+    """Search every L2 with L1 fixed, over the coset _search_coset solves."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1; got {workers}")
     t0 = time.perf_counter()
-    env = _fixed_l1_env(n, modulus, kind)
-    origin, basis, presolved = _search_coset(env, kind)
-    if kind == "identity":
-        mode = "filtered" if presolved else "full"
-        space, free = (1 << (n * n)) - 1, n * n
-        notes = ("candidates parameterized by adjoint coefficients",)
-    else:
-        mode, space, free = "normalized", 1 << (n * (n - 1)), n * (n - 1)
-        notes = (
-            "L1 fixed to x^(2^(n-1)) + x; candidates parameterized by adjoint "
-            "coefficients under L2*(1) = 1",
-        )
-    if presolved:
+    ctx = l1.ctx
+    n = ctx.n
+    env = _fixed_l1_env(n, ctx.modulus, l1.coeffs)
+    origin, basis = _search_coset(env, value_one)
+    if n >= 6:
+        free = n * n - n * value_one
         notes += (f"trace condition presolved: 2^{len(basis)} of 2^{free} candidates satisfy it",)
-    use_mod16 = kind == "normalized" or n >= 4
     total = 1 << len(basis)
     blocks = [
-        (n, modulus, kind, start, min(BLOCK, total - start), origin, basis, use_mod16)
+        (n, ctx.modulus, l1.coeffs, start, min(BLOCK, total - start), origin, basis)
         for start in range(0, total, BLOCK)
     ]
     results = _dispatch(_fixed_l1_block, blocks, len(blocks), workers, progress)
-    ctx = env["ctx"]
     return _report(
-        ctx, results, lambda row: (env["l1"], LinearizedPoly(ctx, row).adjoint()), t0,
-        mode=mode, space=space, examined=total, workers=workers,
-        partitions=len(blocks), block_size=BLOCK, notes=notes,
+        ctx, results, lambda row: (l1, LinearizedPoly(ctx, row).adjoint()), t0,
+        examined=total, workers=workers, partitions=len(blocks), block_size=BLOCK,
+        notes=notes, **fields,
     )
 
 
@@ -518,7 +462,11 @@ def identity_L1_search(
     """
     if not 2 <= n <= 6:
         raise ValueError("identity-L1 search supports 2 <= n <= 6")
-    return _run_fixed_l1(n, modulus, "identity", workers, progress)
+    return _run_fixed_l1(
+        LinearizedPoly.identity(make_field(n, modulus)), False, workers, progress,
+        mode="filtered" if n >= 6 else "full", space=(1 << (n * n)) - 1,
+        notes=("candidates parameterized by adjoint coefficients",),
+    )
 
 
 def normalized_search(
@@ -533,7 +481,15 @@ def normalized_search(
     """
     if not 5 <= n <= 8:
         raise ValueError("normalized search supports 5 <= n <= 8")
-    return _run_fixed_l1(n, modulus, "normalized", workers, progress)
+    ctx = make_field(n, modulus)
+    return _run_fixed_l1(
+        LinearizedPoly.frobenius(ctx, n - 1) + LinearizedPoly.identity(ctx), True,
+        workers, progress, mode="normalized", space=1 << (n * (n - 1)),
+        notes=(
+            "L1 fixed to x^(2^(n-1)) + x; candidates parameterized by adjoint "
+            "coefficients under L2*(1) = 1",
+        ),
+    )
 
 
 # -- canonical-orbit machinery -----------------------------------------------------
@@ -606,11 +562,11 @@ def canonical_batches(ctx: FieldContext, batch_rows: int = BLOCK):
 
     Matrix to coefficients is GF(2)-linear, so each n x n half, packed
     into an n^2-bit index, decodes through one _SpanMap whose images are
-    the coefficient rows of the n^2 unit matrices.
+    the coefficient rows of the n^2 one-bit matrices.
     """
     n = ctx.n
-    units = [[1 << j if r == i else 0 for r in range(n)] for i in range(n) for j in range(n)]
-    images = np.array([LinearizedPoly.from_matrix(ctx, u).coeffs for u in units], dtype=np.int64)
+    bits = [[1 << j if r == i else 0 for r in range(n)] for i in range(n) for j in range(n)]
+    images = np.array([LinearizedPoly.from_matrix(ctx, m).coeffs for m in bits], dtype=np.int64)
     to_coeffs = _SpanMap(np.zeros(n, dtype=np.int64), images)
     shifts = np.arange(0, n * n, n, dtype=np.int64)
     rref = _rref_matrices(n)
@@ -652,7 +608,7 @@ def all_pair_batches(ctx: FieldContext) -> Iterator[dict]:
     as broadcast views, with every L2.
     """
     nmaps = 1 << (ctx.n * ctx.n)
-    coeffs = _decode_digits(ctx, np.arange(1, nmaps, dtype=np.int64))
+    coeffs = _unpack_coeffs(ctx, np.arange(1, nmaps, dtype=np.int64))
     every = _coeff_batch(ctx, coeffs, coeffs)
     for i in range(nmaps - 1):
         l1 = {k: np.broadcast_to(every[k][i], every[k].shape) for k in ("c1", "t1", "t1s")}
@@ -669,7 +625,7 @@ def random_pair_batches(ctx: FieldContext, samples: int, seed: int) -> Iterator[
         yield _coeff_batch(ctx, c1, c2)
 
 
-def _pair_decoder(ctx: FieldContext, batch: dict, use_mod16: bool) -> dict:
+def _pair_decoder(ctx: FieldContext, batch: dict, mod16: bool) -> dict:
     """Funnel decoders over the row indices of a pair batch."""
     mf, n = ctx.mul_table.reshape(-1), ctx.n
     t1, t2, t1s, t2s = batch["t1"], batch["t2"], batch["t1s"], batch["t2s"]
@@ -683,7 +639,7 @@ def _pair_decoder(ctx: FieldContext, batch: dict, use_mod16: bool) -> dict:
         "r": product(slice(None)),
         "f": lambda i: t1[i][:, ctx.inv_table] ^ t2[i],
     }
-    if use_mod16:
+    if mod16:
         dec["probe"] = product(_PROBE)
     return dec
 
@@ -704,7 +660,7 @@ def criterion_mismatches(ctx: FieldContext, batches) -> Iterator[tuple]:
     kz, trq = _criterion_tables(ctx)
     for batch in batches:
         rows = np.flatnonzero(batch["nonzero"])
-        dec = _pair_decoder(ctx, batch, use_mod16=False)
+        dec = _pair_decoder(ctx, batch, mod16=False)
         _, crit, _ = _funnel(rows, dec, kz, trq)
         _, _, bij = _funnel(rows, {"f": dec["f"]}, kz, trq)
         yield rows.size, map(partial(_row_pair, ctx, batch), rows[np.isin(rows, crit) != bij])

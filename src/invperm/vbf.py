@@ -17,7 +17,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from . import gf2mat
-from .gf2n import FieldContext, make_field, parse_field_spec
+from .gf2n import FieldContext, make_field, parse_field_spec, span_table
 from .linmap import LinearizedPoly
 
 __all__ = [
@@ -277,13 +277,8 @@ class AffineMapProduct:
     def tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """Linear action split over the two halves: A(x, y) = ax[x] ^ ay[y] ^ t."""
         n = self.ctx.n
-        q = self.ctx.order
-        ax = np.zeros(q, dtype=np.int64)
-        ay = np.zeros(q, dtype=np.int64)
-        for j in range(n):
-            ax[1 << j : 2 << j] = ax[: 1 << j] ^ gf2mat.mat_vec(self.rows, 1 << j)
-            ay[1 << j : 2 << j] = ay[: 1 << j] ^ gf2mat.mat_vec(self.rows, 1 << (n + j))
-        return ax, ay
+        images = np.array([gf2mat.mat_vec(self.rows, 1 << k) for k in range(2 * n)])
+        return span_table(images[:n]), span_table(images[n:])
 
     @classmethod
     def identity(cls, ctx: FieldContext) -> "AffineMapProduct":

@@ -14,6 +14,8 @@ DIGESTS = {
     "search normalized 5": "e5408324afca8ad1ea61b6b7a7f8a24d65e0470e03ebc8fc0546bc29cdcdcfb9",
     "search identity-l1 3": "20a8246214513077159d51cf27b2b90f316d50f9f10f1324b308d7304f153904",
     "search identity-l1 4": "959ad700fb101bc6f752739ddb83764d1e37e3103026bbab49dca6baebaeecaf",
+    "search identity-l1 6": "9498ac779c6c7614e4f0041968f98b628f2ceea0d560d62e633a4dd6d532baa0",
+    "search normalized 6": "f0a638c4b53f76d6de3d1a356bbb73f7fe059f43bf8ca2d7bb8268a5ee1cab63",
     "search full 2": "12ce87a29e6850b35c4da4bfef5d20b66a81824101172c0d4cdfaa8da41cf926",
     "search full 3": "1c0e90bc6f8254d466b92ee2c35cca44f10a5c07c79cdb6b408944cd089d516a",
     "search full 4": "4b2b051f63fe38f003ec584450eb56419986155be45133047020eec995bfec73",

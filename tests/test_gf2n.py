@@ -14,6 +14,7 @@ from invperm.gf2n import (
     is_irreducible,
     make_field,
     parse_field_spec,
+    span_table,
 )
 
 
@@ -201,6 +202,54 @@ def test_context_cache_and_pickle_roundtrip():
     ctx = make_field(5)
     assert make_field(5) is ctx
     assert pickle.loads(pickle.dumps(ctx)) is ctx
+
+
+def loop_tables(ctx):
+    """exp, log, trace and squaring tables by per-element loops of the
+    shift-and-reduce product, independent of the XOR-span construction."""
+    q = ctx.order
+    exp = np.zeros(2 * q, dtype=np.int64)
+    log = np.zeros(q, dtype=np.int64)
+    v = 1
+    for i in range(q - 1):
+        exp[i] = v
+        log[v] = i
+        v = ctx._mul_raw(v, ctx.generator)
+    exp[q - 1 : 2 * (q - 1)] = exp[: q - 1]
+    tr = np.zeros(q, dtype=np.uint8)
+    for a in range(q):
+        t, x = 0, a
+        for _ in range(ctx.n):
+            t ^= x
+            x = ctx._mul_raw(x, x)
+        tr[a] = t
+    sqr = np.array([ctx._mul_raw(a, a) for a in range(q)], dtype=np.int64)
+    return exp, log, tr, sqr
+
+
+@pytest.mark.parametrize(
+    "n,alternate",
+    # n = 2 has a single irreducible, so no alternate modulus
+    [(n, alt) for n in range(2, 11) for alt in (False, True) if n > 2 or not alt],
+)
+def test_span_built_tables_match_loop_oracle(n, alternate):
+    ctx = FieldContext(n, alternate_modulus(n) if alternate else None)
+    built = (ctx._exp, ctx._log, ctx.trace_table, ctx.sqr_table)
+    for got, want in zip(built, loop_tables(ctx)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_span_table_keeps_dtype_and_trailing_dims():
+    images = np.array([[1, 2], [4, 8], [16, 32]], dtype=np.uint8)
+    tab = span_table(images)
+    assert tab.shape == (8, 2) and tab.dtype == np.uint8
+    for m in range(8):
+        want = np.zeros(2, dtype=np.uint8)
+        for k in range(3):
+            if (m >> k) & 1:
+                want ^= images[k]
+        assert np.array_equal(tab[m], want)
 
 
 def test_top_of_range_n16():

@@ -8,7 +8,7 @@ import pytest
 
 from invperm import gf2mat, search
 from invperm.gf2n import alternate_modulus, make_field
-from invperm.inverse_perm import build_F, perm_criterion_kloosterman
+from invperm.inverse_perm import build_F, perm_criterion_kloosterman, recurrence_coeffs
 from invperm.linmap import LinearizedPoly
 
 
@@ -248,9 +248,8 @@ def test_trace_presolve_is_exact():
     # the enumerated coset is exactly the set of maps passing the trace
     # half of the necessary condition (checked exhaustively at n = 4)
     ctx = make_field(4)
-    l1s_tab = np.arange(ctx.order, dtype=np.int64)
-    origin, basis = search._trace_presolve(ctx, l1s_tab, force_value_one=False)
-    env = search._fixed_l1_env(4, None, "identity")
+    env = search._fixed_l1_env(4, None, LinearizedPoly.identity(ctx).coeffs)
+    origin, basis = search._solve_coset(ctx, search._trace_rows(ctx, env["l1s_tab"]), 0)
     dec = search._coset_decoder(env, origin, tuple(basis))
     ms = np.arange(1 << len(basis), dtype=np.int64)
     coset = search._unpack_coeffs(ctx, dec["coeffs"](ms))
@@ -287,6 +286,15 @@ def test_worker_determinism_coset_path():
     _assert_same_report(a, b)
 
 
+# coefficient tuples of the two fixed L1s that the searches use
+FIXED_L1 = {
+    "identity": lambda ctx: LinearizedPoly.identity(ctx).coeffs,
+    "normalized": lambda ctx: (
+        LinearizedPoly.frobenius(ctx, ctx.n - 1) + LinearizedPoly.identity(ctx)
+    ).coeffs,
+}
+
+
 def _coset_rows(origin, basis, ms):
     """Coefficient rows origin ^ basis[k] over the set bits k of each m."""
     rows = []
@@ -307,9 +315,9 @@ def test_linear_decoder_matches_multiplication(kind, n, alternate):
     # the XOR-of-images decode equals the product-table evaluation of
     # L2*, R = L1* L2* and F = L1(x^-1) + L2(x) on random coset indices
     modulus = alternate_modulus(n) if alternate else None
-    env = search._fixed_l1_env(n, modulus, kind)
+    env = search._fixed_l1_env(n, modulus, FIXED_L1[kind](make_field(n, modulus)))
     ctx = env["ctx"]
-    origin, basis, _ = search._search_coset(env, kind)
+    origin, basis = search._search_coset(env, value_one=kind == "normalized")
     dec = search._coset_decoder(env, origin, basis)
     top = (1 << len(basis)) - 1
     rng = np.random.default_rng(n)
@@ -317,7 +325,7 @@ def test_linear_decoder_matches_multiplication(kind, n, alternate):
     coeffs = _coset_rows(origin, basis, ms)
     if kind == "identity":
         # raw enumeration is the coset with the standard basis
-        assert np.array_equal(coeffs, search._decode_digits(ctx, ms))
+        assert np.array_equal(coeffs, search._unpack_coeffs(ctx, ms))
     assert np.array_equal(search._unpack_coeffs(ctx, dec["coeffs"](ms)), coeffs)
     l2s = search._tables_from_coeffs(ctx, coeffs)
     r = ctx.mul_vec(env["l1s_tab"][None, :], l2s)
@@ -326,6 +334,38 @@ def test_linear_decoder_matches_multiplication(kind, n, alternate):
     assert np.array_equal(dec["kernel"](ms), l2s[:, env["kernel_pts"]])
     l2 = search._tables_from_coeffs(ctx, search._adjoint_coeffs(ctx, coeffs))
     assert np.array_equal(dec["f"](ms), env["l1_on_inv"][None, :] ^ l2)
+
+
+@pytest.mark.parametrize("n,forced", [(5, 16), (7, 64)])
+def test_theorem8_candidates_fail_mod16_in_normalized_coset(n, forced):
+    # the forced L2* of the recurrence engine with L2*(1) = 1 are points
+    # of the normalized search's coset, and the funnel rejects each one
+    # at the mod-16 stage
+    ctx = make_field(n)
+    env = search._fixed_l1_env(n, None, FIXED_L1["normalized"](ctx))
+    origin, basis = search._search_coset(env, value_one=True)
+    candidates = [recurrence_coeffs(ctx, c0) for c0 in range(ctx.order)]
+    hits = [l2s.coeffs for l2s in candidates if l2s(1) == 1]
+    assert len(hits) == forced
+
+    def pack(vec):
+        return sum(c << (n * i) for i, c in enumerate(vec))
+
+    # index bit k selects basis[k]: solve the n^2 coefficient-bit equations
+    rows = [
+        sum(((pack(vec) >> p) & 1) << k for k, vec in enumerate(basis)) for p in range(n * n)
+    ]
+    ms = []
+    for coeffs in hits:
+        m = gf2mat.solve(rows, len(basis), pack(coeffs) ^ pack(origin))
+        assert m is not None  # the candidate lies in the coset
+        assert _coset_rows(origin, basis, [m]).tolist() == [list(coeffs)]
+        ms.append(m)
+    dec = search._coset_decoder(env, origin, basis)
+    ms = np.sort(np.array(ms, dtype=np.int64))
+    counts, _, _ = search._funnel(ms, dec, env["kz"], env["trq"])
+    assert counts["nonzero"] == forced
+    assert counts["mod16-necessary"] == 0
 
 
 def test_report_json_shape(identity4_report):
