@@ -219,8 +219,8 @@ class FieldContext:
         log = np.zeros(q, dtype=np.int64)
         log[exp[: q - 1]] = np.arange(q - 1)
         self.generator = g
-        self._exp = exp
-        self._log = log
+        self.exp_table = exp
+        self.log_table = log
         # inv0: a^(2^n-2), with 0 -> 0
         inv = np.zeros(q, dtype=np.int64)
         inv[1:] = exp[(q - 1) - log[1:]]
@@ -269,7 +269,7 @@ class FieldContext:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return int(self._exp[self._log[a] + self._log[b]])
+        return int(self.exp_table[self.log_table[a] + self.log_table[b]])
 
     def inv0(self, a: int) -> int:
         return int(self.inv_table[a])
@@ -299,7 +299,7 @@ class FieldContext:
             raise ValueError("negative exponent; use inv0 explicitly")
         if a == 0:
             return 1 if e == 0 else 0
-        return int(self._exp[(int(self._log[a]) * e) % (self.order - 1)])
+        return int(self.exp_table[(int(self.log_table[a]) * e) % (self.order - 1)])
 
     # -- vectorized operations ------------------------------------------
 
@@ -307,7 +307,7 @@ class FieldContext:
         """Elementwise product of int arrays (broadcasting allowed)."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        out = self._exp[self._log[a] + self._log[b]]
+        out = self.exp_table[self.log_table[a] + self.log_table[b]]
         return np.where((a == 0) | (b == 0), 0, out)
 
     def pow_vec(self, a, e: int) -> np.ndarray:
@@ -315,8 +315,8 @@ class FieldContext:
         if e < 1:
             raise ValueError("pow_vec requires e >= 1")
         a = np.asarray(a, dtype=np.int64)
-        out = self._exp[(self._log[a] * (e % (self.order - 1) or (self.order - 1)))
-                        % (self.order - 1)]
+        out = self.exp_table[(self.log_table[a] * (e % (self.order - 1) or (self.order - 1)))
+                             % (self.order - 1)]
         return np.where(a == 0, 0, out)
 
     @property

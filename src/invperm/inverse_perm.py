@@ -118,23 +118,30 @@ def quad_solvable(ctx: FieldContext, a: int, b: int, c: int) -> bool:
     return ctx.trace(ctx.mul(ctx.mul(a, c), ctx.inv0(ctx.sqr(b)))) == 0
 
 
-def hyperplane_union_size(ctx: FieldContext, a: int, b: int, c: int) -> int:
+def hyperplane_union_size(ctx: FieldContext, a, b, c):
+    """Size of the union of the hyperplanes Tr(a x) = 0, Tr(b x) = 0 and
+    Tr(c x) = 0: an int for elements, an array for equal-shape arrays."""
+    if not np.shape(a) == np.shape(b) == np.shape(c):
+        raise ValueError("a, b and c must have the same shape")
     xs = np.arange(ctx.order)
-    tr = ctx.trace_table
-    in_union = (
-        (tr[ctx.mul_vec(a, xs)] == 0)
-        | (tr[ctx.mul_vec(b, xs)] == 0)
-        | (tr[ctx.mul_vec(c, xs)] == 0)
-    )
-    return int(np.sum(in_union))
+    in_union = np.zeros(np.shape(a) + xs.shape, dtype=bool)
+    for v in (a, b, c):
+        in_union |= ctx.trace_table[ctx.mul_vec(np.expand_dims(v, -1), xs)] == 0
+    sizes = in_union.sum(axis=-1)
+    return int(sizes) if sizes.ndim == 0 else sizes
 
 
-def hyperplane_cover(ctx: FieldContext, a: int, b: int, c: int) -> bool:
-    """Do the hyperplanes of a, b, c cover the whole field?
+def hyperplane_cover(ctx: FieldContext, a, b, c):
+    """Do the hyperplanes of a, b, c cover the whole field?  A bool for
+    elements, a bool array for equal-shape arrays.
 
     Holds exactly when a + b = c (for distinct nonzero arguments).
     """
-    if len({a, b, c}) != 3 or 0 in (a, b, c):
+    a, b, c = (np.asarray(v) for v in (a, b, c))
+    valid = (a != b) & (b != c) & (a != c)
+    for v in (a, b, c):
+        valid &= (0 < v) & (v < ctx.order)
+    if not valid.all():
         raise ValueError("arguments must be three distinct nonzero elements")
     return hyperplane_union_size(ctx, a, b, c) == ctx.order
 

@@ -10,40 +10,32 @@ Three drivers:
   ranging over the affine constraint L2*(1) = 1.
 * identity_L1_search (n <= 6): L1 = x, all nonzero L2.
 
-The last two hand L1 and the constraint to one driver keyed by L1.
-
 Every search, and verify_proposition2, runs one filter funnel
 (_funnel): nonzero -> kernel-intersection -> mod-16 necessary condition
 (n >= 4) -> Kloosterman-zero membership -> full bijectivity.  The
 funnel reads its tables through decoders, functions of candidate
 indices.  full_search and verify_proposition2 look rows up in batches
-of (L1, L2) tables: all nonzero pairs at n <= 3, canonical orbit
-representatives at n = 4, or random rows.  All three are coefficient
-rows, and every table is n^2 product lookups for the images of the
-basis plus their XOR span.  With L1 fixed,
-every table the funnel reads is GF(2)-affine in the coefficient bits of
-L2*: the packed coefficient word, L2* on the kernel of L1*,
-R(b) = L1*(b) L2*(b) and F.  A fixed-L1 search therefore enumerates a
-coset origin + span(basis) of coefficient vectors (raw enumeration is
-the coset with the standard basis) and decodes each table as the XOR of
-precomputed images of the origin and the basis vectors, with no field
-multiplications per candidate.
+of (L1, L2) coefficient rows: all nonzero pairs at n <= 3, canonical
+orbit representatives at n = 4, or random rows.
 
-Candidates are enumerated in deterministic blocks; worker processes
-split blocks and results are merged order-independently, so witness
-lists and counts are identical for any worker count.  A fixed-L1
-coset is the solution set of one GF(2) system in the coefficient bits
-of L2*: the trace half of the mod-16 condition when n >= 6, where the
-spaces are too large to touch candidate by candidate, and L2*(1) = 1
-when imposed.  With neither it is the raw digit space.
+The other two drivers are callers of one fixed-L1 search.  A block of
+it is the key (n, modulus, L1, value_one, start); each process builds
+the state of a key once (_fixed_l1_env): a coset of L2* coefficient
+vectors and its decoder.  With L1 fixed, every table the funnel reads is
+GF(2)-affine in those coefficient bits, so it decodes as the XOR of
+precomputed images of the coset's origin and basis vectors, with no
+field multiplications per candidate.
 
-Every search audits with one rule: the first 8 candidates of each block
-or batch that the funnel rejected, up to 256 in all, are re-checked
-with build_F(...).is_permutation().  build_F evaluates F from the two
-maps themselves, so it is an oracle independent of the decoders whose
-F rows the funnel's bijectivity stage reads.  Candidates the presolve
-skips fail a necessary condition and are never sampled (ROADMAP.md,
-item 4, plans an audit that also covers them).
+Blocks are deterministic and merged in block order, so witness lists
+and counts are identical for any worker count.  Every driver ends a
+block with _block_result: the stage counts, the witnesses and the audit
+rows, the last two as (L1, L2) coefficient-tuple pairs.  The audit rule
+takes the first 8 candidates of each block that the funnel rejected,
+up to 256 in all, and re-checks them with build_F(...).is_permutation().
+build_F evaluates F from the two maps themselves, so it is an oracle
+independent of the decoders.  Candidates the presolve skips fail a
+necessary condition and are never sampled (ROADMAP.md, item 4, plans an
+audit that also covers them).
 """
 
 from __future__ import annotations
@@ -234,33 +226,37 @@ def _funnel(ms: np.ndarray, dec: dict, kz: np.ndarray, trq: np.ndarray):
     return counts, alive, bij
 
 
-def _audit_picks(ms: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """The audit rule: the first 8 candidates of ms the funnel did not keep.
+def _block_result(counts: dict, ms: np.ndarray, alive: np.ndarray, bij: np.ndarray, pairs) -> dict:
+    """One block's outcome: the funnel's stage counts, its witnesses and,
+    by the audit rule, the first 8 candidates of ms it rejected.
 
-    ms is sorted and kept is a subset of it, as the funnel leaves them.
+    ms is sorted and the survivors a subset of it, as the funnel leaves
+    them; pairs maps candidate indices to (L1, L2) coefficient-tuple pairs.
     """
+    kept = alive[bij]
     rejected = np.ones(ms.size, dtype=bool)
     rejected[np.searchsorted(ms, kept)] = False
-    return ms[rejected][:8]
+    return {"counts": counts, "witnesses": pairs(kept), "audit": pairs(ms[rejected][:8])}
 
 
-def _report(ctx: FieldContext, results, to_pair, t0: float, **fields) -> SearchReport:
-    """Merge per-block results in block order and re-check the audit sample.
-
-    to_pair turns an audit row into the (L1, L2) pair build_F evaluates.
-    """
+def _report(ctx: FieldContext, results, t0: float, **fields) -> SearchReport:
+    """Merge block results in block order and re-check the audit sample."""
     counts: Counter = Counter()
-    witnesses: List[Tuple[str, str]] = []
+    witnesses: list = []
     audit: list = []
     for res in results:
         counts.update(res["counts"])
         witnesses.extend(res["witnesses"])
         audit.extend(res["audit"][: AUDIT_CAP - len(audit)])
-    violations = sum(build_F(*to_pair(row)).is_permutation() for row in audit)
+
+    def maps(pair):
+        return [LinearizedPoly(ctx, c) for c in pair]
+
+    violations = sum(build_F(*maps(pair)).is_permutation() for pair in audit)
     return SearchReport(
         field_spec=ctx.spec,
         stages=tuple(counts.items()),
-        witnesses=tuple(sorted(witnesses)),
+        witnesses=tuple(sorted(tuple(m.to_text() for m in maps(p)) for p in witnesses)),
         elapsed_s=time.perf_counter() - t0,
         audit_sampled=len(audit),
         audit_violations=violations,
@@ -291,9 +287,19 @@ def _dispatch(fn, blocks, partitions: int, workers: int = 1, progress=None) -> l
 _PROC_CACHE: Dict[tuple, dict] = {}
 
 
-def _fixed_l1_env(n: int, modulus: Optional[int], l1_coeffs: Tuple[int, ...]) -> dict:
-    """Per-process cache of the tables a block with this fixed L1 needs."""
-    key = (n, modulus, l1_coeffs)
+def _fixed_l1_env(
+    n: int, modulus: Optional[int], l1_coeffs: Tuple[int, ...], value_one: bool
+) -> dict:
+    """Per-process state of a fixed-L1 search: tables, coset and decoder.
+
+    The coset origin + span(basis) of L2* coefficient vectors solves one
+    GF(2) system in the coefficient bits (bit i*n + t is bit t of c_i):
+    the trace half of the mod-16 condition when n >= 6, where the spaces
+    are too large to touch candidate by candidate, and L2*(1) = 1 when
+    value_one.  With neither, it is the raw digit space.  Bit k of a
+    candidate index selects basis[k].
+    """
+    key = (n, modulus, l1_coeffs, value_one)
     env = _PROC_CACHE.get(key)
     if env is not None:
         return env
@@ -301,31 +307,7 @@ def _fixed_l1_env(n: int, modulus: Optional[int], l1_coeffs: Tuple[int, ...]) ->
     l1 = LinearizedPoly(ctx, l1_coeffs)
     l1s_tab = l1.adjoint().table()
     kz, trq = _criterion_tables(ctx)
-    env = {
-        "ctx": ctx,
-        "l1": l1,
-        "l1s_tab": l1s_tab,
-        "l1_on_inv": l1.table()[ctx.inv_table],
-        "kernel_pts": [int(b) for b in np.nonzero(l1s_tab == 0)[0] if b != 0],
-        "kz": kz,
-        "trq": trq,
-        "decoders": {},  # (origin, basis) -> _coset_decoder tables
-    }
-    _PROC_CACHE[key] = env
-    return env
-
-
-def _search_coset(env: dict, value_one: bool):
-    """(origin, basis): the L2* coefficient coset a fixed-L1 search enumerates.
-
-    Bit k of a candidate index selects basis[k].  The coset solves one
-    GF(2) system in the coefficient bits (bit i*n + t is bit t of c_i):
-    the trace half of the mod-16 condition when n >= 6, and L2*(1) = 1
-    when value_one.  With neither, it is the raw digit space.
-    """
-    ctx = env["ctx"]
-    n = ctx.n
-    rows = _trace_rows(ctx, env["l1s_tab"]) if n >= 6 else []
+    rows = _trace_rows(ctx, l1s_tab) if n >= 6 else []
     rhs = 0
     if value_one:  # L2*(1) = sum_i c_i = 1: bit t of the sum is [t = 0]
         rhs = 1 << len(rows)
@@ -333,7 +315,24 @@ def _search_coset(env: dict, value_one: bool):
     origin, basis = _solve_coset(ctx, rows, rhs)
     if len(basis) > 30:
         raise AssertionError(f"presolve left an infeasible space 2^{len(basis)}")
-    return origin, basis
+    env = {
+        "ctx": ctx,
+        "l1s_tab": l1s_tab,
+        "l1_on_inv": l1.table()[ctx.inv_table],
+        "kernel_pts": [int(b) for b in np.nonzero(l1s_tab == 0)[0] if b != 0],
+        "kz": kz,
+        "trq": trq,
+        "origin": origin,
+        "basis": basis,
+    }
+    dec = _coset_decoder(env, origin, basis)
+    if not env["kernel_pts"]:
+        del dec["kernel"]  # L1* is injective: decoding zero columns costs time
+    if n < 4:
+        del dec["probe"]
+    env["dec"] = dec
+    _PROC_CACHE[key] = env
+    return env
 
 
 class _SpanMap:
@@ -357,19 +356,14 @@ class _SpanMap:
 
 
 def _coset_decoder(env: dict, origin, basis) -> Dict[str, _SpanMap]:
-    """Linear decoders of the tables the funnel reads, per coset.
+    """Linear decoders of the tables the funnel reads, for one coset.
 
     "coeffs" gives the L2* coefficient vector packed into one uint64
     (c_i at bit n*i), "kernel" L2* at the nonzero kernel points of L1*,
     "probe" and "r" the table R(b) = L1*(b) L2*(b) at the probe points
     and everywhere, and "f" the table of F = L1(x^-1) + L2(x).  Built
-    once per process and coset, from the images of the origin and of
-    each basis vector.
+    from the images of the origin and of each basis vector.
     """
-    key = (origin, basis)
-    dec = env["decoders"].get(key)
-    if dec is not None:
-        return dec
     ctx = env["ctx"]
     n = ctx.n
     maps = [LinearizedPoly(ctx, tuple(c)) for c in (origin, *basis)]
@@ -382,7 +376,7 @@ def _coset_decoder(env: dict, origin, basis) -> Dict[str, _SpanMap]:
         [sum(c << (n * i) for i, c in enumerate(m.coeffs)) for m in maps], dtype=np.uint64
     )
     probe = _PROBE[: ctx.order - 1]
-    dec = {
+    return {
         name: _SpanMap(tab[0], tab[1:])
         for name, tab in (
             ("coeffs", packed),
@@ -392,62 +386,45 @@ def _coset_decoder(env: dict, origin, basis) -> Dict[str, _SpanMap]:
             ("f", f),
         )
     }
-    env["decoders"][key] = dec
-    return dec
 
 
 def _fixed_l1_block(args) -> dict:
-    """Run the funnel on one candidate block; pure function of args."""
-    (n, modulus, l1_coeffs, start, size, origin, basis) = args
-    env = _fixed_l1_env(n, modulus, l1_coeffs)
-    ctx: FieldContext = env["ctx"]
-    dec = dict(_coset_decoder(env, origin, basis))
-    if not env["kernel_pts"]:
-        del dec["kernel"]  # L1* is injective: decoding zero columns costs time
-    if n < 4:
-        del dec["probe"]
-    ms = np.arange(start, start + size, dtype=np.int64)
+    """Run the funnel on the block of BLOCK candidates from start; a pure
+    function of args = (n, modulus, l1_coeffs, value_one, start)."""
+    n, modulus, l1_coeffs, value_one, start = args
+    env = _fixed_l1_env(n, modulus, l1_coeffs, value_one)
+    ctx, dec = env["ctx"], env["dec"]
+    ms = np.arange(start, min(start + BLOCK, 1 << len(env["basis"])), dtype=np.int64)
     packed = dec["coeffs"](ms)
     ms = ms[packed != 0]  # candidate indices, not block offsets
     counts, alive, bij = _funnel(ms, dec, env["kz"], env["trq"])
 
-    def coeff_rows(sel):
-        return [tuple(row) for row in _unpack_coeffs(ctx, packed[sel - start]).tolist()]
+    def pairs(sel):
+        l2 = _adjoint_coeffs(ctx, _unpack_coeffs(ctx, packed[sel - start]))
+        return [(l1_coeffs, tuple(row)) for row in l2.tolist()]
 
-    l1 = env["l1"].to_text()
-    return {
-        "counts": counts,
-        "witnesses": [
-            (l1, LinearizedPoly(ctx, row).adjoint().to_text()) for row in coeff_rows(alive[bij])
-        ],
-        "audit": coeff_rows(_audit_picks(ms, alive[bij])),
-    }
+    return _block_result(counts, ms, alive, bij, pairs)
 
 
 def _run_fixed_l1(
     l1: LinearizedPoly, value_one: bool, workers: int, progress, notes, **fields
 ) -> SearchReport:
-    """Search every L2 with L1 fixed, over the coset _search_coset solves."""
+    """Search every L2 with L1 fixed, over the coset _fixed_l1_env solves."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1; got {workers}")
     t0 = time.perf_counter()
     ctx = l1.ctx
     n = ctx.n
-    env = _fixed_l1_env(n, ctx.modulus, l1.coeffs)
-    origin, basis = _search_coset(env, value_one)
+    key = (n, ctx.modulus, l1.coeffs, value_one)
+    dim = len(_fixed_l1_env(*key)["basis"])
     if n >= 6:
         free = n * n - n * value_one
-        notes += (f"trace condition presolved: 2^{len(basis)} of 2^{free} candidates satisfy it",)
-    total = 1 << len(basis)
-    blocks = [
-        (n, ctx.modulus, l1.coeffs, start, min(BLOCK, total - start), origin, basis)
-        for start in range(0, total, BLOCK)
-    ]
+        notes += (f"trace condition presolved: 2^{dim} of 2^{free} candidates satisfy it",)
+    blocks = [(*key, start) for start in range(0, 1 << dim, BLOCK)]
     results = _dispatch(_fixed_l1_block, blocks, len(blocks), workers, progress)
     return _report(
-        ctx, results, lambda row: (l1, LinearizedPoly(ctx, row).adjoint()), t0,
-        examined=total, workers=workers, partitions=len(blocks), block_size=BLOCK,
-        notes=notes, **fields,
+        ctx, results, t0, examined=1 << dim, workers=workers, partitions=len(blocks),
+        block_size=BLOCK, notes=notes, **fields,
     )
 
 
@@ -556,7 +533,7 @@ def canonical_pairs(
         )
 
 
-def canonical_batches(ctx: FieldContext, batch_rows: int = BLOCK):
+def canonical_batches(ctx: FieldContext):
     """Canonical representatives as pair batches that also carry their
     "stacked" n x 2n matrices (L1's matrix in the low n columns).
 
@@ -570,7 +547,7 @@ def canonical_batches(ctx: FieldContext, batch_rows: int = BLOCK):
     to_coeffs = _SpanMap(np.zeros(n, dtype=np.int64), images)
     shifts = np.arange(0, n * n, n, dtype=np.int64)
     rref = _rref_matrices(n)
-    while buf := list(islice(rref, batch_rows)):
+    while buf := list(islice(rref, BLOCK)):
         stacked = np.array(buf, dtype=np.int64)
         c1, c2 = (
             to_coeffs(np.bitwise_or.reduce(half << shifts, axis=1))
@@ -644,9 +621,9 @@ def _pair_decoder(ctx: FieldContext, batch: dict, mod16: bool) -> dict:
     return dec
 
 
-def _row_pair(ctx: FieldContext, batch: dict, i: int) -> Tuple[LinearizedPoly, LinearizedPoly]:
-    """(L1, L2) of row i of a pair batch."""
-    return tuple(LinearizedPoly(ctx, tuple(batch[k][i].tolist())) for k in ("c1", "c2"))
+def _batch_pairs(batch: dict, rows: np.ndarray) -> list:
+    """(L1, L2) coefficient-tuple pairs of the given rows of a pair batch."""
+    return list(zip(*(map(tuple, batch[k][rows].tolist()) for k in ("c1", "c2"))))
 
 
 def criterion_mismatches(ctx: FieldContext, batches) -> Iterator[tuple]:
@@ -655,7 +632,7 @@ def criterion_mismatches(ctx: FieldContext, batches) -> Iterator[tuple]:
     The criterion is the funnel without its mod-16 stage (a consequence
     of the criterion, not part of it); bijectivity is the funnel run with
     its last stage alone.  Yields, per batch, the number of nonzero rows
-    checked and a lazy iterator over the (L1, L2) pairs that disagree.
+    checked and the (L1, L2) coefficient-tuple pairs that disagree.
     """
     kz, trq = _criterion_tables(ctx)
     for batch in batches:
@@ -663,7 +640,7 @@ def criterion_mismatches(ctx: FieldContext, batches) -> Iterator[tuple]:
         dec = _pair_decoder(ctx, batch, mod16=False)
         _, crit, _ = _funnel(rows, dec, kz, trq)
         _, _, bij = _funnel(rows, {"f": dec["f"]}, kz, trq)
-        yield rows.size, map(partial(_row_pair, ctx, batch), rows[np.isin(rows, crit) != bij])
+        yield rows.size, _batch_pairs(batch, rows[np.isin(rows, crit) != bij])
 
 
 def full_search(
@@ -694,18 +671,10 @@ def full_search(
     def run(batch):
         rows = np.flatnonzero(batch["nonzero"])
         counts, alive, bij = _funnel(rows, _pair_decoder(ctx, batch, n >= 4), kz, trq)
-        witnesses = [_row_pair(ctx, batch, i) for i in alive[bij]]
-        picks = _audit_picks(rows, alive[bij])
-        return {
-            "counts": counts,
-            "witnesses": [(l1.to_text(), l2.to_text()) for l1, l2 in witnesses],
-            # coefficient tuples; _report builds maps only for the rows it keeps
-            "audit": [tuple(tuple(batch[k][i].tolist()) for k in ("c1", "c2")) for i in picks],
-        }
+        return _block_result(counts, rows, alive, bij, partial(_batch_pairs, batch))
 
     results = _dispatch(run, batches, partitions, progress=progress)
     return _report(
-        ctx, results, lambda pair: [LinearizedPoly(ctx, c) for c in pair], t0,
-        mode=mode, space=((1 << (n * n)) - 1) ** 2,
+        ctx, results, t0, mode=mode, space=((1 << (n * n)) - 1) ** 2,
         examined=examined, workers=1, partitions=partitions, block_size=block, notes=notes,
     )

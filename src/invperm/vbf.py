@@ -178,15 +178,15 @@ class TruthTable:
         ctx = self.ctx
         q = ctx.order
         group = q - 1
-        logs = ctx._log[1:]  # log x for x = 1..q-1
+        logs = ctx.log_table[1:]  # log x for x = 1..q-1
         fvals = self.values[1:]
         coeffs = np.zeros(q, dtype=np.int64)
         coeffs[0] = self.values[0]
         coeffs[q - 1] = np.bitwise_xor.reduce(self.values)
-        flog = ctx._log[fvals]
+        flog = ctx.log_table[fvals]
         nz = fvals != 0
         for j in range(1, q - 1):
-            prod = ctx._exp[(flog + (group - (j * logs) % group)) % group]
+            prod = ctx.exp_table[(flog + (group - (j * logs) % group)) % group]
             coeffs[j] = np.bitwise_xor.reduce(np.where(nz, prod, 0))
         return coeffs
 

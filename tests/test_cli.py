@@ -128,6 +128,22 @@ def test_invariants(capsys):
     assert doc["result"]["ok"] is True
 
 
+def test_invariants_above_pair_table_range(capsys):
+    # prop2-random reads the n <= 8 product table; above it the suite
+    # records 0 cases, as walsh-parseval does
+    code, doc, _ = run_cli(capsys, "invariants", "--field", "9")
+    assert code == 0
+    suite = {r["claim"]: r for r in doc["result"]["suite"]}
+    assert suite["prop2-random"]["cases_checked"] == 0
+
+
+def test_verify_proposition2_above_n8_exits_one(capsys):
+    code, doc, err = run_cli(capsys, "verify", "proposition2", "--field", "9")
+    assert code == 1
+    assert doc is None
+    assert "proposition2" in err
+
+
 def test_check_pair_inverse_map(capsys):
     # L1 = x, L2 = 0: the map is the field inverse itself, a permutation
     code, doc, _ = run_cli(
@@ -261,3 +277,26 @@ def test_audit_catches_corrupted_kloosterman_table(capsys, monkeypatch):
     assert doc["result"]["expected_witnesses"] is None
     assert doc["result"]["audit"]["violations"] > 0
     assert doc["result"]["verdict"] == "violated"
+
+
+def test_proposition2_reports_corrupted_kloosterman_table(capsys, monkeypatch):
+    # with every K(a) nonzero the criterion rejects every pair, so each of
+    # the 4704 permutations at n = 3 is a mismatch; verify keeps the first
+    # 16, as coefficient texts that rebuild to permutations
+    import numpy as np
+
+    from invperm import search, verify
+    from invperm.gf2n import make_field
+    from invperm.inverse_perm import build_F
+    from invperm.linmap import LinearizedPoly
+
+    monkeypatch.setattr(search, "kloosterman_all", lambda ctx: np.ones(ctx.order, dtype=np.int64))
+    res = verify.verify_proposition2(3)
+    assert len(res.violations) == verify.MAX_VIOLATIONS == 16
+    ctx = make_field(3)
+    for v in res.violations:
+        l1, l2 = (LinearizedPoly.from_text(ctx, v[k]) for k in ("l1", "l2"))
+        assert build_F(l1, l2).is_permutation()
+    code, doc, _ = run_cli(capsys, "verify", "proposition2", "--field", "3")
+    assert code == 2
+    assert doc["result"]["ok"] is False

@@ -234,7 +234,7 @@ def loop_tables(ctx):
 )
 def test_span_built_tables_match_loop_oracle(n, alternate):
     ctx = FieldContext(n, alternate_modulus(n) if alternate else None)
-    built = (ctx._exp, ctx._log, ctx.trace_table, ctx.sqr_table)
+    built = (ctx.exp_table, ctx.log_table, ctx.trace_table, ctx.sqr_table)
     for got, want in zip(built, loop_tables(ctx)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)

@@ -147,14 +147,15 @@ def test_hyperplane_cover_iff_exhaustive(n):
     ctx = make_field(n)
     q = ctx.order
     for a in range(1, q):
-        for b in range(a + 1, q):
-            for c in range(1, q):
-                if c in (a, b):
-                    continue
-                covers = hyperplane_cover(ctx, a, b, c)
-                assert covers == ((a ^ b) == c)
-                if not covers:
-                    assert hyperplane_union_size(ctx, a, b, c) == q // 2 + q // 4 + q // 8
+        # every (b, c) with a < b and c not in (a, b), in one call per a
+        b, c = (m.ravel() for m in np.meshgrid(np.arange(a + 1, q), np.arange(1, q), indexing="ij"))
+        keep = (c != a) & (c != b)
+        b, c = b[keep], c[keep]
+        a_s = np.full_like(b, a)
+        covers = hyperplane_cover(ctx, a_s, b, c)
+        assert np.array_equal(covers, (a ^ b) == c)
+        sizes = hyperplane_union_size(ctx, a_s[~covers], b[~covers], c[~covers])
+        assert (sizes == q // 2 + q // 4 + q // 8).all()
 
 
 def test_hyperplane_cover_random_large_n():
@@ -192,6 +193,12 @@ def test_hyperplane_cover_rejects_bad_args():
         hyperplane_cover(ctx, 1, 1, 2)
     with pytest.raises(ValueError, match="distinct"):
         hyperplane_cover(ctx, 0, 1, 2)
+    # out-of-range values are not field elements, in scalar and array calls
+    for bad in (-3, 16):
+        with pytest.raises(ValueError, match="distinct"):
+            hyperplane_cover(ctx, 1, 2, bad)
+        with pytest.raises(ValueError, match="distinct"):
+            hyperplane_cover(ctx, np.array([1, 1]), np.array([2, 2]), np.array([3, bad]))
 
 
 def test_pair_report_shared_kernel():

@@ -1,7 +1,10 @@
 """Search drivers: exhaustive dichotomy, canonical orbits, filter pipelines."""
 
 import json
+import multiprocessing
 import random
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -248,7 +251,7 @@ def test_trace_presolve_is_exact():
     # the enumerated coset is exactly the set of maps passing the trace
     # half of the necessary condition (checked exhaustively at n = 4)
     ctx = make_field(4)
-    env = search._fixed_l1_env(4, None, LinearizedPoly.identity(ctx).coeffs)
+    env = search._fixed_l1_env(4, None, LinearizedPoly.identity(ctx).coeffs, False)
     origin, basis = search._solve_coset(ctx, search._trace_rows(ctx, env["l1s_tab"]), 0)
     dec = search._coset_decoder(env, origin, tuple(basis))
     ms = np.arange(1 << len(basis), dtype=np.int64)
@@ -280,9 +283,20 @@ def test_worker_determinism():
 
 
 def test_worker_determinism_coset_path():
-    # pool workers rebuild the per-process decode tables from scratch
+    # the value-one coset, split over a pool
     a = search.normalized_search(5, workers=1)
     b = search.normalized_search(5, workers=2)
+    _assert_same_report(a, b)
+
+
+def test_worker_determinism_presolved_path(monkeypatch):
+    # n = 7 is the only presolved run that starts a pool (n = 6 fits one
+    # block); spawned workers inherit no cache, so each solves the trace
+    # rows and builds the decoder itself
+    a = search.normalized_search(7, workers=1)
+    spawn = partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+    monkeypatch.setattr(search, "ProcessPoolExecutor", spawn)
+    b = search.normalized_search(7, workers=2)
     _assert_same_report(a, b)
 
 
@@ -315,9 +329,10 @@ def test_linear_decoder_matches_multiplication(kind, n, alternate):
     # the XOR-of-images decode equals the product-table evaluation of
     # L2*, R = L1* L2* and F = L1(x^-1) + L2(x) on random coset indices
     modulus = alternate_modulus(n) if alternate else None
-    env = search._fixed_l1_env(n, modulus, FIXED_L1[kind](make_field(n, modulus)))
-    ctx = env["ctx"]
-    origin, basis = search._search_coset(env, value_one=kind == "normalized")
+    env = search._fixed_l1_env(
+        n, modulus, FIXED_L1[kind](make_field(n, modulus)), value_one=kind == "normalized"
+    )
+    ctx, origin, basis = env["ctx"], env["origin"], env["basis"]
     dec = search._coset_decoder(env, origin, basis)
     top = (1 << len(basis)) - 1
     rng = np.random.default_rng(n)
@@ -342,8 +357,8 @@ def test_theorem8_candidates_fail_mod16_in_normalized_coset(n, forced):
     # of the normalized search's coset, and the funnel rejects each one
     # at the mod-16 stage
     ctx = make_field(n)
-    env = search._fixed_l1_env(n, None, FIXED_L1["normalized"](ctx))
-    origin, basis = search._search_coset(env, value_one=True)
+    env = search._fixed_l1_env(n, None, FIXED_L1["normalized"](ctx), value_one=True)
+    origin, basis = env["origin"], env["basis"]
     candidates = [recurrence_coeffs(ctx, c0) for c0 in range(ctx.order)]
     hits = [l2s.coeffs for l2s in candidates if l2s(1) == 1]
     assert len(hits) == forced
