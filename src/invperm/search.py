@@ -34,7 +34,7 @@ takes the first 8 candidates of each block that the funnel rejected,
 up to 256 in all, and re-checks them with build_F(...).is_permutation().
 build_F evaluates F from the two maps themselves, so it is an oracle
 independent of the decoders.  Candidates the presolve skips fail a
-necessary condition and are never sampled (ROADMAP.md, item 4, plans an
+necessary condition and are never sampled (ROADMAP.md, item 3, plans an
 audit that also covers them).
 """
 
@@ -45,7 +45,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -65,7 +65,6 @@ __all__ = [
     "canonical_batches",
     "random_pair_batches",
     "criterion_mismatches",
-    "canonical_pairs",
     "canonical_key",
     "canonical_pair_count",
     "gaussian_binomial",
@@ -486,9 +485,15 @@ def canonical_pair_count(n: int) -> int:
     return sum(gaussian_binomial(2 * n, r) for r in range(n + 1))
 
 
-def _rref_matrices(n: int) -> Iterator[List[int]]:
-    """All reduced-row-echelon n x 2n matrices (row ints), rank 0..n."""
-    width = 2 * n
+def _rref_rows(n: int) -> np.ndarray:
+    """Every reduced-row-echelon n x 2n matrix, as (N, n) row ints.
+
+    Ordered by rank 0..n, then pivot sets in combinations order, then the
+    free bits as a counter (bit t for the t-th free position, row-major).
+    The rows of one pivot pattern are its pivot bits XOR the span of the
+    unit images of its free positions: span index = free-bit counter.
+    """
+    width, parts = 2 * n, []
     for r in range(n + 1):
         for pivots in combinations(range(width), r):
             free = [
@@ -497,13 +502,13 @@ def _rref_matrices(n: int) -> Iterator[List[int]]:
                 for c in range(pivots[k] + 1, width)
                 if c not in pivots
             ]
-            base = [1 << pivots[k] for k in range(r)]
-            for assign in range(1 << len(free)):
-                rows = list(base)
-                for t, (k, c) in enumerate(free):
-                    if (assign >> t) & 1:
-                        rows[k] |= 1 << c
-                yield rows + [0] * (n - r)
+            units = np.zeros((len(free), n), dtype=np.int64)
+            for t, (k, c) in enumerate(free):
+                units[t, k] = 1 << c
+            template = np.zeros(n, dtype=np.int64)
+            template[:r] = [1 << p for p in pivots]
+            parts.append(template ^ span_table(units))
+    return np.concatenate(parts)
 
 
 def canonical_key(l1: LinearizedPoly, l2: LinearizedPoly) -> Tuple[int, ...]:
@@ -516,39 +521,25 @@ def canonical_key(l1: LinearizedPoly, l2: LinearizedPoly) -> Tuple[int, ...]:
     return tuple(red + [0] * (n - len(red)))
 
 
-def canonical_pairs(
-    n: int, modulus: Optional[int] = None
-) -> Iterator[Tuple[LinearizedPoly, LinearizedPoly]]:
-    """One representative (L1, L2) per left-action orbit, as a stream."""
-    if n > 8:
-        raise ValueError("canonical enumeration supports n <= 8")
-    ctx = make_field(n, modulus)
-    mask = ctx.mask
-    for rows in _rref_matrices(n):
-        m1 = [row & mask for row in rows]
-        m2 = [row >> n for row in rows]
-        yield (
-            LinearizedPoly.from_matrix(ctx, m1),
-            LinearizedPoly.from_matrix(ctx, m2),
-        )
-
-
 def canonical_batches(ctx: FieldContext):
-    """Canonical representatives as pair batches that also carry their
-    "stacked" n x 2n matrices (L1's matrix in the low n columns).
+    """Canonical representatives as pair batches of BLOCK rows that also
+    carry their "stacked" n x 2n matrices (L1's matrix in the low n
+    columns).
 
-    Matrix to coefficients is GF(2)-linear, so each n x n half, packed
-    into an n^2-bit index, decodes through one _SpanMap whose images are
-    the coefficient rows of the n^2 one-bit matrices.
+    The representatives are the rows of _rref_rows, built per pivot
+    pattern as a span table.  Matrix to coefficients is GF(2)-linear, so
+    each n x n half, packed into an n^2-bit index, decodes through one
+    _SpanMap whose images are the coefficient rows of the n^2 one-bit
+    matrices.
     """
     n = ctx.n
     bits = [[1 << j if r == i else 0 for r in range(n)] for i in range(n) for j in range(n)]
     images = np.array([LinearizedPoly.from_matrix(ctx, m).coeffs for m in bits], dtype=np.int64)
     to_coeffs = _SpanMap(np.zeros(n, dtype=np.int64), images)
     shifts = np.arange(0, n * n, n, dtype=np.int64)
-    rref = _rref_matrices(n)
-    while buf := list(islice(rref, BLOCK)):
-        stacked = np.array(buf, dtype=np.int64)
+    rref = _rref_rows(n)
+    for lo in range(0, len(rref), BLOCK):
+        stacked = rref[lo : lo + BLOCK]
         c1, c2 = (
             to_coeffs(np.bitwise_or.reduce(half << shifts, axis=1))
             for half in (stacked & ctx.mask, stacked >> n)

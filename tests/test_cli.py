@@ -183,6 +183,21 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("l1", ["1,0", "1,0,0,0,0"])
+def test_check_pair_wrong_coefficient_count_exits_one(capsys, l1):
+    code, doc, err = run_cli(capsys, "check-pair", "--field", "4", "--l1", l1, "--l2", "0,0,0,0")
+    assert code == 1
+    assert doc is None
+    assert "need exactly 4 coefficients" in err
+
+
+def test_reducible_modulus_exits_one(capsys):
+    code, doc, err = run_cli(capsys, "kloosterman", "census", "--field", "5:0x21")
+    assert code == 1
+    assert doc is None
+    assert "modulus 0x21 is reducible" in err
+
+
 def test_search_full_rejects_workers(capsys):
     # the full search runs in one process; a worker count it would
     # ignore is an input error, not a claim in the report

@@ -4,7 +4,8 @@ import json
 import multiprocessing
 import random
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from functools import lru_cache, partial
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -89,11 +90,66 @@ def test_gaussian_binomial_and_counts():
     assert search.canonical_pair_count(4) == 308993
 
 
+def rref_matrices(n):
+    """Oracle: every reduced-row-echelon n x 2n matrix (row ints), one at a
+    time, rank 0..n, pivot sets in combinations order, then free-bit
+    assignments in increasing order."""
+    width = 2 * n
+    for r in range(n + 1):
+        for pivots in combinations(range(width), r):
+            free = [
+                (k, c)
+                for k in range(r)
+                for c in range(pivots[k] + 1, width)
+                if c not in pivots
+            ]
+            base = [1 << pivots[k] for k in range(r)]
+            for assign in range(1 << len(free)):
+                rows = list(base)
+                for t, (k, c) in enumerate(free):
+                    if (assign >> t) & 1:
+                        rows[k] |= 1 << c
+                yield rows + [0] * (n - r)
+
+
+@lru_cache(maxsize=None)
+def oracle_rows(n):
+    return np.array(list(rref_matrices(n)), dtype=np.int64)
+
+
+def canonical_pairs(n, modulus=None):
+    """Oracle: one representative (L1, L2) per left-action orbit, built
+    per row with from_matrix."""
+    ctx = make_field(n, modulus)
+    for rows in rref_matrices(n):
+        yield (
+            LinearizedPoly.from_matrix(ctx, [row & ctx.mask for row in rows]),
+            LinearizedPoly.from_matrix(ctx, [row >> n for row in rows]),
+        )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rref_rows_match_oracle(n):
+    # row for row: batch boundaries, and with them the audit picks,
+    # depend on the order
+    rows = search._rref_rows(n)
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, oracle_rows(n))
+
+
+@pytest.mark.parametrize("alternate", [False, True])
+def test_canonical_batch_boundaries_n4(alternate):
+    ctx = make_field(4, alternate_modulus(4) if alternate else None)
+    stacked = [batch["stacked"] for batch in search.canonical_batches(ctx)]
+    assert [len(s) for s in stacked] == [search.BLOCK] * 4 + [46849]
+    assert np.array_equal(np.concatenate(stacked), oracle_rows(4))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_rref_enumeration_count_and_orbit_stabilizer(n):
     count = 0
     total = 0
-    for rows in search._rref_matrices(n):
+    for rows in search._rref_rows(n).tolist():
         count += 1
         r = gf2mat.rank(rows, 2 * n)
         orbit = 1
@@ -107,7 +163,7 @@ def test_rref_enumeration_count_and_orbit_stabilizer(n):
 
 def test_rref_enumeration_yields_distinct_rrefs():
     seen = set()
-    for rows in search._rref_matrices(2):
+    for rows in search._rref_rows(2).tolist():
         key = tuple(rows)
         assert key not in seen
         seen.add(key)
@@ -136,7 +192,7 @@ def test_canonical_pairs_stream(ctx_n=3):
     ctx = make_field(ctx_n)
     keys = set()
     count = 0
-    for l1, l2 in search.canonical_pairs(ctx_n):
+    for l1, l2 in canonical_pairs(ctx_n):
         count += 1
         if count % 37 == 0:  # spot-check self-canonicity on a stride
             keys.add(search.canonical_key(l1, l2))
@@ -257,14 +313,9 @@ def test_trace_presolve_is_exact():
     ms = np.arange(1 << len(basis), dtype=np.int64)
     coset = search._unpack_coeffs(ctx, dec["coeffs"](ms))
     coset_set = {tuple(int(v) for v in row) for row in coset}
-    xs = np.arange(ctx.order)
-    brute = set()
-    for m in range(1 << 16):
-        coeffs = tuple((m >> (4 * i)) & 15 for i in range(4))
-        l2s = LinearizedPoly(ctx, coeffs)
-        r = ctx.mul_vec(xs, l2s.table())
-        if not ctx.trace_table[r].any():
-            brute.add(coeffs)
+    every = search._unpack_coeffs(ctx, np.arange(1 << 16, dtype=np.int64))
+    r = ctx.mul_vec(np.arange(ctx.order), search._tables_from_coeffs(ctx, every))
+    brute = {tuple(row) for row in every[~ctx.trace_table[r].any(axis=1)].tolist()}
     assert coset_set == brute
 
 

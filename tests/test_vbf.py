@@ -227,6 +227,16 @@ def test_truth_table_file_roundtrip(tmp_path):
     assert p.read_text().splitlines()[0] == "5:0x29"
 
 
+@pytest.mark.parametrize(
+    "values, match", [(["0"] * 15, "exactly 16 values"), (["0"] * 15 + ["1f"], "range")]
+)
+def test_truth_table_load_rejects_bad_file(tmp_path, values, match):
+    p = tmp_path / "table.txt"
+    p.write_text("\n".join(["4", *values]) + "\n")
+    with pytest.raises(ValueError, match=match):
+        TruthTable.load(p)
+
+
 def test_truth_table_validation():
     ctx = make_field(3)
     with pytest.raises(ValueError, match="exactly"):
