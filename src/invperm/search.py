@@ -14,17 +14,19 @@ Every search, and verify_proposition2, runs one filter funnel
 (_funnel): nonzero -> kernel-intersection -> mod-16 necessary condition
 (n >= 4) -> Kloosterman-zero membership -> full bijectivity.  The
 funnel reads its tables through decoders, functions of candidate
-indices.  full_search and verify_proposition2 look rows up in batches
-of (L1, L2) coefficient rows: all nonzero pairs at n <= 3, canonical
-orbit representatives at n = 4, or random rows.
+indices.  A map's coefficients, table and adjoint table (its map row,
+_map_rows) are GF(2)-linear in the map, so maps decode as XORs of
+precomputed map rows through a _SpanMap, with no field multiplications.
 
-The other two drivers are callers of one fixed-L1 search.  A block of
-it is the key (n, modulus, L1, value_one, start); each process builds
-the state of a key once (_fixed_l1_env): a coset of L2* coefficient
-vectors and its decoder.  With L1 fixed, every table the funnel reads is
-GF(2)-affine in those coefficient bits, so it decodes as the XOR of
-precomputed images of the coset's origin and basis vectors, with no
-field multiplications per candidate.
+full_search and verify_proposition2 read batches of (L1, L2) pairs: all
+nonzero pairs at n <= 3, canonical orbit representatives at n = 4, or
+random rows.  Each map is decoded from an n^2-bit word, its packed
+coefficients or matrix; R = L1* L2* is a product-table lookup.  The
+other two drivers call one fixed-L1 search.  A block of it is the key
+(n, modulus, L1, value_one, start); each process builds the state of a
+key once (_fixed_l1_env): a coset of L2* coefficient vectors.  With L1
+fixed, R and F are affine in L2* too and decode from the coset's origin
+and basis vectors.
 
 Blocks are deterministic and merged in block order, so witness lists
 and counts are identical for any worker count.  Every driver ends a
@@ -123,22 +125,6 @@ class SearchReport:
 # -- shared vectorized helpers -------------------------------------------------
 
 
-def _tables_from_coeffs(ctx: FieldContext, coeffs: np.ndarray) -> np.ndarray:
-    """(B, 2^n) value tables of sum_i c_i x^(2^i) for (B, n) coefficient rows.
-
-    The n basis images L(2^j) take n^2 product lookups; the rest of each
-    table is their XOR span, as in LinearizedPoly.table().
-    """
-    n, mf = ctx.n, ctx.mul_table.reshape(-1)
-    out = np.zeros((coeffs.shape[0], ctx.order), dtype=np.int64)
-    for j in range(n):
-        image = np.zeros(coeffs.shape[0], dtype=np.int64)
-        for i in range(n):
-            image ^= mf[(coeffs[:, i] << n) | int(ctx.pow2k_table[i][1 << j])]
-        out[:, 1 << j : 2 << j] = out[:, : 1 << j] ^ image[:, None]
-    return out
-
-
 def _adjoint_coeffs(ctx: FieldContext, coeffs: np.ndarray) -> np.ndarray:
     """Adjoint coefficient rows: d_j = c_((n-j) mod n) ^ (2^j)."""
     n = ctx.n
@@ -148,10 +134,25 @@ def _adjoint_coeffs(ctx: FieldContext, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pack(n: int, digits: np.ndarray) -> np.ndarray:
+    """uint64 base-2^n words of digit rows (last axis): digit i at bit n*i."""
+    shifts = np.arange(0, n * digits.shape[-1], n, dtype=np.uint64)
+    return np.bitwise_or.reduce(digits.astype(np.uint64) << shifts, axis=-1)
+
+
 def _unpack_coeffs(ctx: FieldContext, packed: np.ndarray) -> np.ndarray:
     """(B, n) coefficient rows from packed base-2^n words (c_i at bit n*i)."""
     shifts = np.arange(0, ctx.n * ctx.n, ctx.n, dtype=packed.dtype)
     return ((packed[:, None] >> shifts) & ctx.mask).astype(np.int64)
+
+
+def _map_rows(ctx: FieldContext, maps) -> np.ndarray:
+    """uint8 rows [coefficients | table | adjoint table] of maps, each part
+    GF(2)-linear in the map: the row of a sum of maps is the XOR of theirs."""
+    if ctx.n > 8:
+        raise ValueError(f"map rows hold field elements as bytes, so n <= 8; got n={ctx.n}")
+    rows = [np.concatenate([m.coeffs, m.table(), m.adjoint().table()]) for m in maps]
+    return np.array(rows, dtype=np.uint8)
 
 
 # -- linear presolve of the trace condition ------------------------------------
@@ -165,9 +166,7 @@ def _trace_rows(ctx: FieldContext, l1star_tab: np.ndarray) -> List[int]:
     of trace_dual_table[w_i(a)].
     """
     weights = ctx.mul_vec(l1star_tab, ctx.pow2k_table)
-    bits = ctx.trace_dual_table[weights].astype(np.uint64)
-    shifts = np.arange(0, ctx.n * ctx.n, ctx.n, dtype=np.uint64)[:, None]
-    return np.bitwise_or.reduce(bits << shifts, axis=0).tolist()
+    return _pack(ctx.n, ctx.trace_dual_table[weights].T).tolist()
 
 
 def _solve_coset(ctx, rows: List[int], rhs: int):
@@ -361,24 +360,19 @@ def _coset_decoder(env: dict, origin, basis) -> Dict[str, _SpanMap]:
     (c_i at bit n*i), "kernel" L2* at the nonzero kernel points of L1*,
     "probe" and "r" the table R(b) = L1*(b) L2*(b) at the probe points
     and everywhere, and "f" the table of F = L1(x^-1) + L2(x).  Built
-    from the images of the origin and of each basis vector.
+    from the map rows of the origin and of each basis vector: L2*'s
+    coefficients and table, and L2's table as its adjoint table.
     """
     ctx = env["ctx"]
-    n = ctx.n
-    maps = [LinearizedPoly(ctx, tuple(c)) for c in (origin, *basis)]
-    # fixed-L1 searches run at n <= 8, so every field element fits a byte
-    l2s = np.array([m.table() for m in maps], dtype=np.uint8)
+    rows = _map_rows(ctx, [LinearizedPoly(ctx, tuple(c)) for c in (origin, *basis)])
+    coeffs, l2s, f = np.split(rows, [ctx.n, ctx.n + ctx.order], axis=1)
     r = ctx.mul_vec(env["l1s_tab"], l2s).astype(np.uint8)
-    f = np.array([m.adjoint().table() for m in maps], dtype=np.uint8)
     f[0] ^= env["l1_on_inv"].astype(np.uint8)
-    packed = np.array(
-        [sum(c << (n * i) for i, c in enumerate(m.coeffs)) for m in maps], dtype=np.uint64
-    )
     probe = _PROBE[: ctx.order - 1]
     return {
         name: _SpanMap(tab[0], tab[1:])
         for name, tab in (
-            ("coeffs", packed),
+            ("coeffs", _pack(ctx.n, coeffs)),
             ("kernel", l2s[:, env["kernel_pts"]]),
             ("probe", r[:, probe]),
             ("r", r),
@@ -527,79 +521,83 @@ def canonical_batches(ctx: FieldContext):
     columns).
 
     The representatives are the rows of _rref_rows, built per pivot
-    pattern as a span table.  Matrix to coefficients is GF(2)-linear, so
-    each n x n half, packed into an n^2-bit index, decodes through one
-    _SpanMap whose images are the coefficient rows of the n^2 one-bit
-    matrices.
+    pattern as a span table.  Each n x n half, packed into an n^2-bit
+    word (row i at bit n*i), decodes through one _word_decoder over the
+    maps of the n^2 one-bit matrices.
     """
     n = ctx.n
-    bits = [[1 << j if r == i else 0 for r in range(n)] for i in range(n) for j in range(n)]
-    images = np.array([LinearizedPoly.from_matrix(ctx, m).coeffs for m in bits], dtype=np.int64)
-    to_coeffs = _SpanMap(np.zeros(n, dtype=np.int64), images)
-    shifts = np.arange(0, n * n, n, dtype=np.int64)
+    units = [[1 << j if r == i else 0 for r in range(n)] for i in range(n) for j in range(n)]
+    decode = _word_decoder(ctx, [LinearizedPoly.from_matrix(ctx, m) for m in units])
     rref = _rref_rows(n)
     for lo in range(0, len(rref), BLOCK):
         stacked = rref[lo : lo + BLOCK]
-        c1, c2 = (
-            to_coeffs(np.bitwise_or.reduce(half << shifts, axis=1))
-            for half in (stacked & ctx.mask, stacked >> n)
-        )
-        yield dict(_coeff_batch(ctx, c1, c2), stacked=stacked)
+        halves = (decode(_pack(n, half)) for half in (stacked & ctx.mask, stacked >> n))
+        yield dict(_pair_batch(ctx, *halves), stacked=stacked)
 
 
 # -- pair batches ----------------------------------------------------------------
 #
 # A pair batch holds, per row, the maps L1, L2 as coefficient rows c1, c2,
-# the value tables t1, t2 of L1, L2 and t1s, t2s of their adjoints, and a
-# nonzero mask.  _coeff_batch builds every batch, from all nonzero maps
-# (n <= 3), canonical representatives (n = 4) or random rows.
+# the value tables t1, t2 of L1, L2 and t1s, t2s of their adjoints (all
+# uint8), and a nonzero mask.  Each map is named by an n^2-bit word: its
+# packed coefficients (all nonzero maps at n <= 3, random rows) or matrix
+# (canonical representatives at n = 4).  Map rows are GF(2)-linear in the
+# word, so a batch decodes, as a fixed-L1 coset does, through one _SpanMap
+# over the rows of the n^2 unit maps.
 
 
-def _coeff_batch(ctx: FieldContext, c1: np.ndarray, c2: np.ndarray) -> dict:
-    """Pair batch of the maps with coefficient rows c1 (L1) and c2 (L2)."""
-    t1s, t2s = (_tables_from_coeffs(ctx, _adjoint_coeffs(ctx, c)) for c in (c1, c2))
-    return {
-        "c1": c1,
-        "c2": c2,
-        "t1": _tables_from_coeffs(ctx, c1),
-        "t2": _tables_from_coeffs(ctx, c2),
-        "t1s": t1s,
-        "t2s": t2s,
-        "nonzero": c1.any(axis=1) & c2.any(axis=1),
-    }
+def _word_decoder(ctx: FieldContext, units) -> _SpanMap:
+    """Map rows of the maps named by words: bit k of a word adds units[k]."""
+    rows = _map_rows(ctx, units)
+    return _SpanMap(np.zeros_like(rows[0]), rows)
+
+
+def _coeff_decoder(ctx: FieldContext) -> _SpanMap:
+    """_word_decoder of packed coefficient words (bit t of c_i at n*i + t)."""
+    n = ctx.n
+    units = [LinearizedPoly.frobenius(ctx, i, 1 << t) for i, t in np.ndindex(n, n)]
+    return _word_decoder(ctx, units)
+
+
+def _pair_batch(ctx: FieldContext, l1_rows: np.ndarray, l2_rows: np.ndarray) -> dict:
+    """Pair batch of the maps with map rows l1_rows (L1) and l2_rows (L2)."""
+    cuts = [ctx.n, ctx.n + ctx.order]
+    c1, t1, t1s = np.split(l1_rows, cuts, axis=1)
+    c2, t2, t2s = np.split(l2_rows, cuts, axis=1)
+    nonzero = c1.any(axis=1) & c2.any(axis=1)
+    return dict(c1=c1, c2=c2, t1=t1, t2=t2, t1s=t1s, t2s=t2s, nonzero=nonzero)
 
 
 def all_pair_batches(ctx: FieldContext) -> Iterator[dict]:
     """Every pair of nonzero maps (n <= 3), one batch per L1.
 
-    The tables of all maps are built once; each batch pairs one L1,
-    as broadcast views, with every L2.
+    The rows of all maps are decoded once; each batch pairs one L1, as a
+    broadcast view, with every L2.
     """
-    nmaps = 1 << (ctx.n * ctx.n)
-    coeffs = _unpack_coeffs(ctx, np.arange(1, nmaps, dtype=np.int64))
-    every = _coeff_batch(ctx, coeffs, coeffs)
-    for i in range(nmaps - 1):
-        l1 = {k: np.broadcast_to(every[k][i], every[k].shape) for k in ("c1", "t1", "t1s")}
-        yield dict(every, **l1)
+    every = _coeff_decoder(ctx)(np.arange(1, 1 << (ctx.n * ctx.n), dtype=np.int64))
+    for row in every:
+        yield _pair_batch(ctx, np.broadcast_to(row, every.shape), every)
 
 
 def random_pair_batches(ctx: FieldContext, samples: int, seed: int) -> Iterator[dict]:
     """Seeded random coefficient pairs, in batches of 2^14 rows."""
     rng = np.random.default_rng(seed)
+    decode = _coeff_decoder(ctx)
     for start in range(0, samples, 1 << 14):
         b = min(1 << 14, samples - start)
         c1 = rng.integers(0, ctx.order, (b, ctx.n), dtype=np.int64)
         c2 = rng.integers(0, ctx.order, (b, ctx.n), dtype=np.int64)
-        yield _coeff_batch(ctx, c1, c2)
+        yield _pair_batch(ctx, decode(_pack(ctx.n, c1)), decode(_pack(ctx.n, c2)))
 
 
 def _pair_decoder(ctx: FieldContext, batch: dict, mod16: bool) -> dict:
-    """Funnel decoders over the row indices of a pair batch."""
-    mf, n = ctx.mul_table.reshape(-1), ctx.n
+    """Funnel decoders over the row indices of a pair batch; R is the one
+    product-table lookup."""
+    mt = ctx.mul_table
     t1, t2, t1s, t2s = batch["t1"], batch["t2"], batch["t1s"], batch["t2s"]
 
     def product(pts):
-        return lambda i: mf[(t1s[i][:, pts] << n) | t2s[i][:, pts]]
+        return lambda i: mt[t1s[i][:, pts], t2s[i][:, pts]]
 
     dec = {
         # zero exactly where b != 0 lies in both adjoint kernels

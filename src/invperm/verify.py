@@ -94,8 +94,8 @@ def verify_proposition2(
     orbit representatives at n = 4, and over seeded random pairs for
     5 <= n <= 8 (100000 unless samples says otherwise; a drawn pair with
     a zero map is not counted).  samples is rejected where it would be
-    ignored.  The pair tables are product-table lookups, so n > 8 is
-    rejected.
+    ignored.  Pair tables hold field elements as bytes and R is a
+    product-table lookup, so n > 8 is rejected.
     """
     if n > 8:
         raise ValueError(f"proposition2 supports n <= 8, where pair tables fit; got n={n}")

@@ -23,6 +23,7 @@ DIGESTS = {
     "verify proposition2 3": "f1649736cf9581e47bd6ecb3c9bfb321e4e73ef0bafd5a07c1390594c33dcb93",
     "verify proposition2 4": "7ea69d4d96970d5a22ca7d159544d3cf741a87e9e875bc0b69748b00ccf71681",
     "verify proposition2 5": "de59c0472fb6edefdb2a8f6a2e2fa77c73cd99e5b5ad225a111176f52d0f436f",
+    "verify proposition2 6": "512a7aac0c75042e257d6208acc03f7ae01525cd83f65cf384315fe2716c323f",
 }
 
 

@@ -11,9 +11,25 @@ import numpy as np
 import pytest
 
 from invperm import gf2mat, search
-from invperm.gf2n import alternate_modulus, make_field
+from invperm.gf2n import FieldContext, alternate_modulus, make_field
 from invperm.inverse_perm import build_F, perm_criterion_kloosterman, recurrence_coeffs
 from invperm.linmap import LinearizedPoly
+
+
+def _tables_from_coeffs(ctx: FieldContext, coeffs: np.ndarray) -> np.ndarray:
+    """(B, 2^n) value tables of sum_i c_i x^(2^i) for (B, n) coefficient rows.
+
+    The n basis images L(2^j) take n^2 product lookups; the rest of each
+    table is their XOR span, as in LinearizedPoly.table().
+    """
+    n, mf = ctx.n, ctx.mul_table.reshape(-1)
+    out = np.zeros((coeffs.shape[0], ctx.order), dtype=np.int64)
+    for j in range(n):
+        image = np.zeros(coeffs.shape[0], dtype=np.int64)
+        for i in range(n):
+            image ^= mf[(coeffs[:, i] << n) | int(ctx.pow2k_table[i][1 << j])]
+        out[:, 1 << j : 2 << j] = out[:, : 1 << j] ^ image[:, None]
+    return out
 
 
 def brute_force_witnesses_n3():
@@ -200,42 +216,114 @@ def test_canonical_pairs_stream(ctx_n=3):
     assert len(keys) == count // 37  # all sampled representatives distinct
 
 
-@pytest.mark.parametrize("alternate", [False, True])
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_canonical_batches_match_maps(n, alternate):
-    # every row at n = 2, 3 and the first batch at n = 4: the coefficient
-    # rows decode the stacked halves [M1 | M2], and the tables are those
-    # of the maps and their adjoints
+def _batch_sources():
+    for n in (2, 3, 4):
+        for alternate in (False, True):
+            yield pytest.param("canonical", n, alternate, id=f"{n}-{alternate}")
+    for source, ns in (("all-pairs", (2, 3)), ("random", (5, 6, 7, 8))):
+        for n in ns:
+            for alternate in (False, True):
+                yield pytest.param(source, n, alternate, id=f"{source}-{n}-{alternate}")
+
+
+@pytest.mark.parametrize("source,n,alternate", _batch_sources())
+def test_canonical_batches_match_maps(source, n, alternate):
+    # the rows of every batch source hold the coefficients, tables and
+    # adjoint tables of the maps they name.  Canonical rows name stacked
+    # halves [M1 | M2]: every row at n = 2, 3 and the first batch at n = 4.
+    # All-pairs batch k pairs the packed coefficient word k + 1 with every
+    # word from 1 up: every batch at n = 2, the first and last at n = 3.
+    # Random rows are the seeded coefficient stream: its first 200 rows.
     ctx = make_field(n, alternate_modulus(n) if alternate else None)
     maps = {}
 
-    def expect(half):
-        if half not in maps:
-            l = LinearizedPoly.from_matrix(ctx, list(half))
-            maps[half] = (l.coeffs, l.table(), l.adjoint().table())
-        return maps[half]
+    def expect(key):
+        if key not in maps:
+            l = (
+                LinearizedPoly.from_matrix(ctx, list(key))
+                if source == "canonical"
+                else LinearizedPoly(ctx, key)
+            )
+            maps[key] = (l.coeffs, l.table(), l.adjoint().table())
+        return maps[key]
 
-    batches = search.canonical_batches(ctx)
+    def word(w):
+        return tuple((w >> (n * i)) & ctx.mask for i in range(n))
+
+    def halves(stacked):
+        return tuple(r & ctx.mask for r in stacked), tuple(r >> n for r in stacked)
+
+    nmaps = (1 << (n * n)) - 1
+    if source == "canonical":
+        batches = search.canonical_batches(ctx)
+        named = [
+            (batch, [halves(s) for s in batch["stacked"].tolist()])
+            for batch in (batches if n < 4 else [next(batches)])
+        ]
+    elif source == "all-pairs":
+        named = [
+            (batch, [(word(k + 1), word(w)) for w in range(1, nmaps + 1)])
+            for k, batch in enumerate(search.all_pair_batches(ctx))
+            if n == 2 or k in (0, nmaps - 1)
+        ]
+    else:
+        rng = np.random.default_rng(0)
+        c1, c2 = (rng.integers(0, ctx.order, (200, n), dtype=np.int64) for _ in range(2))
+        if n == 8:
+            assert np.unique(np.concatenate([c1, c2])).size == 256  # every byte value
+        named = [
+            (
+                next(search.random_pair_batches(ctx, 200, 0)),
+                list(zip(map(tuple, c1.tolist()), map(tuple, c2.tolist()))),
+            )
+        ]
     rows = 0
-    for batch in batches if n < 4 else [next(batches)]:
-        for i, stacked in enumerate(batch["stacked"].tolist()):
-            for half, c, t, ts in (
-                ([r & ctx.mask for r in stacked], "c1", "t1", "t1s"),
-                ([r >> n for r in stacked], "c2", "t2", "t2s"),
-            ):
-                coeffs, table, adjoint = expect(tuple(half))
+    for batch, pairs in named:
+        assert len(pairs) == len(batch["c1"])
+        for i, keys in enumerate(pairs):
+            for key, c, t, ts in zip(keys, ("c1", "c2"), ("t1", "t2"), ("t1s", "t2s")):
+                coeffs, table, adjoint = expect(key)
                 assert tuple(batch[c][i].tolist()) == coeffs
                 assert np.array_equal(batch[t][i], table)
                 assert np.array_equal(batch[ts][i], adjoint)
             rows += 1
-    assert rows == (search.canonical_pair_count(n) if n < 4 else search.BLOCK)
+    expected = {
+        "canonical": search.canonical_pair_count(n) if n < 4 else search.BLOCK,
+        "all-pairs": (nmaps if n == 2 else 2) * nmaps,
+        "random": 200,
+    }
+    assert rows == expected[source]
+
+
+def test_map_rows_reject_wide_fields():
+    # field elements above n = 8 do not fit the uint8 map rows
+    ctx = make_field(9)
+    with pytest.raises(ValueError, match="n <= 8"):
+        search._map_rows(ctx, [LinearizedPoly.identity(ctx)])
+    with pytest.raises(ValueError, match="n <= 8"):
+        next(search.random_pair_batches(ctx, 10, 0))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_coeff_decoder_rows_match_oracle(n):
+    # a packed coefficient word decodes to the map row [coefficients |
+    # table | adjoint table]; the tables are the product-table oracle's
+    ctx = make_field(n)
+    coeffs = np.random.default_rng(n).integers(0, ctx.order, (40, n))
+    coeffs[0], coeffs[1] = 0, ctx.mask
+    adjoint = np.array([LinearizedPoly(ctx, tuple(c)).adjoint().coeffs for c in coeffs.tolist()])
+    rows = search._coeff_decoder(ctx)(search._pack(n, coeffs))
+    assert rows.dtype == np.uint8
+    assert np.array_equal(rows[:, :n], coeffs)
+    assert np.array_equal(rows[:, n : n + ctx.order], _tables_from_coeffs(ctx, coeffs))
+    assert np.array_equal(rows[:, n + ctx.order :], _tables_from_coeffs(ctx, adjoint))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_tables_from_coeffs_match_maps(n):
     ctx = make_field(n)
     coeffs = np.random.default_rng(n).integers(0, ctx.order, (40, n))
-    tables = search._tables_from_coeffs(ctx, coeffs)
+    tables = _tables_from_coeffs(ctx, coeffs)
     for row, table in zip(coeffs.tolist(), tables):
         assert np.array_equal(table, LinearizedPoly(ctx, tuple(row)).table())
 
@@ -314,7 +402,7 @@ def test_trace_presolve_is_exact():
     coset = search._unpack_coeffs(ctx, dec["coeffs"](ms))
     coset_set = {tuple(int(v) for v in row) for row in coset}
     every = search._unpack_coeffs(ctx, np.arange(1 << 16, dtype=np.int64))
-    r = ctx.mul_vec(np.arange(ctx.order), search._tables_from_coeffs(ctx, every))
+    r = ctx.mul_vec(np.arange(ctx.order), _tables_from_coeffs(ctx, every))
     brute = {tuple(row) for row in every[~ctx.trace_table[r].any(axis=1)].tolist()}
     assert coset_set == brute
 
@@ -393,12 +481,12 @@ def test_linear_decoder_matches_multiplication(kind, n, alternate):
         # raw enumeration is the coset with the standard basis
         assert np.array_equal(coeffs, search._unpack_coeffs(ctx, ms))
     assert np.array_equal(search._unpack_coeffs(ctx, dec["coeffs"](ms)), coeffs)
-    l2s = search._tables_from_coeffs(ctx, coeffs)
+    l2s = _tables_from_coeffs(ctx, coeffs)
     r = ctx.mul_vec(env["l1s_tab"][None, :], l2s)
     assert np.array_equal(dec["r"](ms), r)
     assert np.array_equal(dec["probe"](ms), r[:, [1, 2, 3, 4]])
     assert np.array_equal(dec["kernel"](ms), l2s[:, env["kernel_pts"]])
-    l2 = search._tables_from_coeffs(ctx, search._adjoint_coeffs(ctx, coeffs))
+    l2 = _tables_from_coeffs(ctx, search._adjoint_coeffs(ctx, coeffs))
     assert np.array_equal(dec["f"](ms), env["l1_on_inv"][None, :] ^ l2)
 
 
