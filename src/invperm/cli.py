@@ -88,7 +88,12 @@ def _emit(args, subcommand: str, field_spec: Optional[str], result: dict, summar
 def _field(args):
     n, modulus = parse_field_spec(args.field)
     if getattr(args, "modulus", None):
-        modulus = int(args.modulus, 16)
+        flag = int(args.modulus, 16)
+        if modulus not in (None, flag):
+            raise UsageError(
+                f"--field {args.field} names modulus {modulus:#x} but --modulus gives {flag:#x}"
+            )
+        modulus = flag
     return make_field(n, modulus)
 
 

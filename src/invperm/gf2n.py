@@ -289,9 +289,7 @@ class FieldContext:
         """Frobenius power a^(2^k) for 0 <= k < n."""
         if not 0 <= k < self.n:
             raise ValueError(f"Frobenius exponent k={k} out of range [0, {self.n})")
-        for _ in range(k):
-            a = int(self.sqr_table[a])
-        return a
+        return int(self.pow2k_table[k, self.check(a)])
 
     def pow(self, a: int, e: int) -> int:
         """a^e with e >= 0; 0^0 = 1 and 0^e = 0 for e > 0."""

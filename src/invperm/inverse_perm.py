@@ -26,7 +26,7 @@ import numpy as np
 
 from .gf2n import FieldContext
 from .kloosterman import kloosterman_all, qform_table
-from .linmap import LinearizedPoly, Subspace, bijective_factor, kernels_intersect_trivially
+from .linmap import LinearizedPoly, bijective_factor, kernels_intersect_trivially
 from .vbf import TruthTable
 
 __all__ = [

@@ -24,9 +24,11 @@ random rows.  Each map is decoded from an n^2-bit word, its packed
 coefficients or matrix; R = L1* L2* is a product-table lookup.  The
 other two drivers call one fixed-L1 search.  A block of it is the key
 (n, modulus, L1, value_one, start); each process builds the state of a
-key once (_fixed_l1_env): a coset of L2* coefficient vectors.  With L1
-fixed, R and F are affine in L2* too and decode from the coset's origin
-and basis vectors.
+key once (_fixed_l1_env): a coset of L2* coefficient vectors (the
+trace presolve's equations are in L2*'s bits) and its decoders.  The
+adjoint is GF(2)-linear, so L2's map row and R are affine in L2* too;
+they decode from the map rows of L2 at the coset's origin and basis
+vectors.
 
 Blocks are deterministic and merged in block order, so witness lists
 and counts are identical for any worker count.  Every driver ends a
@@ -46,9 +48,9 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -123,15 +125,6 @@ class SearchReport:
 
 
 # -- shared vectorized helpers -------------------------------------------------
-
-
-def _adjoint_coeffs(ctx: FieldContext, coeffs: np.ndarray) -> np.ndarray:
-    """Adjoint coefficient rows: d_j = c_((n-j) mod n) ^ (2^j)."""
-    n = ctx.n
-    out = np.empty_like(coeffs)
-    for j in range(n):
-        out[:, j] = ctx.pow2k_table[j][coeffs[:, (n - j) % n]]
-    return out
 
 
 def _pack(n: int, digits: np.ndarray) -> np.ndarray:
@@ -282,13 +275,11 @@ def _dispatch(fn, blocks, partitions: int, workers: int = 1, progress=None) -> l
 # -- fixed-L1 searches -----------------------------------------------------------
 
 
-_PROC_CACHE: Dict[tuple, dict] = {}
-
-
+@lru_cache(maxsize=None)
 def _fixed_l1_env(
     n: int, modulus: Optional[int], l1_coeffs: Tuple[int, ...], value_one: bool
 ) -> dict:
-    """Per-process state of a fixed-L1 search: tables, coset and decoder.
+    """Per-process state of a fixed-L1 search: tables, coset and decoders.
 
     The coset origin + span(basis) of L2* coefficient vectors solves one
     GF(2) system in the coefficient bits (bit i*n + t is bit t of c_i):
@@ -296,11 +287,15 @@ def _fixed_l1_env(
     are too large to touch candidate by candidate, and L2*(1) = 1 when
     value_one.  With neither, it is the raw digit space.  Bit k of a
     candidate index selects basis[k].
+
+    The adjoint is GF(2)-linear, so the map rows of L2 = (L2*)* are
+    affine in the index too; "dec" decodes them through _SpanMaps.
+    "coeffs" gives L2's coefficient vector packed into one uint64 (c_i
+    at bit n*i), "kernel" L2* at the nonzero kernel points of L1* (only
+    when there are any), "probe" (n >= 4) and "r" the table
+    R(b) = L1*(b) L2*(b) at the probe points and everywhere, and "f"
+    the table of F = L1(x^-1) + L2(x).
     """
-    key = (n, modulus, l1_coeffs, value_one)
-    env = _PROC_CACHE.get(key)
-    if env is not None:
-        return env
     ctx = make_field(n, modulus)
     l1 = LinearizedPoly(ctx, l1_coeffs)
     l1s_tab = l1.adjoint().table()
@@ -313,24 +308,18 @@ def _fixed_l1_env(
     origin, basis = _solve_coset(ctx, rows, rhs)
     if len(basis) > 30:
         raise AssertionError(f"presolve left an infeasible space 2^{len(basis)}")
-    env = {
-        "ctx": ctx,
-        "l1s_tab": l1s_tab,
-        "l1_on_inv": l1.table()[ctx.inv_table],
-        "kernel_pts": [int(b) for b in np.nonzero(l1s_tab == 0)[0] if b != 0],
-        "kz": kz,
-        "trq": trq,
-        "origin": origin,
-        "basis": basis,
-    }
-    dec = _coset_decoder(env, origin, basis)
-    if not env["kernel_pts"]:
-        del dec["kernel"]  # L1* is injective: decoding zero columns costs time
-    if n < 4:
-        del dec["probe"]
-    env["dec"] = dec
-    _PROC_CACHE[key] = env
-    return env
+    l2_maps = [LinearizedPoly(ctx, c).adjoint() for c in (origin, *basis)]
+    coeffs, f, l2s = np.split(_map_rows(ctx, l2_maps), [n, n + ctx.order], axis=1)
+    r = ctx.mul_vec(l1s_tab, l2s).astype(np.uint8)
+    f[0] ^= l1.table()[ctx.inv_table].astype(np.uint8)
+    tabs = {"coeffs": _pack(n, coeffs), "r": r, "f": f}
+    kernel_pts = np.flatnonzero(l1s_tab[1:] == 0) + 1
+    if kernel_pts.size:  # an injective L1* leaves the kernel stage nothing to test
+        tabs["kernel"] = l2s[:, kernel_pts]
+    if n >= 4:
+        tabs["probe"] = r[:, _PROBE]
+    dec = {name: _SpanMap(tab[0], tab[1:]) for name, tab in tabs.items()}
+    return {"ctx": ctx, "kz": kz, "trq": trq, "origin": origin, "basis": basis, "dec": dec}
 
 
 class _SpanMap:
@@ -353,34 +342,6 @@ class _SpanMap:
         return out
 
 
-def _coset_decoder(env: dict, origin, basis) -> Dict[str, _SpanMap]:
-    """Linear decoders of the tables the funnel reads, for one coset.
-
-    "coeffs" gives the L2* coefficient vector packed into one uint64
-    (c_i at bit n*i), "kernel" L2* at the nonzero kernel points of L1*,
-    "probe" and "r" the table R(b) = L1*(b) L2*(b) at the probe points
-    and everywhere, and "f" the table of F = L1(x^-1) + L2(x).  Built
-    from the map rows of the origin and of each basis vector: L2*'s
-    coefficients and table, and L2's table as its adjoint table.
-    """
-    ctx = env["ctx"]
-    rows = _map_rows(ctx, [LinearizedPoly(ctx, tuple(c)) for c in (origin, *basis)])
-    coeffs, l2s, f = np.split(rows, [ctx.n, ctx.n + ctx.order], axis=1)
-    r = ctx.mul_vec(env["l1s_tab"], l2s).astype(np.uint8)
-    f[0] ^= env["l1_on_inv"].astype(np.uint8)
-    probe = _PROBE[: ctx.order - 1]
-    return {
-        name: _SpanMap(tab[0], tab[1:])
-        for name, tab in (
-            ("coeffs", _pack(ctx.n, coeffs)),
-            ("kernel", l2s[:, env["kernel_pts"]]),
-            ("probe", r[:, probe]),
-            ("r", r),
-            ("f", f),
-        )
-    }
-
-
 def _fixed_l1_block(args) -> dict:
     """Run the funnel on the block of BLOCK candidates from start; a pure
     function of args = (n, modulus, l1_coeffs, value_one, start)."""
@@ -393,7 +354,7 @@ def _fixed_l1_block(args) -> dict:
     counts, alive, bij = _funnel(ms, dec, env["kz"], env["trq"])
 
     def pairs(sel):
-        l2 = _adjoint_coeffs(ctx, _unpack_coeffs(ctx, packed[sel - start]))
+        l2 = _unpack_coeffs(ctx, packed[sel - start])
         return [(l1_coeffs, tuple(row)) for row in l2.tolist()]
 
     return _block_result(counts, ms, alive, bij, pairs)
@@ -531,8 +492,8 @@ def canonical_batches(ctx: FieldContext):
     rref = _rref_rows(n)
     for lo in range(0, len(rref), BLOCK):
         stacked = rref[lo : lo + BLOCK]
-        halves = (decode(_pack(n, half)) for half in (stacked & ctx.mask, stacked >> n))
-        yield dict(_pair_batch(ctx, *halves), stacked=stacked)
+        w1, w2 = (_pack(n, half) for half in (stacked & ctx.mask, stacked >> n))
+        yield dict(_pair_batch(ctx, decode(w1), decode(w2), w1, w2), stacked=stacked)
 
 
 # -- pair batches ----------------------------------------------------------------
@@ -559,12 +520,13 @@ def _coeff_decoder(ctx: FieldContext) -> _SpanMap:
     return _word_decoder(ctx, units)
 
 
-def _pair_batch(ctx: FieldContext, l1_rows: np.ndarray, l2_rows: np.ndarray) -> dict:
-    """Pair batch of the maps with map rows l1_rows (L1) and l2_rows (L2)."""
+def _pair_batch(ctx: FieldContext, l1_rows: np.ndarray, l2_rows: np.ndarray, w1, w2) -> dict:
+    """Pair batch of the maps with map rows l1_rows (L1) and l2_rows (L2),
+    decoded from the words w1 and w2: a map is zero exactly when its word is."""
     cuts = [ctx.n, ctx.n + ctx.order]
     c1, t1, t1s = np.split(l1_rows, cuts, axis=1)
     c2, t2, t2s = np.split(l2_rows, cuts, axis=1)
-    nonzero = c1.any(axis=1) & c2.any(axis=1)
+    nonzero = (w1 != 0) & (w2 != 0)
     return dict(c1=c1, c2=c2, t1=t1, t2=t2, t1s=t1s, t2s=t2s, nonzero=nonzero)
 
 
@@ -574,9 +536,10 @@ def all_pair_batches(ctx: FieldContext) -> Iterator[dict]:
     The rows of all maps are decoded once; each batch pairs one L1, as a
     broadcast view, with every L2.
     """
-    every = _coeff_decoder(ctx)(np.arange(1, 1 << (ctx.n * ctx.n), dtype=np.int64))
-    for row in every:
-        yield _pair_batch(ctx, np.broadcast_to(row, every.shape), every)
+    words = np.arange(1, 1 << (ctx.n * ctx.n), dtype=np.int64)
+    every = _coeff_decoder(ctx)(words)
+    for w, row in zip(words, every):
+        yield _pair_batch(ctx, np.broadcast_to(row, every.shape), every, w, words)
 
 
 def random_pair_batches(ctx: FieldContext, samples: int, seed: int) -> Iterator[dict]:
@@ -587,7 +550,8 @@ def random_pair_batches(ctx: FieldContext, samples: int, seed: int) -> Iterator[
         b = min(1 << 14, samples - start)
         c1 = rng.integers(0, ctx.order, (b, ctx.n), dtype=np.int64)
         c2 = rng.integers(0, ctx.order, (b, ctx.n), dtype=np.int64)
-        yield _pair_batch(ctx, decode(_pack(ctx.n, c1)), decode(_pack(ctx.n, c2)))
+        w1, w2 = _pack(ctx.n, c1), _pack(ctx.n, c2)
+        yield _pair_batch(ctx, decode(w1), decode(w2), w1, w2)
 
 
 def _pair_decoder(ctx: FieldContext, batch: dict, mod16: bool) -> dict:

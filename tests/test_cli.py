@@ -223,6 +223,19 @@ def test_kloosterman_modulus_flag(capsys):
     assert doc["result"]["zero_count"] >= 1
 
 
+def test_conflicting_modulus_exits_one(capsys):
+    # a modulus in the field spec and a different --modulus is bad input,
+    # not a silent choice of one of them
+    code, doc, err = run_cli(capsys, "field-info", "--field", "5:0x25", "--modulus", "0x29")
+    assert code == 1
+    assert doc is None
+    assert "0x25" in err and "0x29" in err
+    # the same modulus given both ways is no conflict
+    code, doc, _ = run_cli(capsys, "field-info", "--field", "5:0x29", "--modulus", "0x029")
+    assert code == 0
+    assert doc["result"]["spec"] == "5:0x29"
+
+
 def test_search_progress_stream(capsys):
     for mode, n in (("full", "3"), ("full", "4"), ("normalized", "5")):
         code, doc, err = run_cli(capsys, "search", mode, "--field", n, "--progress")

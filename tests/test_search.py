@@ -277,7 +277,7 @@ def test_canonical_batches_match_maps(source, n, alternate):
                 list(zip(map(tuple, c1.tolist()), map(tuple, c2.tolist()))),
             )
         ]
-    rows = 0
+    rows = zero_rows = 0
     for batch, pairs in named:
         assert len(pairs) == len(batch["c1"])
         for i, keys in enumerate(pairs):
@@ -286,7 +286,13 @@ def test_canonical_batches_match_maps(source, n, alternate):
                 assert tuple(batch[c][i].tolist()) == coeffs
                 assert np.array_equal(batch[t][i], table)
                 assert np.array_equal(batch[ts][i], adjoint)
+            both = all(any(expect(key)[0]) for key in keys)  # both maps nonzero
+            assert bool(batch["nonzero"][i]) == both
+            zero_rows += not both
             rows += 1
+    if source == "canonical":
+        # rank-deficient representatives with a zero half
+        assert zero_rows > 0
     expected = {
         "canonical": search.canonical_pair_count(n) if n < 4 else search.BLOCK,
         "all-pairs": (nmaps if n == 2 else 2) * nmaps,
@@ -395,11 +401,9 @@ def test_trace_presolve_is_exact():
     # the enumerated coset is exactly the set of maps passing the trace
     # half of the necessary condition (checked exhaustively at n = 4)
     ctx = make_field(4)
-    env = search._fixed_l1_env(4, None, LinearizedPoly.identity(ctx).coeffs, False)
-    origin, basis = search._solve_coset(ctx, search._trace_rows(ctx, env["l1s_tab"]), 0)
-    dec = search._coset_decoder(env, origin, tuple(basis))
-    ms = np.arange(1 << len(basis), dtype=np.int64)
-    coset = search._unpack_coeffs(ctx, dec["coeffs"](ms))
+    l1s_tab = LinearizedPoly.identity(ctx).adjoint().table()
+    origin, basis = search._solve_coset(ctx, search._trace_rows(ctx, l1s_tab), 0)
+    coset = _coset_rows(origin, basis, range(1 << len(basis)))
     coset_set = {tuple(int(v) for v in row) for row in coset}
     every = search._unpack_coeffs(ctx, np.arange(1 << 16, dtype=np.int64))
     r = ctx.mul_vec(np.arange(ctx.order), _tables_from_coeffs(ctx, every))
@@ -466,13 +470,19 @@ def _coset_rows(origin, basis, ms):
 )
 def test_linear_decoder_matches_multiplication(kind, n, alternate):
     # the XOR-of-images decode equals the product-table evaluation of
-    # L2*, R = L1* L2* and F = L1(x^-1) + L2(x) on random coset indices
+    # L2, L2*, R = L1* L2* and F = L1(x^-1) + L2(x) on random coset
+    # indices, where the coset holds L2*'s coefficient vectors
     modulus = alternate_modulus(n) if alternate else None
-    env = search._fixed_l1_env(
-        n, modulus, FIXED_L1[kind](make_field(n, modulus)), value_one=kind == "normalized"
-    )
-    ctx, origin, basis = env["ctx"], env["origin"], env["basis"]
-    dec = search._coset_decoder(env, origin, basis)
+    ctx = make_field(n, modulus)
+    l1 = LinearizedPoly(ctx, FIXED_L1[kind](ctx))
+    # value_one positional, as the search blocks pass it, so the lru_cache
+    # entry is shared with them
+    env = search._fixed_l1_env(n, modulus, l1.coeffs, kind == "normalized")
+    origin, basis, dec = env["origin"], env["basis"], env["dec"]
+    l1s_tab = l1.adjoint().table()
+    kernel_pts = [b for b in range(1, ctx.order) if l1s_tab[b] == 0]
+    assert ("kernel" in dec) == bool(kernel_pts)
+    assert ("probe" in dec) == (n >= 4)
     top = (1 << len(basis)) - 1
     rng = np.random.default_rng(n)
     ms = np.concatenate([[0, top], rng.integers(0, top + 1, 300)]).astype(np.int64)
@@ -480,14 +490,18 @@ def test_linear_decoder_matches_multiplication(kind, n, alternate):
     if kind == "identity":
         # raw enumeration is the coset with the standard basis
         assert np.array_equal(coeffs, search._unpack_coeffs(ctx, ms))
-    assert np.array_equal(search._unpack_coeffs(ctx, dec["coeffs"](ms)), coeffs)
+    l2_coeffs = [LinearizedPoly(ctx, tuple(row)).adjoint().coeffs for row in coeffs.tolist()]
+    assert search._unpack_coeffs(ctx, dec["coeffs"](ms)).tolist() == [list(c) for c in l2_coeffs]
     l2s = _tables_from_coeffs(ctx, coeffs)
-    r = ctx.mul_vec(env["l1s_tab"][None, :], l2s)
+    r = ctx.mul_vec(l1s_tab[None, :], l2s)
     assert np.array_equal(dec["r"](ms), r)
-    assert np.array_equal(dec["probe"](ms), r[:, [1, 2, 3, 4]])
-    assert np.array_equal(dec["kernel"](ms), l2s[:, env["kernel_pts"]])
-    l2 = _tables_from_coeffs(ctx, search._adjoint_coeffs(ctx, coeffs))
-    assert np.array_equal(dec["f"](ms), env["l1_on_inv"][None, :] ^ l2)
+    if n >= 4:
+        assert np.array_equal(dec["probe"](ms), r[:, [1, 2, 3, 4]])
+    if kernel_pts:
+        assert np.array_equal(dec["kernel"](ms), l2s[:, kernel_pts])
+    l2 = _tables_from_coeffs(ctx, np.array(l2_coeffs, dtype=np.int64))
+    l1_on_inv = l1.table()[ctx.inv_table]
+    assert np.array_equal(dec["f"](ms), l1_on_inv[None, :] ^ l2)
 
 
 @pytest.mark.parametrize("n,forced", [(5, 16), (7, 64)])
@@ -496,7 +510,7 @@ def test_theorem8_candidates_fail_mod16_in_normalized_coset(n, forced):
     # of the normalized search's coset, and the funnel rejects each one
     # at the mod-16 stage
     ctx = make_field(n)
-    env = search._fixed_l1_env(n, None, FIXED_L1["normalized"](ctx), value_one=True)
+    env = search._fixed_l1_env(n, None, FIXED_L1["normalized"](ctx), True)
     origin, basis = env["origin"], env["basis"]
     candidates = [recurrence_coeffs(ctx, c0) for c0 in range(ctx.order)]
     hits = [l2s.coeffs for l2s in candidates if l2s(1) == 1]
@@ -515,9 +529,8 @@ def test_theorem8_candidates_fail_mod16_in_normalized_coset(n, forced):
         assert m is not None  # the candidate lies in the coset
         assert _coset_rows(origin, basis, [m]).tolist() == [list(coeffs)]
         ms.append(m)
-    dec = search._coset_decoder(env, origin, basis)
     ms = np.sort(np.array(ms, dtype=np.int64))
-    counts, _, _ = search._funnel(ms, dec, env["kz"], env["trq"])
+    counts, _, _ = search._funnel(ms, env["dec"], env["kz"], env["trq"])
     assert counts["nonzero"] == forced
     assert counts["mod16-necessary"] == 0
 
