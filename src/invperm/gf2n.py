@@ -274,11 +274,6 @@ class FieldContext:
     def inv0(self, a: int) -> int:
         return int(self.inv_table[a])
 
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by zero field element")
-        return self.mul(a, self.inv0(b))
-
     def trace(self, a: int) -> int:
         return int(self.trace_table[a])
 

@@ -8,8 +8,14 @@ of the zero set and reported separately.
 
 The dyadic filter: for n >= 4, 16 divides K_n(a) exactly when
 Tr(a) = 0 and Q(a) = 0, where Q(x) = sum_{i<j} x^(2^i + 2^j).  The
-census uses this as a prefilter and then confirms each candidate by
-exact direct summation, independent of the fast-transform path.
+census uses this as a prefilter and then confirms every candidate by its
+exact literal sum, independent of the fast-transform path.  The literal
+sums of a whole candidate array come from one batched pass
+(kloosterman_sums): with x = g^i the sum for a != 0 is
+1 + sum_{i < q-1} (-1)^(Tr(g^-i) + Tr(g^(log a + i))), so each is q
+minus twice the popcount of the packed bits Tr(g^-i) XORed with a window
+of the periodic sequence Tr(g^j) that starts at log a.  Every term of
+every sum is still evaluated, from field tables and integers only.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .vbf import walsh_transform_signs
 
 __all__ = [
     "kloosterman_sum",
+    "kloosterman_sums",
     "kloosterman_all",
     "qform",
     "qform_table",
@@ -35,6 +42,9 @@ __all__ = [
 
 _QFORM_CACHE: Dict[FieldContext, np.ndarray] = {}
 _KALL_CACHE: Dict[FieldContext, np.ndarray] = {}
+# candidates per gathered block in kloosterman_sums: each reads
+# ceil((q-1)/64) words, so a block stays well under a megabyte at n = 16
+_SUMS_BLOCK = 64
 
 
 def kloosterman_sum(ctx: FieldContext, a: int) -> int:
@@ -43,6 +53,51 @@ def kloosterman_sum(ctx: FieldContext, a: int) -> int:
     xs = np.arange(ctx.order)
     bits = ctx.trace_table[ctx.inv_table ^ ctx.mul_vec(a, xs)]
     return int(ctx.order - 2 * int(np.sum(bits)))
+
+
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Little-endian 64-bit words of a 0/1 array whose length is a multiple of 64."""
+    return np.packbits(bits, bitorder="little").view("<u8")
+
+
+def kloosterman_sums(ctx: FieldContext, avals) -> np.ndarray:
+    """K_n(a) for every a in avals by literal summation, in one batched pass.
+
+    Term i of the sum for a = g^s is Tr(g^-i) + Tr(g^(s + i)); the bits
+    Tr(g^-i) are packed once, and the periodic sequence T[j] = Tr(g^j)
+    is packed at each of the 64 bit offsets, so the q - 1 terms of one
+    sum are a slice of W = ceil((q - 1)/64) words.  K_n(a) is q minus
+    twice the popcount of their XOR (the x = 0 term is +1).  For a = 0
+    the window is all zeros.  Agrees with kloosterman_sum term by term;
+    the result is 1-D, in the order of the flattened avals.
+    """
+    avals = np.asarray(avals, dtype=np.int64).reshape(-1)
+    if avals.size and not (0 <= int(avals.min()) and int(avals.max()) < ctx.order):
+        raise ValueError(f"element out of range for GF(2^{ctx.n})")
+    q, m = ctx.order, ctx.order - 1
+    words = -(-m // 64)
+    tr = ctx.trace_table[ctx.exp_table[:m]]  # T[j] = Tr(g^j)
+    u = np.zeros(64 * words, dtype=np.uint8)
+    u[:m] = tr[-np.arange(m) % m]  # u[i] = Tr(g^-i)
+    u_words = _pack_bits(u)
+    # a window starts in one of the first `words` words and reads `words`
+    # words plus one for the offset, so 2 * words + 1 words of T repeated
+    per = _pack_bits(tr[np.arange(64 * (2 * words + 1)) % m])
+    shift = np.arange(64, dtype=np.uint64)[:, None]
+    # shifted[r][k] holds bits 64k + r .. 64k + r + 63 of the sequence
+    shifted = (per[None, :-1] >> shift) | ((per[None, 1:] << np.uint64(1)) << (np.uint64(63) - shift))
+    last = np.uint64((1 << (m - 64 * (words - 1))) - 1)
+    span = np.arange(words)
+    out = np.empty(avals.size, dtype=np.int64)
+    for lo in range(0, avals.size, _SUMS_BLOCK):
+        a = avals[lo : lo + _SUMS_BLOCK]
+        s = ctx.log_table[a]
+        block = shifted[(s & 63)[:, None], (s >> 6)[:, None] + span]
+        block[a == 0] = 0
+        block ^= u_words
+        block[:, -1] &= last
+        out[lo : lo + _SUMS_BLOCK] = q - 2 * np.bitwise_count(block).sum(axis=1, dtype=np.int64)
+    return out
 
 
 def kloosterman_all(ctx: FieldContext) -> np.ndarray:
@@ -63,14 +118,16 @@ def kloosterman_all(ctx: FieldContext) -> np.ndarray:
 
 
 def qform_table(ctx: FieldContext) -> np.ndarray:
-    """Q(x) for every x, by the defining double sum (cached)."""
+    """Q(x) for every x, by the defining double sum in prefix form (cached):
+    sum_{i<j} y_i y_j = sum_j y_j (y_0 + ... + y_{j-1}) with y_i = x^(2^i)."""
     tab = _QFORM_CACHE.get(ctx)
     if tab is None:
         pw = ctx.pow2k_table
         acc = np.zeros(ctx.order, dtype=np.int64)
-        for i in range(ctx.n):
-            for j in range(i + 1, ctx.n):
-                acc ^= ctx.mul_vec(pw[i], pw[j])
+        prefix = pw[0].copy()
+        for j in range(1, ctx.n):
+            acc ^= ctx.mul_vec(pw[j], prefix)
+            prefix ^= pw[j]
         if not bool(np.all(acc <= 1)):
             raise AssertionError("quadratic form left the prime field")
         tab = acc.astype(np.uint8)
@@ -133,9 +190,10 @@ def kloosterman_zeros(ctx: FieldContext, dump_sums: bool = False) -> Kloosterman
     """Census of all nonzero a with K_n(a) = 0.
 
     For n >= 4 the candidates are prefiltered by the mod-16 test; every
-    candidate is then confirmed by exact direct summation (the fast
-    transform is deliberately not used here, so the census and the
-    transform stay independent cross-checks).
+    candidate is then confirmed by its exact literal sum, all of them in
+    one kloosterman_sums pass (the fast transform is deliberately not
+    used here, so the census and the transform stay independent
+    cross-checks).
     """
     q = ctx.order
     xs = np.arange(1, q)
@@ -146,7 +204,7 @@ def kloosterman_zeros(ctx: FieldContext, dump_sums: bool = False) -> Kloosterman
     else:
         cand = xs
         prefilter = "none"
-    zeros = [int(a) for a in cand if kloosterman_sum(ctx, int(a)) == 0]
+    zeros = cand[kloosterman_sums(ctx, cand) == 0].tolist()
     if not zeros:
         raise AssertionError(f"no Kloosterman zeros found for {ctx.spec}")
     hits: Dict[int, Tuple[int, ...]] = {}

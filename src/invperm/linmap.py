@@ -114,9 +114,17 @@ class LinearizedPoly:
                 acc ^= ctx.mul(c, ctx.pow2k(x, i))
         return acc
 
+    def _basis_images(self) -> np.ndarray:
+        """The images L(2^j) for j < n, in one step:
+        XOR over i of c_i (2^j)^(2^i), read from the Frobenius table."""
+        ctx = self.ctx
+        basis = ctx.pow2k_table[:, 1 << np.arange(ctx.n)]
+        terms = ctx.mul_vec(np.array(self.coeffs, dtype=np.int64)[:, None], basis)
+        return np.bitwise_xor.reduce(terms, axis=0)
+
     def table(self) -> np.ndarray:
         """Values on all 2^n inputs, by linear extension from the basis."""
-        return span_table(np.array([self(1 << j) for j in range(self.ctx.n)], dtype=np.int64))
+        return span_table(self._basis_images())
 
     # -- algebra -----------------------------------------------------------
 
@@ -156,9 +164,9 @@ class LinearizedPoly:
 
     def matrix(self) -> List[int]:
         """n x n bit matrix (gf2mat rows); column j = image of 2^j."""
-        n = self.ctx.n
-        cols = [self(1 << j) for j in range(n)]
-        return [sum(((cols[j] >> i) & 1) << j for j in range(n)) for i in range(n)]
+        bits = np.arange(self.ctx.n)
+        cols = self._basis_images()
+        return (((cols[None, :] >> bits[:, None]) & 1) << bits[None, :]).sum(axis=1).tolist()
 
     def rank(self) -> int:
         return gf2mat.rank(self.matrix(), self.ctx.n)
@@ -171,7 +179,7 @@ class LinearizedPoly:
         return Subspace(self.ctx, basis)
 
     def image(self) -> "Subspace":
-        return Subspace.from_elements(self.ctx, (self(1 << j) for j in range(self.ctx.n)))
+        return Subspace.from_elements(self.ctx, self._basis_images().tolist())
 
     def apply_to_subspace(self, s: "Subspace") -> "Subspace":
         if s.ctx != self.ctx:

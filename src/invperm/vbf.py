@@ -271,9 +271,6 @@ class AffineMapProduct:
     def is_invertible(self) -> bool:
         return gf2mat.is_invertible(list(self.rows), 2 * self.ctx.n)
 
-    def apply_packed(self, z: int) -> int:
-        return gf2mat.mat_vec(self.rows, z) ^ self.translation
-
     def tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """Linear action split over the two halves: A(x, y) = ax[x] ^ ay[y] ^ t."""
         n = self.ctx.n

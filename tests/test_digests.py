@@ -1,4 +1,5 @@
-"""Report digests of fast runs at the default modulus, pinned.
+"""Report digests of fast runs, pinned (default modulus unless the field
+names one).
 
 A change to the search or verify internals must leave these answers
 byte-identical; a deliberate change to a report has to update its pin.
@@ -24,6 +25,8 @@ DIGESTS = {
     "verify proposition2 4": "7ea69d4d96970d5a22ca7d159544d3cf741a87e9e875bc0b69748b00ccf71681",
     "verify proposition2 5": "de59c0472fb6edefdb2a8f6a2e2fa77c73cd99e5b5ad225a111176f52d0f436f",
     "verify proposition2 6": "512a7aac0c75042e257d6208acc03f7ae01525cd83f65cf384315fe2716c323f",
+    "kloosterman census 15:0x8003": "2bd2da507828e951ba65900f2e7e88e8d797cb1f5406a9ce1dc1ef40d64ee1db",
+    "kloosterman census 15:0x8011": "aba684c151c6210ae3f2aaf32cc6b55e95aa07b7127015d03abaca1691d5df4b",
 }
 
 

@@ -5,16 +5,22 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from invperm.gf2n import alternate_modulus, make_field
+from invperm import kloosterman
+from invperm.gf2n import alternate_modulus, default_modulus, make_field
 from invperm.kloosterman import (
     bform,
     divisible_by_16,
     kloosterman_all,
     kloosterman_sum,
+    kloosterman_sums,
     kloosterman_zeros,
     qform,
     qform_table,
 )
+
+BOTH_MODULI = [
+    (n, m) for n in range(2, 17) for m in (default_modulus(n), alternate_modulus(n)) if m is not None
+]
 
 
 def naive_kloosterman(ctx, a):
@@ -60,6 +66,22 @@ def test_kloosterman_multiset_is_modulus_invariant(n):
     a = make_field(n)
     b = make_field(n, alternate_modulus(n))
     assert Counter(map(int, kloosterman_all(a))) == Counter(map(int, kloosterman_all(b)))
+
+
+def qform_double_loop(ctx):
+    """Q(x) for every x by the defining double sum, one product per pair i < j."""
+    pw = ctx.pow2k_table
+    acc = np.zeros(ctx.order, dtype=np.int64)
+    for i in range(ctx.n):
+        for j in range(i + 1, ctx.n):
+            acc ^= ctx.mul_vec(pw[i], pw[j])
+    return acc
+
+
+@pytest.mark.parametrize("n,modulus", BOTH_MODULI)
+def test_qform_table_matches_double_loop(n, modulus):
+    ctx = make_field(n, modulus)
+    assert np.array_equal(qform_table(ctx), qform_double_loop(ctx))
 
 
 def test_qform_basics():
@@ -152,6 +174,44 @@ def test_census_agrees_with_transform_route():
         ks = kloosterman_all(ctx)
         transform_zeros = [a for a in range(1, ctx.order) if ks[a] == 0]
         assert list(census.zeros) == transform_zeros
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_batched_sums_match_scalar_sums(n):
+    ctx = make_field(n)
+    ks = kloosterman_sums(ctx, np.arange(ctx.order))
+    assert ks.tolist() == [kloosterman_sum(ctx, a) for a in ctx.elements()]
+
+
+@pytest.mark.parametrize("n,modulus", BOTH_MODULI)
+def test_batched_sums_match_transform(n, modulus):
+    ctx = make_field(n, modulus)
+    assert np.array_equal(kloosterman_sums(ctx, np.arange(1, ctx.order)), kloosterman_all(ctx)[1:])
+
+
+def test_batched_sums_keep_order_and_reject_out_of_range():
+    ctx = make_field(9)
+    avals = np.array([5, 0, 511, 5, 17])
+    assert kloosterman_sums(ctx, avals).tolist() == [kloosterman_sum(ctx, int(a)) for a in avals]
+    assert kloosterman_sums(ctx, []).size == 0
+    for bad in ([512], [3, -1]):
+        with pytest.raises(ValueError, match="out of range"):
+            kloosterman_sums(ctx, bad)
+
+
+@pytest.mark.parametrize("n,modulus", [(n, m) for n, m in BOTH_MODULI if n >= 4])
+def test_census_zero_set_is_exact(n, modulus):
+    ctx = make_field(n, modulus)
+    census = kloosterman_zeros(ctx)
+    assert set(census.zeros) | {0} == set(np.flatnonzero(kloosterman_all(ctx) == 0).tolist())
+
+
+def test_census_never_reads_the_transform(monkeypatch):
+    fields = [make_field(n) for n in (4, 7, 10)]
+    before = [kloosterman_zeros(ctx).zeros for ctx in fields]
+    # a transform that calls every element a zero would change any census that read it
+    monkeypatch.setattr(kloosterman, "kloosterman_all", lambda ctx: np.zeros(ctx.order, dtype=np.int64))
+    assert [kloosterman_zeros(ctx).zeros for ctx in fields] == before
 
 
 def test_census_json_and_dump():

@@ -47,6 +47,19 @@ def test_table_matches_pointwise_eval():
         assert int(tab[x]) == l(x)
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_basis_images_match_pointwise_eval(n):
+    # table, matrix and image share one vectorized step; __call__ is the oracle
+    ctx = make_field(n)
+    rng = random.Random(n)
+    for _ in range(4):
+        l = LinearizedPoly.random(ctx, rng)
+        assert l.table().tolist() == [l(x) for x in ctx.elements()]
+        cols = [l(1 << j) for j in range(n)]
+        assert l.matrix() == [sum(((cols[j] >> i) & 1) << j for j in range(n)) for i in range(n)]
+        assert l.image() == Subspace.from_elements(ctx, cols)
+
+
 def test_adjoint_formula_examples():
     for n in (3, 5, 8):
         ctx = make_field(n)
