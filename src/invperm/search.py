@@ -16,7 +16,11 @@ Every search, and verify_proposition2, runs one filter funnel
 funnel reads its tables through decoders, functions of candidate
 indices.  A map's coefficients, table and adjoint table (its map row,
 _map_rows) are GF(2)-linear in the map, so maps decode as XORs of
-precomputed map rows through a _SpanMap, with no field multiplications.
+precomputed map rows through a _SpanMap, with no field multiplications;
+its span tables hold rows as machine words.  Each stage keeps the rows
+whose every entry lies in a table (_all_in: one lookup, then one word
+compare per row where the row fits a word).  The mod-16 stage first
+reads R at the 8 _PROBE points, one uint64 per candidate.
 
 full_search and verify_proposition2 read batches of (L1, L2) pairs: all
 nonzero pairs at n <= 3, canonical orbit representatives at n = 4, or
@@ -28,7 +32,9 @@ key once (_fixed_l1_env): a coset of L2* coefficient vectors (the
 trace presolve's equations are in L2*'s bits) and its decoders.  The
 adjoint is GF(2)-linear, so L2's map row and R are affine in L2* too;
 they decode from the map rows of L2 at the coset's origin and basis
-vectors.
+vectors.  L2 = 0 is in the coset only when the system is homogeneous,
+and then it is index 0, so the nonzero stage drops that index and L2's
+coefficients are decoded only for the witnesses and the audit rows.
 
 Blocks are deterministic and merged in block order, so witness lists
 and counts are identical for any worker count.  Every driver ends a
@@ -139,6 +145,27 @@ def _unpack_coeffs(ctx: FieldContext, packed: np.ndarray) -> np.ndarray:
     return ((packed[:, None] >> shifts) & ctx.mask).astype(np.int64)
 
 
+def _words(rows: np.ndarray) -> np.ndarray:
+    """2-D rows viewed as the widest unsigned words (8, 4, 2 or 1 bytes)
+    whose size divides the row's byte length."""
+    raw = np.ascontiguousarray(rows).view(np.uint8)
+    size = next(s for s in (8, 4, 2, 1) if raw.shape[1] % s == 0)
+    return raw.view(f"u{size}")
+
+
+def _all_in(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Mask of the 2-D rows whose every entry e has table[e], a bool table.
+
+    The looked-up bools are bytes 0 or 1: a row's words are ANDed and the
+    result compared once with the word of all 0x01 bytes.
+    """
+    words = _words(np.take(table, rows))
+    acc = words[:, 0]
+    for k in range(1, words.shape[1]):
+        acc = acc & words[:, k]
+    return acc == np.ones(words.itemsize, np.uint8).view(words.dtype)[0]
+
+
 def _map_rows(ctx: FieldContext, maps) -> np.ndarray:
     """uint8 rows [coefficients | table | adjoint table] of maps, each part
     GF(2)-linear in the map: the row of a sum of maps is the XOR of theirs."""
@@ -176,7 +203,9 @@ def _solve_coset(ctx, rows: List[int], rhs: int):
 # -- the filter funnel -----------------------------------------------------------
 
 
-_PROBE = [1, 2, 3, 4]  # points where R is tested before the full mod-16 check
+# points where R is tested before the full mod-16 check: 8 bytes of R, so
+# one machine word per candidate (valid from n = 4, where 8 < q)
+_PROBE = list(range(1, 9))
 
 
 def _criterion_tables(ctx: FieldContext) -> Tuple[np.ndarray, np.ndarray]:
@@ -193,23 +222,25 @@ def _funnel(ms: np.ndarray, dec: dict, kz: np.ndarray, trq: np.ndarray):
     everywhere, "f" the table of F = L1(x^-1) + L2(x).  A stage runs only
     when its decoder is given: without "probe" there is no mod-16 stage,
     and with "f" alone the funnel tests the bijectivity of every
-    candidate.  Returns the stage counts, the Kloosterman-zero survivors
-    and their bijectivity mask.
+    candidate.  The stages before bijectivity each keep the candidates
+    whose decoded row lies in a lookup table entry by entry (_all_in):
+    nonzero values, Tr = Q = 0 (trq), K = 0 (kz).  Returns the stage
+    counts, the Kloosterman-zero survivors and their bijectivity mask.
     """
     counts = {"nonzero": int(ms.size)}
     alive = ms
     if "kernel" in dec:
-        alive = alive[(dec["kernel"](alive) != 0).all(axis=1)]
+        alive = alive[_all_in(np.arange(kz.size) != 0, dec["kernel"](alive))]
     counts["kernel-intersection"] = int(alive.size)
     if "r" in dec:
         if "probe" in dec:  # a few points first, then the full mod-16 condition
-            alive = alive[np.take(trq, dec["probe"](alive)).all(axis=1)]
+            alive = alive[_all_in(trq, dec["probe"](alive))]
         r = dec["r"](alive)
         if "probe" in dec:
-            keep = np.take(trq, r).all(axis=1)
+            keep = _all_in(trq, r)
             alive, r = alive[keep], r[keep]
             counts["mod16-necessary"] = int(alive.size)
-        alive = alive[np.take(kz, r).all(axis=1)]
+        alive = alive[_all_in(kz, r)]
         counts["kloosterman-zero"] = int(alive.size)
     f = np.sort(dec["f"](alive), axis=1)
     bij = (f == np.arange(kz.size)).all(axis=1)
@@ -256,7 +287,8 @@ def _report(ctx: FieldContext, results, t0: float, **fields) -> SearchReport:
 
 
 def _dispatch(fn, blocks, partitions: int, workers: int = 1, progress=None) -> list:
-    """fn over blocks in order, in this process or on a pool of workers."""
+    """fn over blocks in order, in this process or on a pool of at most
+    one worker per block (a pool starts all its processes at once)."""
 
     def collect(mapped):
         results = []
@@ -268,7 +300,7 @@ def _dispatch(fn, blocks, partitions: int, workers: int = 1, progress=None) -> l
 
     if workers <= 1 or partitions <= 1:
         return collect(map(fn, blocks))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, partitions)) as pool:
         return collect(pool.map(fn, blocks, chunksize=1))
 
 
@@ -286,15 +318,19 @@ def _fixed_l1_env(
     the trace half of the mod-16 condition when n >= 6, where the spaces
     are too large to touch candidate by candidate, and L2*(1) = 1 when
     value_one.  With neither, it is the raw digit space.  Bit k of a
-    candidate index selects basis[k].
+    candidate index selects basis[k].  The system is homogeneous exactly
+    when gf2mat.solve returns origin 0; then index 0 is L2* = 0 and
+    "first", the first index of a nonzero candidate, is 1.  Otherwise no
+    index is L2* = 0 and "first" is 0.
 
     The adjoint is GF(2)-linear, so the map rows of L2 = (L2*)* are
     affine in the index too; "dec" decodes them through _SpanMaps.
     "coeffs" gives L2's coefficient vector packed into one uint64 (c_i
-    at bit n*i), "kernel" L2* at the nonzero kernel points of L1* (only
+    at bit n*i; blocks decode it only for the rows they report),
+    "kernel" L2* at the nonzero kernel points of L1* (only
     when there are any), "probe" (n >= 4) and "r" the table
-    R(b) = L1*(b) L2*(b) at the probe points and everywhere, and "f"
-    the table of F = L1(x^-1) + L2(x).
+    R(b) = L1*(b) L2*(b) at the 8 probe points (one uint64 per
+    candidate) and everywhere, and "f" the table of F = L1(x^-1) + L2(x).
     """
     ctx = make_field(n, modulus)
     l1 = LinearizedPoly(ctx, l1_coeffs)
@@ -319,7 +355,10 @@ def _fixed_l1_env(
     if n >= 4:
         tabs["probe"] = r[:, _PROBE]
     dec = {name: _SpanMap(tab[0], tab[1:]) for name, tab in tabs.items()}
-    return {"ctx": ctx, "kz": kz, "trq": trq, "origin": origin, "basis": basis, "dec": dec}
+    return {
+        "ctx": ctx, "kz": kz, "trq": trq, "origin": origin, "basis": basis, "dec": dec,
+        "first": int(not any(origin)),
+    }
 
 
 class _SpanMap:
@@ -327,19 +366,25 @@ class _SpanMap:
     origin XOR the images of the set bits of m.
 
     Index bits are consumed in 8-bit chunks through span tables (the
-    XOR of every subset of 8 images), one gather per chunk.
+    XOR of every subset of 8 images), one gather per chunk; the origin
+    is XORed into the first table.  The tables hold each row as machine
+    words (_words), and the XORed words are viewed back as rows of the
+    origin's dtype and shape.
     """
 
     def __init__(self, origin: np.ndarray, images: np.ndarray):
-        self.origin = origin
-        self.spans = [span_table(images[lo : lo + 8]) for lo in range(0, len(images), 8)]
+        rows = np.concatenate([np.asarray(origin)[None], images])
+        self.dtype, self.shape = rows.dtype, rows.shape[1:]
+        words = _words(rows.reshape(len(rows), -1))
+        self.spans = [span_table(words[lo : lo + 8]) for lo in range(1, len(words), 8)]
+        self.spans[0] ^= words[0]
 
     def __call__(self, ms: np.ndarray) -> np.ndarray:
-        out = np.repeat(self.origin[None], ms.size, axis=0)
-        for k, tab in enumerate(self.spans):
-            # np.take copies whole rows; fancy indexing goes element-wise
+        # np.take copies whole rows; fancy indexing goes element-wise
+        out = np.take(self.spans[0], ms & 0xFF, axis=0)
+        for k, tab in enumerate(self.spans[1:], 1):
             out ^= np.take(tab, (ms >> (8 * k)) & 0xFF, axis=0)
-        return out
+        return out.view(self.dtype).reshape((ms.size,) + self.shape)
 
 
 def _fixed_l1_block(args) -> dict:
@@ -348,13 +393,12 @@ def _fixed_l1_block(args) -> dict:
     n, modulus, l1_coeffs, value_one, start = args
     env = _fixed_l1_env(n, modulus, l1_coeffs, value_one)
     ctx, dec = env["ctx"], env["dec"]
-    ms = np.arange(start, min(start + BLOCK, 1 << len(env["basis"])), dtype=np.int64)
-    packed = dec["coeffs"](ms)
-    ms = ms[packed != 0]  # candidate indices, not block offsets
+    end = min(start + BLOCK, 1 << len(env["basis"]))
+    ms = np.arange(max(start, env["first"]), end, dtype=np.int64)
     counts, alive, bij = _funnel(ms, dec, env["kz"], env["trq"])
 
     def pairs(sel):
-        l2 = _unpack_coeffs(ctx, packed[sel - start])
+        l2 = _unpack_coeffs(ctx, dec["coeffs"](sel))
         return [(l1_coeffs, tuple(row)) for row in l2.tolist()]
 
     return _block_result(counts, ms, alive, bij, pairs)

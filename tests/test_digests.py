@@ -17,6 +17,10 @@ DIGESTS = {
     "search identity-l1 4": "959ad700fb101bc6f752739ddb83764d1e37e3103026bbab49dca6baebaeecaf",
     "search identity-l1 6": "9498ac779c6c7614e4f0041968f98b628f2ceea0d560d62e633a4dd6d532baa0",
     "search normalized 6": "f0a638c4b53f76d6de3d1a356bbb73f7fe059f43bf8ca2d7bb8268a5ee1cab63",
+    "search normalized 7": "3a440d43388abb430a73101989c4f5a804263dc992e936ab08e71be3ed872fdd",
+    "search normalized 7:0x89": "a50af2b95133232461a1b3ff46170e9e90a7ccaefedf20a12785e3c5f54a7f6d",
+    "search identity-l1 5": "f0dc08ffb25c0638cc5e464f3e2cf7f88a7de3e77f9cad8d815a25076c774cdb",
+    "search identity-l1 5:0x29": "e9cc9cf35e313571a60d813b55b3660b05559e21ac60e3b8f6cb4df1e274b95b",
     "search full 2": "12ce87a29e6850b35c4da4bfef5d20b66a81824101172c0d4cdfaa8da41cf926",
     "search full 3": "1c0e90bc6f8254d466b92ee2c35cca44f10a5c07c79cdb6b408944cd089d516a",
     "search full 4": "4b2b051f63fe38f003ec584450eb56419986155be45133047020eec995bfec73",

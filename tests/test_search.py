@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from invperm import gf2mat, search
-from invperm.gf2n import FieldContext, alternate_modulus, make_field
+from invperm.gf2n import FieldContext, alternate_modulus, make_field, span_table
 from invperm.inverse_perm import build_F, perm_criterion_kloosterman, recurrence_coeffs
 from invperm.linmap import LinearizedPoly
 
@@ -325,6 +325,69 @@ def test_coeff_decoder_rows_match_oracle(n):
     assert np.array_equal(rows[:, n + ctx.order :], _tables_from_coeffs(ctx, adjoint))
 
 
+class _ByteSpanMap:
+    """Oracle of search._SpanMap: origin XOR the images of the set bits of
+    m, 8 index bits per span table, XORed element by element in the
+    rows' own dtype."""
+
+    def __init__(self, origin, images):
+        self.origin = origin
+        self.spans = [span_table(images[lo : lo + 8]) for lo in range(0, len(images), 8)]
+
+    def __call__(self, ms):
+        out = np.repeat(self.origin[None], ms.size, axis=0)
+        for k, tab in enumerate(self.spans):
+            out ^= np.take(tab, (ms >> (8 * k)) & 0xFF, axis=0)
+        return out
+
+
+def _assert_same_rows(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_span_map_words_match_byte_oracle():
+    # rows of every byte width 1..40 decode through machine words to the
+    # values, dtype and shape of the byte-wise decode; 19 images make two
+    # full 8-bit chunks and a partial one
+    rng = np.random.default_rng(0)
+    ms = np.concatenate([[0, (1 << 19) - 1], rng.integers(0, 1 << 19, 200)]).astype(np.int64)
+    for width in range(1, 41):
+        origin = rng.integers(0, 256, width, dtype=np.uint8)
+        images = rng.integers(0, 256, (19, width), dtype=np.uint8)
+        fast, oracle = search._SpanMap(origin, images), _ByteSpanMap(origin, images)
+        for idx in (ms, ms[:0]):
+            _assert_same_rows(fast(idx), oracle(idx))
+
+
+def test_span_map_scalar_word_rows():
+    # packed uint64 words (scalar origin, one word per image), as the
+    # fixed-L1 "coeffs" decoder and the pair-batch words use them
+    rng = np.random.default_rng(1)
+    words = rng.integers(0, 1 << 63, 12, dtype=np.uint64)
+    fast, oracle = search._SpanMap(words[0], words[1:]), _ByteSpanMap(words[0], words[1:])
+    ms = np.arange(1 << 11, dtype=np.int64)
+    for idx in (ms, ms[:0], ms.astype(np.uint64)):
+        _assert_same_rows(fast(idx), oracle(idx))
+
+
+def test_all_in_matches_row_all():
+    # one AND-and-compare per row equals the byte-wise all() of the
+    # lookups, for row widths 1..130, byte and int64 entries, and no rows
+    rng = np.random.default_rng(2)
+    table = rng.random(256) < 0.9
+    inside = np.flatnonzero(table)
+    for width in range(1, 131):
+        rows = rng.integers(0, 256, (200, width))
+        # rows 50..99 lie in the table, rows 0..49 miss it at one entry
+        rows[:100] = rng.choice(inside, (100, width))
+        rows[np.arange(50), rng.integers(width, size=50)] = rng.choice(np.flatnonzero(~table), 50)
+        for r in (rows.astype(np.uint8), rows, rows[:0].astype(np.uint8)):
+            want = np.take(table, r).all(axis=1)
+            _assert_same_rows(search._all_in(table, r), want)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_tables_from_coeffs_match_maps(n):
     ctx = make_field(n)
@@ -496,12 +559,69 @@ def test_linear_decoder_matches_multiplication(kind, n, alternate):
     r = ctx.mul_vec(l1s_tab[None, :], l2s)
     assert np.array_equal(dec["r"](ms), r)
     if n >= 4:
-        assert np.array_equal(dec["probe"](ms), r[:, [1, 2, 3, 4]])
+        # the probe points are distinct field elements at every n >= 4
+        assert len(set(search._PROBE)) == len(search._PROBE)
+        assert all(0 < b < 16 for b in search._PROBE)
+        assert np.array_equal(dec["probe"](ms), r[:, search._PROBE])
     if kernel_pts:
         assert np.array_equal(dec["kernel"](ms), l2s[:, kernel_pts])
     l2 = _tables_from_coeffs(ctx, np.array(l2_coeffs, dtype=np.int64))
     l1_on_inv = l1.table()[ctx.inv_table]
     assert np.array_equal(dec["f"](ms), l1_on_inv[None, :] ^ l2)
+
+
+def _nonzero_cases():
+    # (kind, n, blocks): the whole coset where it is one block, else the
+    # blocks at index 0 and 1
+    cases = [("identity", n, None) for n in (2, 3, 4)]
+    cases += [("identity", n, (0, 1)) for n in (5, 6)]
+    return cases + [("normalized", n, (0, 1)) for n in (5, 6, 7)]
+
+
+@pytest.mark.parametrize("alternate", [False, True])
+@pytest.mark.parametrize("kind,n,blocks", _nonzero_cases())
+def test_nonzero_stage_drops_zero_l2(monkeypatch, kind, n, blocks, alternate):
+    # a block drops exactly the indices whose L2 coefficients decode to 0:
+    # index 0 of the homogeneous (identity) cosets, nothing under value_one
+    modulus = alternate_modulus(n) if alternate else None
+    ctx = make_field(n, modulus)
+    key = (n, modulus, FIXED_L1[kind](ctx), kind == "normalized")
+    env = search._fixed_l1_env(*key)
+    size = 1 << len(env["basis"])
+    funnel, seen = search._funnel, []
+    monkeypatch.setattr(search, "_funnel", lambda ms, *rest: seen.append(ms) or funnel(ms, *rest))
+    for b in blocks or range(-(-size // search.BLOCK)):
+        start = b * search.BLOCK
+        res = search._fixed_l1_block((*key, start))
+        every = np.arange(start, min(start + search.BLOCK, size), dtype=np.int64)
+        zero = every[env["dec"]["coeffs"](every) == 0]
+        assert np.array_equal(np.setdiff1d(every, seen[-1]), zero)
+        assert res["counts"]["nonzero"] == every.size - zero.size
+        assert zero.tolist() == ([0] if kind == "identity" and b == 0 else [])
+
+
+def test_dispatch_caps_pool_at_partitions(monkeypatch):
+    # a pool never holds more workers than there are blocks to run; the
+    # recorder starts no process
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, blocks, chunksize):
+            return map(fn, blocks)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", Recorder)
+    rep = search.normalized_search(5, workers=10**6)
+    assert sizes == [rep.partitions] == [16]
+    _assert_same_report(rep, search.normalized_search(5, workers=1))
 
 
 @pytest.mark.parametrize("n,forced", [(5, 16), (7, 64)])
