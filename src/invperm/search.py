@@ -20,7 +20,8 @@ precomputed map rows through a _SpanMap, with no field multiplications;
 its span tables hold rows as machine words.  Each stage keeps the rows
 whose every entry lies in a table (_all_in: one lookup, then one word
 compare per row where the row fits a word).  The mod-16 stage first
-reads R at the 8 _PROBE points, one uint64 per candidate.
+reads R at the 8 _PROBE points, one uint64 per candidate.  The stages
+before the full mod-16 one, kernel and probe, are the funnel's prefix.
 
 full_search and verify_proposition2 read batches of (L1, L2) pairs: all
 nonzero pairs at n <= 3, canonical orbit representatives at n = 4, or
@@ -32,9 +33,17 @@ key once (_fixed_l1_env): a coset of L2* coefficient vectors (the
 trace presolve's equations are in L2*'s bits) and its decoders.  The
 adjoint is GF(2)-linear, so L2's map row and R are affine in L2* too;
 they decode from the map rows of L2 at the coset's origin and basis
-vectors.  L2 = 0 is in the coset only when the system is homogeneous,
-and then it is index 0, so the nonzero stage drops that index and L2's
-coefficients are decoded only for the witnesses and the audit rows.
+vectors.  A block's indices share all bytes but the low two, so its
+prefix stages are a join over those two bytes (_SpanJoin): per high
+byte, an AND of precomputed 256-bit masks of the low bytes, with no
+row decoded per candidate.  Only the survivors, 0 per block at
+identity n = 5 and about 600 at normalized n = 7, are decoded for the
+rest of the funnel.  A prefix stage whose row is the same on the whole
+coset and passes is dropped (the kernel stage of normalized, where
+L2*(1) = 1).  L2 = 0 is in the coset only when the system is
+homogeneous, and then it is index 0, so the nonzero stage drops that
+index and L2's coefficients are decoded only for the witnesses and the
+audit rows.
 
 Blocks are deterministic and merged in block order, so witness lists
 and counts are identical for any worker count.  Every driver ends a
@@ -213,7 +222,7 @@ def _criterion_tables(ctx: FieldContext) -> Tuple[np.ndarray, np.ndarray]:
     return kloosterman_all(ctx) == 0, (ctx.trace_table == 0) & (qform_table(ctx) == 0)
 
 
-def _funnel(ms: np.ndarray, dec: dict, kz: np.ndarray, trq: np.ndarray):
+def _funnel(ms: np.ndarray, dec: dict, kz: np.ndarray, trq: np.ndarray, counts=None):
     """Filter candidate indices ms through the stages of the criterion.
 
     dec holds decoders, functions of candidate indices: "kernel" gives
@@ -224,17 +233,21 @@ def _funnel(ms: np.ndarray, dec: dict, kz: np.ndarray, trq: np.ndarray):
     and with "f" alone the funnel tests the bijectivity of every
     candidate.  The stages before bijectivity each keep the candidates
     whose decoded row lies in a lookup table entry by entry (_all_in):
-    nonzero values, Tr = Q = 0 (trq), K = 0 (kz).  Returns the stage
-    counts, the Kloosterman-zero survivors and their bijectivity mask.
+    nonzero values, Tr = Q = 0 (trq), K = 0 (kz).  A fixed-L1 block runs
+    the prefix stages, kernel and probe, as a join (_SpanJoin) and passes
+    their counts and survivors as counts and ms; the funnel then starts
+    at the full mod-16 stage.  Returns the stage counts, the
+    Kloosterman-zero survivors and their bijectivity mask.
     """
-    counts = {"nonzero": int(ms.size)}
     alive = ms
-    if "kernel" in dec:
-        alive = alive[_all_in(np.arange(kz.size) != 0, dec["kernel"](alive))]
-    counts["kernel-intersection"] = int(alive.size)
-    if "r" in dec:
+    if counts is None:
+        counts = {"nonzero": int(ms.size)}
+        if "kernel" in dec:
+            alive = alive[_all_in(np.arange(kz.size) != 0, dec["kernel"](alive))]
+        counts["kernel-intersection"] = int(alive.size)
         if "probe" in dec:  # a few points first, then the full mod-16 condition
             alive = alive[_all_in(trq, dec["probe"](alive))]
+    if "r" in dec:
         r = dec["r"](alive)
         if "probe" in dec:
             keep = _all_in(trq, r)
@@ -248,17 +261,20 @@ def _funnel(ms: np.ndarray, dec: dict, kz: np.ndarray, trq: np.ndarray):
     return counts, alive, bij
 
 
-def _block_result(counts: dict, ms: np.ndarray, alive: np.ndarray, bij: np.ndarray, pairs) -> dict:
+def _block_result(counts: dict, ms, alive: np.ndarray, bij: np.ndarray, pairs) -> dict:
     """One block's outcome: the funnel's stage counts, its witnesses and,
     by the audit rule, the first 8 candidates of ms it rejected.
 
-    ms is sorted and the survivors a subset of it, as the funnel leaves
-    them; pairs maps candidate indices to (L1, L2) coefficient-tuple pairs.
+    ms, the block's candidates, is sorted (an array or a range) and the
+    witnesses are a subset of it, so the audit rows lie in its first
+    8 + (witness count) entries.  pairs maps candidate indices to
+    (L1, L2) coefficient-tuple pairs.
     """
     kept = alive[bij]
-    rejected = np.ones(ms.size, dtype=bool)
-    rejected[np.searchsorted(ms, kept)] = False
-    return {"counts": counts, "witnesses": pairs(kept), "audit": pairs(ms[rejected][:8])}
+    head = np.asarray(ms[: 8 + kept.size], dtype=np.int64)
+    # kept is sorted: an entry of head is rejected when none of kept equals it
+    rejected = np.searchsorted(kept, head) == np.searchsorted(kept, head, "right")
+    return {"counts": counts, "witnesses": pairs(kept), "audit": pairs(head[rejected][:8])}
 
 
 def _report(ctx: FieldContext, results, t0: float, **fields) -> SearchReport:
@@ -288,7 +304,10 @@ def _report(ctx: FieldContext, results, t0: float, **fields) -> SearchReport:
 
 def _dispatch(fn, blocks, partitions: int, workers: int = 1, progress=None) -> list:
     """fn over blocks in order, in this process or on a pool of at most
-    one worker per block (a pool starts all its processes at once)."""
+    one worker per block (a pool starts all its processes at once).  The
+    pool takes blocks in chunks of about partitions / (4 workers), so a
+    run makes a few round trips per worker rather than one per block;
+    results still arrive in block order, one progress record each."""
 
     def collect(mapped):
         results = []
@@ -300,8 +319,9 @@ def _dispatch(fn, blocks, partitions: int, workers: int = 1, progress=None) -> l
 
     if workers <= 1 or partitions <= 1:
         return collect(map(fn, blocks))
-    with ProcessPoolExecutor(max_workers=min(workers, partitions)) as pool:
-        return collect(pool.map(fn, blocks, chunksize=1))
+    workers = min(workers, partitions)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return collect(pool.map(fn, blocks, chunksize=max(1, partitions // (4 * workers))))
 
 
 # -- fixed-L1 searches -----------------------------------------------------------
@@ -327,10 +347,18 @@ def _fixed_l1_env(
     affine in the index too; "dec" decodes them through _SpanMaps.
     "coeffs" gives L2's coefficient vector packed into one uint64 (c_i
     at bit n*i; blocks decode it only for the rows they report),
-    "kernel" L2* at the nonzero kernel points of L1* (only
-    when there are any), "probe" (n >= 4) and "r" the table
-    R(b) = L1*(b) L2*(b) at the 8 probe points (one uint64 per
-    candidate) and everywhere, and "f" the table of F = L1(x^-1) + L2(x).
+    "kernel" L2* at the nonzero kernel points of L1* (only when there
+    are any), "probe" (n >= 4) and "r" the table R(b) = L1*(b) L2*(b)
+    at the 8 probe points (one uint64 per candidate) and everywhere,
+    and "f" the table of F = L1(x^-1) + L2(x).
+
+    "joins" holds a _SpanJoin per prefix stage, kernel (table: nonzero
+    values) and probe (table: Tr = Q = 0), which blocks run in place of
+    the decoders.  A prefix stage whose row is constant on the coset
+    (every basis image 0) and whose origin row passes cannot reject, so
+    it gets neither decoder nor join, and its count is the nonzero count:
+    under value_one the kernel stage of L1 = x^(2^(n-1)) + x, whose one
+    nonzero kernel point is 1.
     """
     ctx = make_field(n, modulus)
     l1 = LinearizedPoly(ctx, l1_coeffs)
@@ -354,10 +382,16 @@ def _fixed_l1_env(
         tabs["kernel"] = l2s[:, kernel_pts]
     if n >= 4:
         tabs["probe"] = r[:, _PROBE]
+    prefix = {"kernel": np.arange(ctx.order) != 0, "probe": trq}
+    for name, table in prefix.items():
+        # a row constant over the coset and inside the table rejects nothing
+        if name in tabs and not tabs[name][1:].any() and _all_in(table, tabs[name][:1])[0]:
+            del tabs[name]
     dec = {name: _SpanMap(tab[0], tab[1:]) for name, tab in tabs.items()}
+    joins = {name: _SpanJoin(dec[name], table) for name, table in prefix.items() if name in dec}
     return {
         "ctx": ctx, "kz": kz, "trq": trq, "origin": origin, "basis": basis, "dec": dec,
-        "first": int(not any(origin)),
+        "joins": joins, "first": int(not any(origin)),
     }
 
 
@@ -369,7 +403,8 @@ class _SpanMap:
     XOR of every subset of 8 images), one gather per chunk; the origin
     is XORed into the first table.  The tables hold each row as machine
     words (_words), and the XORed words are viewed back as rows of the
-    origin's dtype and shape.
+    origin's dtype and shape.  spans[k] serves index byte k, so
+    _SpanJoin reads the tables of byte rows directly.
     """
 
     def __init__(self, origin: np.ndarray, images: np.ndarray):
@@ -387,21 +422,64 @@ class _SpanMap:
         return out.view(self.dtype).reshape((ms.size,) + self.shape)
 
 
+class _SpanJoin:
+    """Funnel stage of a _SpanMap of byte rows over a block: the mask of
+    the indices from start (a multiple of BLOCK) whose row lies in a bool
+    table entry by entry, 256 per row of the second span table (one row
+    when there is none).
+
+    Index bytes 2 and up are constant in a block, so the row of index
+    start + 256 h + l is lo[l] ^ hi[h]: lo is the first span table (the
+    origin folded in), hi the second XORed with the rows of the higher
+    tables at start's bytes.  in_table[b, v] holds, as 256 bits (four
+    uint64), the l with table[lo[l]_b ^ v]; a block ANDs
+    in_table[b, hi[h]_b] over the row positions b, so bit 256 h + l is
+    index start + 256 h + l.  No row is decoded per candidate.
+    """
+
+    def __init__(self, rows: _SpanMap, table: np.ndarray):
+        lo, *self.spans = [tab.view(np.uint8) for tab in rows.spans]
+        hits = table[lo[None] ^ np.arange(table.size, dtype=np.uint8)[:, None, None]]
+        bits = np.zeros((lo.shape[1], table.size, 256), dtype=bool)
+        bits[:, :, : len(lo)] = hits.transpose(2, 0, 1)  # (b, v, l)
+        self.in_table = np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
+
+    def __call__(self, start: int) -> np.ndarray:
+        hi = np.zeros(self.in_table.shape[0], dtype=np.uint8)
+        for k, tab in enumerate(self.spans[1:], 2):
+            hi ^= tab[(start >> (8 * k)) & 0xFF]
+        hi = self.spans[0] ^ hi if self.spans else hi[None]
+        words = self.in_table[np.arange(hi.shape[1]), hi]  # (h, b, 4)
+        mask = np.bitwise_and.reduce(words, axis=1).view(np.uint8)
+        return np.unpackbits(mask, bitorder="little").view(bool)
+
+
 def _fixed_l1_block(args) -> dict:
     """Run the funnel on the block of BLOCK candidates from start; a pure
-    function of args = (n, modulus, l1_coeffs, value_one, start)."""
+    function of args = (n, modulus, l1_coeffs, value_one, start).
+
+    The prefix stages are the env's joins, masks over the block; only
+    their survivors are indices, and they alone meet the decoders."""
     n, modulus, l1_coeffs, value_one, start = args
     env = _fixed_l1_env(n, modulus, l1_coeffs, value_one)
-    ctx, dec = env["ctx"], env["dec"]
-    end = min(start + BLOCK, 1 << len(env["basis"]))
-    ms = np.arange(max(start, env["first"]), end, dtype=np.int64)
-    counts, alive, bij = _funnel(ms, dec, env["kz"], env["trq"])
+    ctx, dec, joins = env["ctx"], env["dec"], env["joins"]
+    first = max(start, env["first"])
+    end = max(first, min(start + BLOCK, 1 << len(env["basis"])))  # empty past the space
+    keep = np.ones(end - start, dtype=bool)
+    keep[: first - start] = False
+    if "kernel" in joins:
+        keep &= joins["kernel"](start)[: keep.size]
+    counts = {"nonzero": end - first, "kernel-intersection": int(np.count_nonzero(keep))}
+    if "probe" in joins:
+        keep &= joins["probe"](start)[: keep.size]
+    alive = np.flatnonzero(keep) + start
+    counts, alive, bij = _funnel(alive, dec, env["kz"], env["trq"], counts)
 
     def pairs(sel):
         l2 = _unpack_coeffs(ctx, dec["coeffs"](sel))
         return [(l1_coeffs, tuple(row)) for row in l2.tolist()]
 
-    return _block_result(counts, ms, alive, bij, pairs)
+    return _block_result(counts, range(first, end), alive, bij, pairs)
 
 
 def _run_fixed_l1(

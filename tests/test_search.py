@@ -506,13 +506,16 @@ def test_worker_determinism_presolved_path(monkeypatch):
     _assert_same_report(a, b)
 
 
-# coefficient tuples of the two fixed L1s that the searches use
+# coefficient tuples of the two fixed L1s that the searches use, and of
+# the normalized L1 with L2*(1) left free ("unnormalized"), whose kernel
+# stage can reject; value_one is imposed for "normalized" alone
 FIXED_L1 = {
     "identity": lambda ctx: LinearizedPoly.identity(ctx).coeffs,
     "normalized": lambda ctx: (
         LinearizedPoly.frobenius(ctx, ctx.n - 1) + LinearizedPoly.identity(ctx)
     ).coeffs,
 }
+FIXED_L1["unnormalized"] = FIXED_L1["normalized"]
 
 
 def _coset_rows(origin, basis, ms):
@@ -529,7 +532,10 @@ def _coset_rows(origin, basis, ms):
 
 @pytest.mark.parametrize("alternate", [False, True])
 @pytest.mark.parametrize(
-    "kind,n", [("normalized", n) for n in (5, 6, 7, 8)] + [("identity", n) for n in (3, 4, 5)]
+    "kind,n",
+    [("normalized", n) for n in (5, 6, 7, 8)]
+    + [("identity", n) for n in (3, 4, 5)]
+    + [("unnormalized", n) for n in (4, 5)],
 )
 def test_linear_decoder_matches_multiplication(kind, n, alternate):
     # the XOR-of-images decode equals the product-table evaluation of
@@ -544,13 +550,15 @@ def test_linear_decoder_matches_multiplication(kind, n, alternate):
     origin, basis, dec = env["origin"], env["basis"], env["dec"]
     l1s_tab = l1.adjoint().table()
     kernel_pts = [b for b in range(1, ctx.order) if l1s_tab[b] == 0]
-    assert ("kernel" in dec) == bool(kernel_pts)
+    # under value_one, L2*(1) = 1 on the whole coset: the kernel row is the
+    # constant 1 and its stage is dropped
+    assert ("kernel" in dec) == (bool(kernel_pts) and kind != "normalized")
     assert ("probe" in dec) == (n >= 4)
     top = (1 << len(basis)) - 1
     rng = np.random.default_rng(n)
     ms = np.concatenate([[0, top], rng.integers(0, top + 1, 300)]).astype(np.int64)
     coeffs = _coset_rows(origin, basis, ms)
-    if kind == "identity":
+    if kind != "normalized":
         # raw enumeration is the coset with the standard basis
         assert np.array_equal(coeffs, search._unpack_coeffs(ctx, ms))
     l2_coeffs = [LinearizedPoly(ctx, tuple(row)).adjoint().coeffs for row in coeffs.tolist()]
@@ -563,8 +571,10 @@ def test_linear_decoder_matches_multiplication(kind, n, alternate):
         assert len(set(search._PROBE)) == len(search._PROBE)
         assert all(0 < b < 16 for b in search._PROBE)
         assert np.array_equal(dec["probe"](ms), r[:, search._PROBE])
-    if kernel_pts:
+    if "kernel" in dec:
         assert np.array_equal(dec["kernel"](ms), l2s[:, kernel_pts])
+    else:
+        assert not kernel_pts or (l2s[:, kernel_pts] != 0).all()
     l2 = _tables_from_coeffs(ctx, np.array(l2_coeffs, dtype=np.int64))
     l1_on_inv = l1.table()[ctx.inv_table]
     assert np.array_equal(dec["f"](ms), l1_on_inv[None, :] ^ l2)
@@ -580,34 +590,98 @@ def _nonzero_cases():
 
 @pytest.mark.parametrize("alternate", [False, True])
 @pytest.mark.parametrize("kind,n,blocks", _nonzero_cases())
-def test_nonzero_stage_drops_zero_l2(monkeypatch, kind, n, blocks, alternate):
+def test_nonzero_stage_drops_zero_l2(kind, n, blocks, alternate):
     # a block drops exactly the indices whose L2 coefficients decode to 0:
-    # index 0 of the homogeneous (identity) cosets, nothing under value_one
+    # index 0 of the homogeneous (identity) cosets, nothing under value_one;
+    # a dropped index is counted nowhere and never reported
     modulus = alternate_modulus(n) if alternate else None
     ctx = make_field(n, modulus)
     key = (n, modulus, FIXED_L1[kind](ctx), kind == "normalized")
     env = search._fixed_l1_env(*key)
     size = 1 << len(env["basis"])
-    funnel, seen = search._funnel, []
-    monkeypatch.setattr(search, "_funnel", lambda ms, *rest: seen.append(ms) or funnel(ms, *rest))
     for b in blocks or range(-(-size // search.BLOCK)):
         start = b * search.BLOCK
         res = search._fixed_l1_block((*key, start))
         every = np.arange(start, min(start + search.BLOCK, size), dtype=np.int64)
         zero = every[env["dec"]["coeffs"](every) == 0]
-        assert np.array_equal(np.setdiff1d(every, seen[-1]), zero)
         assert res["counts"]["nonzero"] == every.size - zero.size
         assert zero.tolist() == ([0] if kind == "identity" and b == 0 else [])
+        reported = [l2 for _, l2 in res["audit"] + res["witnesses"]]
+        assert len(res["audit"]) == min(8, every.size - zero.size - len(res["witnesses"]))
+        assert all(any(l2) for l2 in reported)
+
+
+def _join_cases():
+    # (kind, n, modulus): identity n = 2..6 (coset dims 4, 9, 16, 25 and
+    # the presolved 15, whose second span table has 128 rows), normalized
+    # n = 5..7 and the kernel stage that rejects, at the default and the
+    # alternate modulus (n = 2 has one)
+    cases = [("identity", n) for n in range(2, 7)] + [("normalized", n) for n in (5, 6, 7)]
+    cases += [("unnormalized", n) for n in (4, 5)]
+    return [(k, n, m) for k, n in cases for m in dict.fromkeys([None, alternate_modulus(n)])]
+
+
+@pytest.mark.parametrize("kind,n,modulus", _join_cases())
+def test_span_join_matches_row_lookup(kind, n, modulus):
+    # a block's join mask equals _all_in over the decoded rows of every
+    # index of blocks 0, 1 and last: for the env's prefix stages (kernel,
+    # probe) with their tables, and for the full R rows with the
+    # Tr = Q = 0 and K = 0 tables, which have up to 2^n bytes per row
+    ctx = make_field(n, modulus)
+    env = search._fixed_l1_env(n, modulus, FIXED_L1[kind](ctx), kind == "normalized")
+    dec, size = env["dec"], 1 << len(env["basis"])
+    stages = {name: (dec[name], join) for name, join in env["joins"].items()}
+    joined = {"kernel"} if kind == "unnormalized" else set()
+    assert set(env["joins"]) == (joined | {"probe"} if n >= 4 else joined)
+    tables = {"kernel": np.arange(ctx.order) != 0, "probe": env["trq"]}
+    for name, table in {"r-trq": env["trq"], "r-kz": env["kz"]}.items():
+        stages[name] = (dec["r"], search._SpanJoin(dec["r"], table))
+        tables[name] = table
+    last = (size - 1) // search.BLOCK
+    for b in sorted({0, min(1, last), last}):
+        start = b * search.BLOCK
+        every = np.arange(start, min(start + search.BLOCK, size), dtype=np.int64)
+        for name, (rows, join) in stages.items():
+            want = search._all_in(tables[name], rows(every))
+            _assert_same_rows(join(start)[: every.size], want)
+
+
+@pytest.mark.parametrize("alternate", [False, True])
+def test_constant_kernel_stage_is_dropped(alternate):
+    # normalized: L2*(1) = 1 on the coset, so the kernel row is constant,
+    # nonzero, and no join is built; its count is the nonzero count
+    for n in (5, 6, 7, 8):
+        modulus = alternate_modulus(n) if alternate else None
+        ctx = make_field(n, modulus)
+        env = search._fixed_l1_env(n, modulus, FIXED_L1["normalized"](ctx), True)
+        assert "kernel" not in env["joins"] and "kernel" not in env["dec"]
+        assert "probe" in env["joins"]
+        counts = search._fixed_l1_block((n, modulus, FIXED_L1["normalized"](ctx), True, 0))["counts"]
+        block = min(search.BLOCK, 1 << len(env["basis"]))
+        assert counts["kernel-intersection"] == counts["nonzero"] == block
+    # with L2*(1) free the same L1 keeps its kernel stage, and it rejects
+    for n in (4, 5):
+        modulus = alternate_modulus(n) if alternate else None
+        ctx = make_field(n, modulus)
+        key = (n, modulus, FIXED_L1["unnormalized"](ctx), False)
+        env = search._fixed_l1_env(*key)
+        assert "kernel" in env["joins"]
+        counts = search._fixed_l1_block((*key, 0))["counts"]
+        assert 0 < counts["kernel-intersection"] < counts["nonzero"]
+        # the stage rejects exactly the rows with L2*(1) = 0
+        every = np.arange(min(search.BLOCK, 1 << len(env["basis"])), dtype=np.int64)
+        assert counts["kernel-intersection"] == np.count_nonzero(env["dec"]["kernel"](every))
 
 
 def test_dispatch_caps_pool_at_partitions(monkeypatch):
-    # a pool never holds more workers than there are blocks to run; the
-    # recorder starts no process
-    sizes = []
+    # a pool never holds more workers than there are blocks to run, and
+    # takes them in chunks of about partitions / (4 workers); the recorder
+    # starts no process
+    calls = []
 
     class Recorder:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            calls.append(max_workers)
 
         def __enter__(self):
             return self
@@ -616,12 +690,24 @@ def test_dispatch_caps_pool_at_partitions(monkeypatch):
             return False
 
         def map(self, fn, blocks, chunksize):
+            calls.append(chunksize)
             return map(fn, blocks)
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", Recorder)
     rep = search.normalized_search(5, workers=10**6)
-    assert sizes == [rep.partitions] == [16]
+    assert rep.partitions == 16
     _assert_same_report(rep, search.normalized_search(5, workers=1))
+    search.normalized_search(5, workers=2)
+    assert calls == [16, 1, 2, 2]
+
+
+def test_worker_determinism_chunked_dispatch(identity5_report):
+    # 512 blocks on two workers, 64 blocks per chunk: the same report as
+    # one worker, and one progress record per block, in block order
+    records = []
+    rep = search.identity_L1_search(5, workers=2, progress=records.append)
+    _assert_same_report(rep, identity5_report)
+    assert records == [{"partition": i, "partitions": 512} for i in range(1, 513)]
 
 
 @pytest.mark.parametrize("n,forced", [(5, 16), (7, 64)])
