@@ -105,10 +105,15 @@ def mat_vec(rows: Sequence[int], v: int) -> int:
 
 
 def transpose(rows: Sequence[int], ncols: int) -> List[int]:
-    return [
-        sum(((rows[i] >> j) & 1) << i for i in range(len(rows)))
-        for j in range(ncols)
-    ]
+    """The ncols x len(rows) transpose: bit i of out[j] is bit j of rows[i].
+
+    Also converts between a list of column vectors and the row form."""
+    out = [0] * ncols
+    for i, row in enumerate(rows):
+        for j in range(ncols):
+            if (row >> j) & 1:
+                out[j] |= 1 << i
+    return out
 
 
 def inverse(rows: Sequence[int], n: int) -> Optional[List[int]]:

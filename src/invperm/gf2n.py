@@ -14,8 +14,8 @@ threads or processes; every operation is a pure function of
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterator, Optional
+from functools import cached_property, lru_cache
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -158,9 +158,6 @@ class FieldContext:
         self.order = 1 << n
         self.mask = self.order - 1
         self._build_tables()
-        self._pow2k_table: Optional[np.ndarray] = None
-        self._mul_table: Optional[np.ndarray] = None
-        self._trace_dual: Optional[np.ndarray] = None
 
     # -- construction -------------------------------------------------
 
@@ -312,50 +309,46 @@ class FieldContext:
                              % (self.order - 1)]
         return np.where(a == 0, 0, out)
 
-    @property
+    @cached_property
     def pow2k_table(self) -> np.ndarray:
         """pow2k_table[k][x] = x^(2^k), shape (n, 2^n)."""
-        if self._pow2k_table is None:
-            t = np.empty((self.n, self.order), dtype=np.int64)
-            t[0] = np.arange(self.order)
-            for k in range(1, self.n):
-                t[k] = self.sqr_table[t[k - 1]]
-            t.setflags(write=False)
-            self._pow2k_table = t
-        return self._pow2k_table
+        t = np.empty((self.n, self.order), dtype=np.int64)
+        t[0] = np.arange(self.order)
+        for k in range(1, self.n):
+            t[k] = self.sqr_table[t[k - 1]]
+        t.setflags(write=False)
+        return t
 
-    @property
+    @cached_property
     def trace_dual_table(self) -> np.ndarray:
         """t[a] with Tr(a x) = popcount(t[a] & x) mod 2 for all x.
 
         Transports the trace pairing to the standard dot product, which
         lets fast transforms over the character group compute the
-        exponential sums indexed by field elements.
+        exponential sums indexed by field elements.  t is a permutation.
         """
-        if self._trace_dual is None:
-            # column j of the Gram matrix G[i][j] = Tr(2^i 2^j)
-            cols = []
-            for j in range(self.n):
-                col = 0
-                for i in range(self.n):
-                    col |= self.trace(self.mul(1 << i, 1 << j)) << i
-                cols.append(col)
-            t = span_table(np.array(cols, dtype=np.int64))
-            t.setflags(write=False)
-            self._trace_dual = t
-        return self._trace_dual
+        bits = np.arange(self.n)
+        # column j of the Gram matrix G[i][j] = Tr(2^i 2^j)
+        gram = self.trace_table[self.mul_vec(1 << bits[:, None], 1 << bits)].astype(np.int64)
+        t = span_table((gram << bits[:, None]).sum(axis=0))
+        t.setflags(write=False)
+        return t
 
-    @property
+    @cached_property
+    def trace_dual_basis(self) -> Tuple[int, ...]:
+        """theta_j with Tr(theta_j 2^k) = [j = k]: the preimage of 2^j
+        under trace_dual_table."""
+        return tuple(np.argsort(self.trace_dual_table)[1 << np.arange(self.n)].tolist())
+
+    @cached_property
     def mul_table(self) -> np.ndarray:
         """Full 2^n x 2^n product table; only built for n <= 8."""
-        if self._mul_table is None:
-            if self.n > 8:
-                raise ValueError("mul_table is limited to n <= 8; use mul_vec")
-            xs = np.arange(self.order, dtype=np.int64)
-            t = self.mul_vec(xs[:, None], xs[None, :])
-            t.setflags(write=False)
-            self._mul_table = t
-        return self._mul_table
+        if self.n > 8:
+            raise ValueError("mul_table is limited to n <= 8; use mul_vec")
+        xs = np.arange(self.order, dtype=np.int64)
+        t = self.mul_vec(xs[:, None], xs[None, :])
+        t.setflags(write=False)
+        return t
 
     # -- structured subsets ----------------------------------------------
 

@@ -24,6 +24,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from . import gf2mat
 from .gf2n import FieldContext
 from .kloosterman import kloosterman_all, qform_table
 from .linmap import LinearizedPoly, bijective_factor, kernels_intersect_trivially
@@ -52,7 +53,7 @@ __all__ = [
 
 def build_F(l1: LinearizedPoly, l2: LinearizedPoly) -> TruthTable:
     """Truth table of x -> l1(x^-1) + l2(x)."""
-    l1._same_ctx(l2)
+    l1.check_same_ctx(l2)
     ctx = l1.ctx
     return TruthTable(ctx, l1.table()[ctx.inv_table] ^ l2.table())
 
@@ -65,7 +66,7 @@ def _r_table(l1: LinearizedPoly, l2: LinearizedPoly) -> np.ndarray:
 
 def perm_criterion_kloosterman(l1: LinearizedPoly, l2: LinearizedPoly) -> bool:
     """Exact permutation criterion via Kloosterman zeros of R(b)."""
-    l1._same_ctx(l2)
+    l1.check_same_ctx(l2)
     ctx = l1.ctx
     if not kernels_intersect_trivially(l1.adjoint(), l2.adjoint()):
         return False
@@ -76,7 +77,7 @@ def perm_criterion_kloosterman(l1: LinearizedPoly, l2: LinearizedPoly) -> bool:
 def necessary_mod16(l1: LinearizedPoly, l2: LinearizedPoly) -> bool:
     """Necessary condition (n >= 4): Tr(R(a)) = Q(R(a)) = 0 for all a,
     plus trivially intersecting adjoint kernels.  Never sufficient."""
-    l1._same_ctx(l2)
+    l1.check_same_ctx(l2)
     ctx = l1.ctx
     if ctx.n < 4:
         raise ValueError("the mod-16 condition requires n >= 4")
@@ -200,7 +201,7 @@ def kernel_structure_check(l1: LinearizedPoly, l2: LinearizedPoly) -> PairReport
     makes them vacuous) so the exceptional n = 3, 4 world is fully
     observable.
     """
-    l1._same_ctx(l2)
+    l1.check_same_ctx(l2)
     ctx = l1.ctx
     f = build_F(l1, l2)
     is_perm = f.is_permutation()
@@ -381,7 +382,7 @@ def normalize_pair(
     output uses L1(x) = x^(2^(n-1)) + x instead (the form whose adjoint
     is x^2 + x).
     """
-    l1._same_ctx(l2)
+    l1.check_same_ctx(l2)
     ctx = l1.ctx
     ker = l1.kernel()
     if ker.dim != 1:
@@ -407,8 +408,6 @@ def normalize_pair(
 
 
 def _inverse_matrix(l: LinearizedPoly):
-    from . import gf2mat
-
     inv = gf2mat.inverse(l.matrix(), l.ctx.n)
     if inv is None:
         raise ValueError("map is not bijective")

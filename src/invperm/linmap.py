@@ -22,9 +22,6 @@ from .gf2n import FieldContext, span_table
 
 __all__ = ["LinearizedPoly", "Subspace", "bijective_factor", "kernels_intersect_trivially"]
 
-# per-context solver for matrix -> coefficients (built on first use)
-_FROM_MATRIX_CACHE: dict = {}
-
 
 @dataclass(frozen=True)
 class LinearizedPoly:
@@ -67,33 +64,15 @@ class LinearizedPoly:
 
     @classmethod
     def from_matrix(cls, ctx: FieldContext, rows: Sequence[int]) -> "LinearizedPoly":
-        """Recover the coefficient vector from an n x n bit matrix."""
-        n = ctx.n
-        solver = _FROM_MATRIX_CACHE.get(ctx)
-        if solver is None:
-            # unknowns: bit t of c_i at position i*n + t; equations: output
-            # bit b of the image of basis 2^j at position j*n + b
-            eq_rows = []
-            for j in range(n):
-                for b in range(n):
-                    row = 0
-                    for i in range(n):
-                        xq = ctx.pow2k(1 << j, i)
-                        for t in range(n):
-                            if (ctx.mul(1 << t, xq) >> b) & 1:
-                                row |= 1 << (i * n + t)
-                    eq_rows.append(row)
-            solver = gf2mat.inverse(eq_rows, n * n)
-            if solver is None:
-                raise AssertionError("coefficient/matrix correspondence not invertible")
-            _FROM_MATRIX_CACHE[ctx] = solver
-        rhs = 0
-        for j in range(n):
-            col = gf2mat.mat_vec(rows, 1 << j)
-            rhs |= col << (j * n)
-        sol = gf2mat.mat_vec(solver, rhs)
-        coeffs = tuple((sol >> (i * n)) & ctx.mask for i in range(n))
-        return cls(ctx, coeffs)
+        """Recover the coefficient vector from an n x n bit matrix.
+
+        With theta_j the trace-dual basis, Tr(theta_j 2^k) = [j = k], every
+        linear map is x -> sum_j L(2^j) Tr(theta_j x), so its coefficients
+        are c_i = sum_j L(2^j) theta_j^(2^i).
+        """
+        images = np.array(gf2mat.transpose(rows, ctx.n), dtype=np.int64)
+        terms = ctx.mul_vec(images, ctx.pow2k_table[:, ctx.trace_dual_basis])
+        return cls(ctx, tuple(np.bitwise_xor.reduce(terms, axis=1).tolist()))
 
     @classmethod
     def from_text(cls, ctx: FieldContext, text: str) -> "LinearizedPoly":
@@ -129,14 +108,14 @@ class LinearizedPoly:
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "LinearizedPoly") -> "LinearizedPoly":
-        self._same_ctx(other)
+        self.check_same_ctx(other)
         return LinearizedPoly(
             self.ctx, tuple(a ^ b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def compose(self, other: "LinearizedPoly") -> "LinearizedPoly":
         """self after other: x -> self(other(x))."""
-        self._same_ctx(other)
+        self.check_same_ctx(other)
         ctx = self.ctx
         n = ctx.n
         out = [0] * n
@@ -156,7 +135,8 @@ class LinearizedPoly:
         coeffs = tuple(ctx.pow2k(self.coeffs[(n - j) % n], j) for j in range(n))
         return LinearizedPoly(ctx, coeffs)
 
-    def _same_ctx(self, other: "LinearizedPoly") -> None:
+    def check_same_ctx(self, other: "LinearizedPoly") -> None:
+        """Raise ValueError unless other is a map on the same field."""
         if self.ctx != other.ctx:
             raise ValueError("context mismatch between linearized polynomials")
 
@@ -164,9 +144,7 @@ class LinearizedPoly:
 
     def matrix(self) -> List[int]:
         """n x n bit matrix (gf2mat rows); column j = image of 2^j."""
-        bits = np.arange(self.ctx.n)
-        cols = self._basis_images()
-        return (((cols[None, :] >> bits[:, None]) & 1) << bits[None, :]).sum(axis=1).tolist()
+        return gf2mat.transpose(self._basis_images().tolist(), self.ctx.n)
 
     def rank(self) -> int:
         return gf2mat.rank(self.matrix(), self.ctx.n)
@@ -239,24 +217,11 @@ class Subspace:
         if self.ctx != other.ctx:
             raise ValueError("context mismatch")
         a, b = self.basis, other.basis
-        if not a or not b:
-            return Subspace.trivial(self.ctx)
-        # columns: coefficients on a-basis then b-basis; rows: field bits
-        rows = []
-        for bit in range(self.ctx.n):
-            row = 0
-            for idx, v in enumerate(a):
-                row |= ((v >> bit) & 1) << idx
-            for idx, v in enumerate(b):
-                row |= ((v >> bit) & 1) << (len(a) + idx)
-            rows.append(row)
-        elems = []
-        for u in gf2mat.nullspace(rows, len(a) + len(b)):
-            x = 0
-            for idx, v in enumerate(a):
-                if (u >> idx) & 1:
-                    x ^= v
-            elems.append(x)
+        # rows: field bits; columns: coefficients on the a-basis, then the b-basis
+        rows = gf2mat.transpose(a + b, self.ctx.n)
+        # a null vector u gives the common element A u, A the low len(a) columns
+        mask = (1 << len(a)) - 1
+        elems = [gf2mat.mat_vec(rows, u & mask) for u in gf2mat.nullspace(rows, len(a) + len(b))]
         return Subspace.from_elements(self.ctx, elems)
 
     def is_subfield_translate(self) -> Optional[Tuple[int, int]]:
@@ -282,14 +247,14 @@ class Subspace:
 
 def kernels_intersect_trivially(l1: LinearizedPoly, l2: LinearizedPoly) -> bool:
     """ker(l1) ∩ ker(l2) = {0}, decided by the rank of the stacked matrix."""
-    l1._same_ctx(l2)
+    l1.check_same_ctx(l2)
     n = l1.ctx.n
     return gf2mat.rank(l1.matrix() + l2.matrix(), n) == n
 
 
 def bijective_factor(l: LinearizedPoly, lp: LinearizedPoly) -> LinearizedPoly:
     """A bijective B with lp = B ∘ l; requires ker(l) == ker(lp)."""
-    l._same_ctx(lp)
+    l.check_same_ctx(lp)
     ctx = l.ctx
     n = ctx.n
     if l.kernel() != lp.kernel():
@@ -302,24 +267,21 @@ def bijective_factor(l: LinearizedPoly, lp: LinearizedPoly) -> LinearizedPoly:
         if gf2mat.rank([*u_cols, u], n) > len(u_cols):
             u_cols.append(u)
             v_cols.append(lp(1 << j))
-    # complete both sides to bases of the whole space
-    w_cols: List[int] = []
-    z_cols: List[int] = []
-    for t in range(n):
-        e = 1 << t
-        if gf2mat.rank([*u_cols, *w_cols, e], n) > len(u_cols) + len(w_cols):
-            w_cols.append(e)
-        z = 1 << t
-        if gf2mat.rank([*v_cols, *z_cols, z], n) > len(v_cols) + len(z_cols):
-            z_cols.append(z)
-    # column-assembled matrices: B [U|W] = [V|Z]
-    def cols_to_rows(cols: List[int]) -> List[int]:
-        return [sum(((cols[j] >> i) & 1) << j for j in range(len(cols))) for i in range(n)]
-
-    uw = cols_to_rows(u_cols + w_cols)
-    vz = cols_to_rows(v_cols + z_cols[: n - len(v_cols)])
+    # complete both sides to bases of the whole space: B [U|W] = [V|Z]
+    uw = gf2mat.transpose(_extend_to_basis(u_cols, n), n)
+    vz = gf2mat.transpose(_extend_to_basis(v_cols, n), n)
     uw_inv = gf2mat.inverse(uw, n)
     if uw_inv is None:
         raise AssertionError("completion failed to produce a basis")
     b_rows = gf2mat.matmul(vz, uw_inv)
     return LinearizedPoly.from_matrix(ctx, b_rows)
+
+
+def _extend_to_basis(cols: List[int], n: int) -> List[int]:
+    """cols, independent vectors of GF(2)^n, followed by the unit vectors
+    that extend them to a basis, lowest first."""
+    out = list(cols)
+    for t in range(n):
+        if gf2mat.rank([*out, 1 << t], n) > len(out):
+            out.append(1 << t)
+    return out

@@ -115,8 +115,8 @@ class SearchReport:
     def witness_count(self) -> int:
         return len(self.witnesses)
 
-    def to_json_dict(self, include_volatile: bool = True) -> dict:
-        d = {
+    def to_json_dict(self) -> dict:
+        return {
             "field": self.field_spec,
             "mode": self.mode,
             "space": self.space,
@@ -131,12 +131,10 @@ class SearchReport:
                 "violations": self.audit_violations,
             },
             "notes": list(self.notes),
-        }
-        if include_volatile:
             # reports carry no floats; wall time is integer milliseconds
-            d["elapsed_ms"] = int(round(self.elapsed_s * 1000))
-            d["workers"] = self.workers
-        return d
+            "elapsed_ms": int(round(self.elapsed_s * 1000)),
+            "workers": self.workers,
+        }
 
 
 # -- shared vectorized helpers -------------------------------------------------
@@ -274,7 +272,8 @@ def _block_result(counts: dict, ms, alive: np.ndarray, bij: np.ndarray, pairs) -
     head = np.asarray(ms[: 8 + kept.size], dtype=np.int64)
     # kept is sorted: an entry of head is rejected when none of kept equals it
     rejected = np.searchsorted(kept, head) == np.searchsorted(kept, head, "right")
-    return {"counts": counts, "witnesses": pairs(kept), "audit": pairs(head[rejected][:8])}
+    rows = pairs(np.concatenate([kept, head[rejected][:8]]))  # one decode for both
+    return {"counts": counts, "witnesses": rows[: kept.size], "audit": rows[kept.size :]}
 
 
 def _report(ctx: FieldContext, results, t0: float, **fields) -> SearchReport:
@@ -590,7 +589,7 @@ def _rref_rows(n: int) -> np.ndarray:
 
 def canonical_key(l1: LinearizedPoly, l2: LinearizedPoly) -> Tuple[int, ...]:
     """Orbit invariant of (L1, L2): rref of the stacked n x 2n matrix."""
-    l1._same_ctx(l2)
+    l1.check_same_ctx(l2)
     n = l1.ctx.n
     m1, m2 = l1.matrix(), l2.matrix()
     stacked = [m1[i] | (m2[i] << n) for i in range(n)]

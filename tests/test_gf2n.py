@@ -260,3 +260,43 @@ def test_top_of_range_n16():
     assert ctx.mul(ctx.inv0(12345), 12345) == 1
     assert ctx.trace_table.shape == (1 << 16,)
     assert int((ctx.trace_table == 0).sum()) == 1 << 15
+
+
+BOTH_MODULI = [(n, alt) for n in range(2, 17) for alt in (False, True) if n > 2 or not alt]
+
+
+@pytest.mark.parametrize("n,alternate", BOTH_MODULI)
+def test_trace_dual_table_meets_definition(n, alternate):
+    ctx = make_field(n, alternate_modulus(n) if alternate else None)
+    t = ctx.trace_dual_table
+    if n <= 8:
+        a, x = (v.ravel() for v in np.meshgrid(np.arange(ctx.order), np.arange(ctx.order)))
+    else:
+        rng = np.random.default_rng(n)
+        a, x = rng.integers(0, ctx.order, size=(2, 4096))
+    parity = np.bitwise_count(t[a] & x) & 1
+    assert np.array_equal(parity, ctx.trace_table[ctx.mul_vec(a, x)])
+
+
+@pytest.mark.parametrize("n,alternate", BOTH_MODULI)
+def test_trace_dual_basis(n, alternate):
+    ctx = make_field(n, alternate_modulus(n) if alternate else None)
+    t = ctx.trace_dual_table
+    assert np.array_equal(np.sort(t), np.arange(ctx.order))  # a permutation
+    theta = ctx.trace_dual_basis
+    assert [int(t[a]) for a in theta] == [1 << j for j in range(n)]
+    for j in range(n):
+        assert [ctx.trace(ctx.mul(theta[j], 1 << k)) for k in range(n)] == [
+            int(j == k) for k in range(n)
+        ]
+
+
+def test_field_tables_are_cached_and_read_only():
+    ctx = FieldContext(6)
+    for name in ("pow2k_table", "trace_dual_table", "mul_table"):
+        table = getattr(ctx, name)
+        assert getattr(ctx, name) is table
+        assert not table.flags.writeable
+    assert isinstance(ctx.trace_dual_basis, tuple)
+    with pytest.raises(ValueError, match="n <= 8"):
+        FieldContext(9).mul_table

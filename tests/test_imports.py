@@ -1,4 +1,5 @@
-"""Source hygiene: every module of the package uses each name it imports."""
+"""Source hygiene: every module of the package uses each name it imports
+and reads no private name of another module."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,53 @@ def test_unused_import_check_flags_leftovers():
         "    return os.sep\n"
     )
     assert unused_imports(source) == [(3, "Dict")]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def foreign_privates(source: str) -> list:
+    """(line, name) of each private name the module reaches into another
+    module for: an x._name read whose _name the module neither defines nor
+    assigns (reads on self and cls and dunder names are exempt), and any
+    "from .m import _name"."""
+    tree = ast.parse(source)
+    own = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            own.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            own.add(node.attr)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found += [(node.lineno, a.name) for a in node.names if _private(a.name)]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and _private(node.attr)
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+            and node.attr not in own
+        ):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_foreign_private_names(path):
+    assert foreign_privates(path.read_text()) == []
+
+
+def test_foreign_private_check_flags_reach_ins():
+    source = (
+        "from . import __version__\n"
+        "from .linmap import _helper, public\n"
+        "def f(l1, l2, args):\n"
+        "    args._argv = []\n"
+        "    l1._same_ctx(l2)\n"
+        "    return args._argv, self._x, cls._y, l1.__class__\n"
+    )
+    assert foreign_privates(source) == [(2, "_helper"), (5, "_same_ctx")]

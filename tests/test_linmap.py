@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from invperm import gf2mat
-from invperm.gf2n import make_field
+from invperm.gf2n import alternate_modulus, make_field
 from invperm.linmap import (
     LinearizedPoly,
     Subspace,
@@ -157,13 +157,26 @@ def test_matrix_functoriality():
         assert (l + m).table().tolist() == (l.table() ^ m.table()).tolist()
 
 
+def fields(top=16):
+    """Every GF(2^n) with 2 <= n <= top, at the default and, for n > 2,
+    the alternate modulus."""
+    for n in range(2, top + 1):
+        yield make_field(n)
+        if n > 2:
+            yield make_field(n, alternate_modulus(n))
+
+
 def test_from_matrix_roundtrip():
-    for n in (3, 5, 8):
-        ctx = make_field(n)
-        rng = random.Random(n * 7)
-        for _ in range(20):
+    for ctx in fields():
+        n = ctx.n
+        rng = random.Random(n * 7 + ctx.modulus)
+        for t in range(12):
             l = LinearizedPoly.random(ctx, rng)
             assert LinearizedPoly.from_matrix(ctx, l.matrix()) == l
+            rows = [rng.getrandbits(n) for _ in range(n)]
+            if t % 3 == 0:  # singular: a zero row or a repeated row
+                rows[rng.randrange(n)] = rows[rng.randrange(n)] if t % 2 else 0
+            assert LinearizedPoly.from_matrix(ctx, rows).matrix() == rows
 
 
 def test_text_roundtrip():
@@ -201,6 +214,13 @@ def test_subspace_intersection():
         inter = a.intersection(b)
         brute = sorted(set(a.elements()) & set(b.elements()))
         assert inter.elements() == brute
+    for ctx in fields(8):  # every dimension from 0 to n
+        for _ in range(30):
+            a, b = (
+                Subspace(ctx, [rng.randrange(ctx.order) for _ in range(rng.randrange(ctx.n + 1))])
+                for _ in range(2)
+            )
+            assert a.intersection(b).elements() == sorted(set(a.elements()) & set(b.elements()))
 
 
 def test_apply_to_subspace():
@@ -263,6 +283,20 @@ def test_bijective_factor():
     k1 = LinearizedPoly(ctx, (1, 1, 0, 0, 0, 0))
     with pytest.raises(ValueError, match="kernels differ"):
         bijective_factor(k1, LinearizedPoly.identity(ctx))
+    # each kernel dimension 0..2: l of rank n - kdim is A [C with its last kdim
+    # columns cleared] for invertible A and C
+    for ctx in fields(6):
+        n = ctx.n
+        for kdim in (0, 1, 2):
+            keep = (1 << (n - kdim)) - 1
+            for _ in range(10):
+                a, c, b = (gf2mat.random_invertible(n, rng) for _ in range(3))
+                l = LinearizedPoly.from_matrix(ctx, gf2mat.matmul(a, [r & keep for r in c]))
+                assert l.kernel().dim == kdim
+                lp = LinearizedPoly.from_matrix(ctx, b).compose(l)
+                b2 = bijective_factor(l, lp)
+                assert b2.is_bijective()
+                assert b2.compose(l) == lp
 
 
 def test_context_mismatch_raises():

@@ -1,6 +1,5 @@
 """Search drivers: exhaustive dichotomy, canonical orbits, filter pipelines."""
 
-import json
 import multiprocessing
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -10,7 +9,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from invperm import gf2mat, search
+from invperm import cli, gf2mat, search
 from invperm.gf2n import FieldContext, alternate_modulus, make_field, span_table
 from invperm.inverse_perm import build_F, perm_criterion_kloosterman, recurrence_coeffs
 from invperm.linmap import LinearizedPoly
@@ -477,9 +476,7 @@ def test_trace_presolve_is_exact():
 def _assert_same_report(a, b):
     assert a.witnesses == b.witnesses
     assert a.stages == b.stages
-    da = json.dumps(a.to_json_dict(include_volatile=False), sort_keys=True)
-    db = json.dumps(b.to_json_dict(include_volatile=False), sort_keys=True)
-    assert da == db
+    assert cli.result_digest(a.to_json_dict()) == cli.result_digest(b.to_json_dict())
 
 
 def test_worker_determinism():
