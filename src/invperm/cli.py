@@ -68,14 +68,14 @@ def result_digest(result: dict) -> str:
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
-def _emit(args, subcommand: str, field_spec: Optional[str], result: dict, summary: str) -> None:
+def _emit(args, ctx, result: dict, summary: str) -> None:
     envelope = {
         "manifest": {
             "tool": "invperm",
             "version": __version__,
-            "subcommand": subcommand,
+            "subcommand": args.subcommand,
             "argv": args._argv,
-            "field": field_spec,
+            "field": ctx.spec,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "digest": result_digest(result),
         },
@@ -110,15 +110,13 @@ def cmd_field_info(args) -> int:
         "generator": f"{ctx.generator:x}",
         "trace_of_one": ctx.trace(1),
     }
-    _emit(args, "field-info", ctx.spec, result, f"GF(2^{ctx.n}) with modulus {ctx.modulus:#x}")
+    _emit(args, ctx, result, f"GF(2^{ctx.n}) with modulus {ctx.modulus:#x}")
     return EXIT_OK
 
 
 def cmd_kloosterman(args) -> int:
-    if args.action != "census":
-        raise UsageError(f"unknown kloosterman action {args.action!r}")
     ctx = _field(args)
-    census = kloosterman_zeros(ctx, dump_sums=args.dump_sums)
+    census = kloosterman_zeros(ctx)
     if args.csv:
         ks = kloosterman_all(ctx)
         qt = qform_table(ctx)
@@ -128,13 +126,9 @@ def cmd_kloosterman(args) -> int:
             for a in ctx.elements():
                 w.writerow([f"{a:x}", int(ks[a]), ctx.trace(a), int(qt[a])])
     result = census.to_json_dict()
-    _emit(
-        args,
-        "kloosterman",
-        ctx.spec,
-        result,
-        f"{census.zero_count} Kloosterman zeros in {ctx.spec}",
-    )
+    if args.dump_sums:
+        result["sums"] = kloosterman_all(ctx).tolist()
+    _emit(args, ctx, result, f"{census.zero_count} Kloosterman zeros in {ctx.spec}")
     return EXIT_OK
 
 
@@ -149,10 +143,7 @@ def cmd_verify(args) -> int:
     ctx = _field(args)
     res = run_claim(args.claim, ctx.n, ctx.modulus, **kw)
     _emit(
-        args,
-        "verify",
-        ctx.spec,
-        res.to_json_dict(),
+        args, ctx, res.to_json_dict(),
         f"{args.claim}: {'ok' if res.ok else 'VIOLATED'} ({res.cases} cases)",
     )
     return EXIT_OK if res.ok else EXIT_VIOLATION
@@ -195,10 +186,7 @@ def cmd_search(args) -> int:
     result["expected_witnesses"] = expected
     result["verdict"] = "violated" if violated else "ok"
     _emit(
-        args,
-        "search",
-        ctx.spec,
-        result,
+        args, ctx, result,
         f"search {args.mode} on {ctx.spec}: {report.witness_count} witnesses "
         f"({report.examined} candidates in {report.elapsed_s:.1f}s)",
     )
@@ -211,7 +199,7 @@ def cmd_invariants(args) -> int:
     ok = all(r.ok for r in results)
     result = {"suite": [r.to_json_dict() for r in results], "ok": ok}
     lines = ", ".join(f"{r.claim}={'ok' if r.ok else 'FAIL'}" for r in results)
-    _emit(args, "invariants", ctx.spec, result, lines)
+    _emit(args, ctx, result, lines)
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -225,10 +213,7 @@ def cmd_check_pair(args) -> int:
     report = kernel_structure_check(l1, l2)
     result = report.to_json_dict()
     _emit(
-        args,
-        "check-pair",
-        ctx.spec,
-        result,
+        args, ctx, result,
         f"is_permutation={report.is_permutation} criterion={report.kloosterman_criterion}",
     )
     # a mismatch between the criterion and direct bijectivity breaks the

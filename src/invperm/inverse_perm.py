@@ -24,7 +24,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import gf2mat
 from .gf2n import FieldContext
 from .kloosterman import kloosterman_all, qform_table
 from .linmap import LinearizedPoly, bijective_factor, kernels_intersect_trivially
@@ -58,33 +57,30 @@ def build_F(l1: LinearizedPoly, l2: LinearizedPoly) -> TruthTable:
     return TruthTable(ctx, l1.table()[ctx.inv_table] ^ l2.table())
 
 
-def _r_table(l1: LinearizedPoly, l2: LinearizedPoly) -> np.ndarray:
-    """R(b) = L1*(b) L2*(b) over all b."""
-    ctx = l1.ctx
-    return ctx.mul_vec(l1.adjoint().table(), l2.adjoint().table())
+def _r_table(l1: LinearizedPoly, l2: LinearizedPoly) -> Optional[np.ndarray]:
+    """R(b) = L1*(b) L2*(b) over all b, or None when the adjoint kernels
+    meet outside 0 (then F is no permutation)."""
+    l1.check_same_ctx(l2)
+    l1s, l2s = l1.adjoint(), l2.adjoint()
+    if not kernels_intersect_trivially(l1s, l2s):
+        return None
+    return l1.ctx.mul_vec(l1s.table(), l2s.table())
 
 
 def perm_criterion_kloosterman(l1: LinearizedPoly, l2: LinearizedPoly) -> bool:
     """Exact permutation criterion via Kloosterman zeros of R(b)."""
-    l1.check_same_ctx(l2)
-    ctx = l1.ctx
-    if not kernels_intersect_trivially(l1.adjoint(), l2.adjoint()):
-        return False
-    ks = kloosterman_all(ctx)
-    return bool(np.all(ks[_r_table(l1, l2)] == 0))
+    r = _r_table(l1, l2)
+    return r is not None and bool(np.all(kloosterman_all(l1.ctx)[r] == 0))
 
 
 def necessary_mod16(l1: LinearizedPoly, l2: LinearizedPoly) -> bool:
     """Necessary condition (n >= 4): Tr(R(a)) = Q(R(a)) = 0 for all a,
     plus trivially intersecting adjoint kernels.  Never sufficient."""
-    l1.check_same_ctx(l2)
     ctx = l1.ctx
     if ctx.n < 4:
         raise ValueError("the mod-16 condition requires n >= 4")
-    if not kernels_intersect_trivially(l1.adjoint(), l2.adjoint()):
-        return False
     r = _r_table(l1, l2)
-    return bool(np.all(ctx.trace_table[r] == 0) and np.all(qform_table(ctx)[r] == 0))
+    return r is not None and bool(np.all((ctx.trace_table[r] == 0) & (qform_table(ctx)[r] == 0)))
 
 
 # -- image sets and hyperplane geometry ------------------------------------
@@ -227,7 +223,7 @@ def kernel_structure_check(l1: LinearizedPoly, l2: LinearizedPoly) -> PairReport
         is_permutation=is_perm,
         kloosterman_criterion=crit,
         mod16_condition=mod16,
-        kernel_intersection_trivial=k1s.intersection(k2s).dim == 0,
+        kernel_intersection_trivial=kernels_intersect_trivially(l1s, l2s),
         ker_l1_size=1 << k1.dim,
         ker_l2_size=1 << k2.dim,
         ker_l1_subfield=k1.is_subfield_translate(),
@@ -390,9 +386,9 @@ def normalize_pair(
     kappa = [e for e in ker.elements() if e][0]
     # l1 = B o M with M(x) = x^2 + kappa x sharing the kernel {0, kappa}
     m = LinearizedPoly(ctx, (kappa, 1) + (0,) * (ctx.n - 2))
-    b = bijective_factor(m, l1)
-    b_inv = LinearizedPoly.from_matrix(ctx, _inverse_matrix(b))
-    l2p = b_inv.compose(l2)
+    # bijective_factor(l1, m) is B^-1: it picks the same input basis as
+    # bijective_factor(m, l1) and swaps the two completions
+    l2p = bijective_factor(l1, m).compose(l2)
     # scale: multiply by kappa^-2 and substitute x -> x / kappa
     ka_inv = ctx.inv0(kappa)
     ka_inv2 = ctx.sqr(ka_inv)
@@ -406,9 +402,3 @@ def normalize_pair(
         l2n = l2n.compose(frob)
     return l1n, l2n
 
-
-def _inverse_matrix(l: LinearizedPoly):
-    inv = gf2mat.inverse(l.matrix(), l.ctx.n)
-    if inv is None:
-        raise ValueError("map is not bijective")
-    return inv

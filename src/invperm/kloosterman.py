@@ -20,8 +20,8 @@ every sum is still evaluated, from field tables and integers only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -165,10 +165,9 @@ class KloostermanCensus:
     prefilter: str
     candidates: int
     subfield_hits: Dict[int, Tuple[int, ...]]  # proper divisor k -> zeros inside
-    sums: Optional[Tuple[int, ...]] = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
-        d = {
+        return {
             "field": self.field_spec,
             "n": self.n,
             "modulus": f"{self.modulus:#x}",
@@ -181,12 +180,9 @@ class KloostermanCensus:
                 str(k): [f"{z:x}" for z in v] for k, v in sorted(self.subfield_hits.items())
             },
         }
-        if self.sums is not None:
-            d["sums"] = list(self.sums)
-        return d
 
 
-def kloosterman_zeros(ctx: FieldContext, dump_sums: bool = False) -> KloostermanCensus:
+def kloosterman_zeros(ctx: FieldContext) -> KloostermanCensus:
     """Census of all nonzero a with K_n(a) = 0.
 
     For n >= 4 the candidates are prefiltered by the mod-16 test; every
@@ -212,7 +208,6 @@ def kloosterman_zeros(ctx: FieldContext, dump_sums: bool = False) -> Kloosterman
         if ctx.n % k == 0:
             sub = ctx.subfield_elements(k)
             hits[k] = tuple(z for z in zeros if z in sub)
-    sums = tuple(int(v) for v in kloosterman_all(ctx)) if dump_sums else None
     return KloostermanCensus(
         field_spec=ctx.spec,
         n=ctx.n,
@@ -223,5 +218,4 @@ def kloosterman_zeros(ctx: FieldContext, dump_sums: bool = False) -> Kloosterman
         prefilter=prefilter,
         candidates=int(cand.size),
         subfield_hits=hits,
-        sums=sums,
     )

@@ -12,16 +12,18 @@ Three drivers:
 
 Every search, and verify_proposition2, runs one filter funnel
 (_funnel): nonzero -> kernel-intersection -> mod-16 necessary condition
-(n >= 4) -> Kloosterman-zero membership -> full bijectivity.  The
-funnel reads its tables through decoders, functions of candidate
-indices.  A map's coefficients, table and adjoint table (its map row,
-_map_rows) are GF(2)-linear in the map, so maps decode as XORs of
-precomputed map rows through a _SpanMap, with no field multiplications;
-its span tables hold rows as machine words.  Each stage keeps the rows
-whose every entry lies in a table (_all_in: one lookup, then one word
-compare per row where the row fits a word).  The mod-16 stage first
-reads R at the 8 _PROBE points, one uint64 per candidate.  The stages
-before the full mod-16 one, kernel and probe, are the funnel's prefix.
+(n >= 4) -> Kloosterman-zero membership -> full bijectivity.  Each
+candidate source hands the funnel the same thing: an ordered stage list
+of (name, rows, table) and a decoder f of F's table.  rows is a decoder,
+a function of candidate indices, and a stage keeps the candidates whose
+row lies in the bool table entry by entry (_all_in: one lookup, then one
+word compare per row where the row fits a word).  The mod-16 stage is
+preceded by an unnamed probe stage that reads R at the 8 _PROBE points,
+one uint64 per candidate.  The stages before the full mod-16 one, kernel
+and probe, are the funnel's prefix.  A map's coefficients, table and
+adjoint table (its map row, _map_rows) are GF(2)-linear in the map, so
+maps decode as XORs of precomputed map rows through a _SpanMap, with no
+field multiplications; its span tables hold rows as machine words.
 
 full_search and verify_proposition2 read batches of (L1, L2) pairs: all
 nonzero pairs at n <= 3, canonical orbit representatives at n = 4, or
@@ -37,13 +39,13 @@ vectors.  A block's indices share all bytes but the low two, so its
 prefix stages are a join over those two bytes (_SpanJoin): per high
 byte, an AND of precomputed 256-bit masks of the low bytes, with no
 row decoded per candidate.  Only the survivors, 0 per block at
-identity n = 5 and about 600 at normalized n = 7, are decoded for the
-rest of the funnel.  A prefix stage whose row is the same on the whole
-coset and passes is dropped (the kernel stage of normalized, where
-L2*(1) = 1).  L2 = 0 is in the coset only when the system is
-homogeneous, and then it is index 0, so the nonzero stage drops that
-index and L2's coefficients are decoded only for the witnesses and the
-audit rows.
+identity n = 5 and about 600 at normalized n = 7, run the rest of the
+stage list, and a block with none decodes nothing.  A prefix stage
+whose row is the same on the whole coset and passes is dropped (the
+kernel stage of normalized, where L2*(1) = 1).  L2 = 0 is in the coset
+only when the system is homogeneous, and then it is index 0, so the
+nonzero stage drops that index and L2's coefficients are decoded only
+for the witnesses and the audit rows.
 
 Blocks are deterministic and merged in block order, so witness lists
 and counts are identical for any worker count.  Every driver ends a
@@ -53,7 +55,7 @@ takes the first 8 candidates of each block that the funnel rejected,
 up to 256 in all, and re-checks them with build_F(...).is_permutation().
 build_F evaluates F from the two maps themselves, so it is an oracle
 independent of the decoders.  Candidates the presolve skips fail a
-necessary condition and are never sampled (ROADMAP.md, item 3, plans an
+necessary condition and are never sampled (ROADMAP.md, item 4, plans an
 audit that also covers them).
 """
 
@@ -220,41 +222,29 @@ def _criterion_tables(ctx: FieldContext) -> Tuple[np.ndarray, np.ndarray]:
     return kloosterman_all(ctx) == 0, (ctx.trace_table == 0) & (qform_table(ctx) == 0)
 
 
-def _funnel(ms: np.ndarray, dec: dict, kz: np.ndarray, trq: np.ndarray, counts=None):
-    """Filter candidate indices ms through the stages of the criterion.
+def _funnel(alive: np.ndarray, stages: list, f, counts: dict):
+    """Filter the sorted candidate indices alive through a stage list,
+    then test the survivors' bijectivity.
 
-    dec holds decoders, functions of candidate indices: "kernel" gives
-    values that vanish where the adjoint kernels meet outside 0, "probe"
-    and "r" the table R(b) = L1*(b) L2*(b) at the _PROBE points and
-    everywhere, "f" the table of F = L1(x^-1) + L2(x).  A stage runs only
-    when its decoder is given: without "probe" there is no mod-16 stage,
-    and with "f" alone the funnel tests the bijectivity of every
-    candidate.  The stages before bijectivity each keep the candidates
-    whose decoded row lies in a lookup table entry by entry (_all_in):
-    nonzero values, Tr = Q = 0 (trq), K = 0 (kz).  A fixed-L1 block runs
-    the prefix stages, kernel and probe, as a join (_SpanJoin) and passes
-    their counts and survivors as counts and ms; the funnel then starts
-    at the full mod-16 stage.  Returns the stage counts, the
-    Kloosterman-zero survivors and their bijectivity mask.
+    stages is an ordered list of (name, rows, table): rows is a decoder,
+    a function of candidate indices giving one row per candidate, and
+    the stage keeps the candidates whose row lies in the bool table entry
+    by entry (_all_in).  A named stage records its survivors in counts;
+    an unnamed one (the 8-point probe) records nothing.  f decodes the
+    table of F = L1(x^-1) + L2(x), and "bijective" counts the survivors
+    whose F permutes.  Once no candidate is left no decoder is called,
+    but every named count is still recorded.  Returns counts, the
+    survivors of the stages and their bijectivity mask.
     """
-    alive = ms
-    if counts is None:
-        counts = {"nonzero": int(ms.size)}
-        if "kernel" in dec:
-            alive = alive[_all_in(np.arange(kz.size) != 0, dec["kernel"](alive))]
-        counts["kernel-intersection"] = int(alive.size)
-        if "probe" in dec:  # a few points first, then the full mod-16 condition
-            alive = alive[_all_in(trq, dec["probe"](alive))]
-    if "r" in dec:
-        r = dec["r"](alive)
-        if "probe" in dec:
-            keep = _all_in(trq, r)
-            alive, r = alive[keep], r[keep]
-            counts["mod16-necessary"] = int(alive.size)
-        alive = alive[_all_in(kz, r)]
-        counts["kloosterman-zero"] = int(alive.size)
-    f = np.sort(dec["f"](alive), axis=1)
-    bij = (f == np.arange(kz.size)).all(axis=1)
+    for name, rows, table in stages:
+        if alive.size:
+            alive = alive[_all_in(table, rows(alive))]
+        if name:
+            counts[name] = int(alive.size)
+    bij = np.zeros(0, dtype=bool)
+    if alive.size:
+        tab = np.sort(f(alive), axis=1)
+        bij = (tab == np.arange(tab.shape[1])).all(axis=1)
     counts["bijective"] = int(bij.sum())
     return counts, alive, bij
 
@@ -357,7 +347,9 @@ def _fixed_l1_env(
     (every basis image 0) and whose origin row passes cannot reject, so
     it gets neither decoder nor join, and its count is the nonzero count:
     under value_one the kernel stage of L1 = x^(2^(n-1)) + x, whose one
-    nonzero kernel point is 1.
+    nonzero kernel point is 1.  "stages" is the funnel's stage list after
+    the prefix: mod16-necessary (n >= 4), then kloosterman-zero, both on
+    the "r" rows.
     """
     ctx = make_field(n, modulus)
     l1 = LinearizedPoly(ctx, l1_coeffs)
@@ -388,9 +380,11 @@ def _fixed_l1_env(
             del tabs[name]
     dec = {name: _SpanMap(tab[0], tab[1:]) for name, tab in tabs.items()}
     joins = {name: _SpanJoin(dec[name], table) for name, table in prefix.items() if name in dec}
+    stages = [("mod16-necessary", dec["r"], trq)] if n >= 4 else []
+    stages.append(("kloosterman-zero", dec["r"], kz))
     return {
-        "ctx": ctx, "kz": kz, "trq": trq, "origin": origin, "basis": basis, "dec": dec,
-        "joins": joins, "first": int(not any(origin)),
+        "ctx": ctx, "origin": origin, "basis": basis, "dec": dec, "joins": joins,
+        "stages": stages, "first": int(not any(origin)),
     }
 
 
@@ -458,7 +452,7 @@ def _fixed_l1_block(args) -> dict:
     function of args = (n, modulus, l1_coeffs, value_one, start).
 
     The prefix stages are the env's joins, masks over the block; only
-    their survivors are indices, and they alone meet the decoders."""
+    their survivors are indices, and they alone run the env's stage list."""
     n, modulus, l1_coeffs, value_one, start = args
     env = _fixed_l1_env(n, modulus, l1_coeffs, value_one)
     ctx, dec, joins = env["ctx"], env["dec"], env["joins"]
@@ -472,7 +466,7 @@ def _fixed_l1_block(args) -> dict:
     if "probe" in joins:
         keep &= joins["probe"](start)[: keep.size]
     alive = np.flatnonzero(keep) + start
-    counts, alive, bij = _funnel(alive, dec, env["kz"], env["trq"], counts)
+    counts, alive, bij = _funnel(alive, env["stages"], dec["f"], counts)
 
     def pairs(sel):
         l2 = _unpack_coeffs(ctx, dec["coeffs"](sel))
@@ -675,24 +669,25 @@ def random_pair_batches(ctx: FieldContext, samples: int, seed: int) -> Iterator[
         yield _pair_batch(ctx, decode(w1), decode(w2), w1, w2)
 
 
-def _pair_decoder(ctx: FieldContext, batch: dict, mod16: bool) -> dict:
-    """Funnel decoders over the row indices of a pair batch; R is the one
-    product-table lookup."""
+def _pair_decoder(ctx: FieldContext, batch: dict, tables, mod16: bool):
+    """The funnel's (stages, f) over the row indices of a pair batch, with
+    tables = _criterion_tables(ctx); R is the one product-table lookup."""
+    kz, trq = tables
     mt = ctx.mul_table
     t1, t2, t1s, t2s = batch["t1"], batch["t2"], batch["t1s"], batch["t2s"]
 
     def product(pts):
         return lambda i: mt[t1s[i][:, pts], t2s[i][:, pts]]
 
-    dec = {
-        # zero exactly where b != 0 lies in both adjoint kernels
-        "kernel": lambda i: t1s[i, 1:] | t2s[i, 1:],
-        "r": product(slice(None)),
-        "f": lambda i: t1[i][:, ctx.inv_table] ^ t2[i],
-    }
-    if mod16:
-        dec["probe"] = product(_PROBE)
-    return dec
+    def kernel(i):  # zero exactly where b != 0 lies in both adjoint kernels
+        return t1s[i, 1:] | t2s[i, 1:]
+
+    r = product(slice(None))
+    stages = [("kernel-intersection", kernel, np.arange(ctx.order) != 0)]
+    if mod16:  # a few points first, then the full mod-16 condition
+        stages += [(None, product(_PROBE), trq), ("mod16-necessary", r, trq)]
+    stages.append(("kloosterman-zero", r, kz))
+    return stages, lambda i: t1[i][:, ctx.inv_table] ^ t2[i]
 
 
 def _batch_pairs(batch: dict, rows: np.ndarray) -> list:
@@ -705,15 +700,15 @@ def criterion_mismatches(ctx: FieldContext, batches) -> Iterator[tuple]:
 
     The criterion is the funnel without its mod-16 stage (a consequence
     of the criterion, not part of it); bijectivity is the funnel run with
-    its last stage alone.  Yields, per batch, the number of nonzero rows
-    checked and the (L1, L2) coefficient-tuple pairs that disagree.
+    no stage.  Yields, per batch, the number of nonzero rows checked and
+    the (L1, L2) coefficient-tuple pairs that disagree.
     """
-    kz, trq = _criterion_tables(ctx)
+    tables = _criterion_tables(ctx)
     for batch in batches:
         rows = np.flatnonzero(batch["nonzero"])
-        dec = _pair_decoder(ctx, batch, mod16=False)
-        _, crit, _ = _funnel(rows, dec, kz, trq)
-        _, _, bij = _funnel(rows, {"f": dec["f"]}, kz, trq)
+        stages, f = _pair_decoder(ctx, batch, tables, mod16=False)
+        _, crit, _ = _funnel(rows, stages, f, {})
+        _, _, bij = _funnel(rows, [], f, {})
         yield rows.size, _batch_pairs(batch, rows[np.isin(rows, crit) != bij])
 
 
@@ -740,11 +735,12 @@ def full_search(
         batches, examined = canonical_batches(ctx), canonical_pair_count(n)
         partitions = -(-examined // BLOCK)
         mode, block, notes = "canonical", BLOCK, ("one representative per left-composition orbit",)
-    kz, trq = _criterion_tables(ctx)
+    tables = _criterion_tables(ctx)
 
     def run(batch):
         rows = np.flatnonzero(batch["nonzero"])
-        counts, alive, bij = _funnel(rows, _pair_decoder(ctx, batch, n >= 4), kz, trq)
+        stages, f = _pair_decoder(ctx, batch, tables, n >= 4)
+        counts, alive, bij = _funnel(rows, stages, f, {"nonzero": int(rows.size)})
         return _block_result(counts, rows, alive, bij, partial(_batch_pairs, batch))
 
     results = _dispatch(run, batches, partitions, progress=progress)

@@ -41,6 +41,8 @@ def test_kloosterman_census(capsys, tmp_path):
     assert code == 0
     jsonschema.validate(doc, SCHEMA)
     assert doc["result"]["zero_count"] >= 1
+    assert len(doc["result"]["sums"]) == 32
+    assert doc["result"]["sums"][0] == 0
     rows = csv_path.read_text().strip().splitlines()
     assert rows[0] == "a_hex,K,tr,Q"
     assert len(rows) == 33

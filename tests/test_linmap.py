@@ -299,6 +299,25 @@ def test_bijective_factor():
                 assert b2.compose(l) == lp
 
 
+def test_swapped_bijective_factor_is_inverse():
+    # bijective_factor(lp, l) picks the same input basis as
+    # bijective_factor(l, lp) and swaps the two completions, so the two
+    # factors compose to the identity both ways
+    rng = random.Random(97)
+    for ctx in fields(8):
+        if ctx.n < 3:
+            continue
+        n, ident = ctx.n, LinearizedPoly.identity(ctx)
+        for kdim in (0, 1, 2):
+            keep = (1 << (n - kdim)) - 1
+            for _ in range(4):
+                a, c, b = (gf2mat.random_invertible(n, rng) for _ in range(3))
+                l = LinearizedPoly.from_matrix(ctx, gf2mat.matmul(a, [r & keep for r in c]))
+                lp = LinearizedPoly.from_matrix(ctx, b).compose(l)
+                fwd, back = bijective_factor(l, lp), bijective_factor(lp, l)
+                assert fwd.compose(back) == ident and back.compose(fwd) == ident
+
+
 def test_context_mismatch_raises():
     a = make_field(4)
     b = make_field(5)

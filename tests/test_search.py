@@ -4,7 +4,7 @@ import multiprocessing
 import random
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -630,8 +630,9 @@ def test_span_join_matches_row_lookup(kind, n, modulus):
     stages = {name: (dec[name], join) for name, join in env["joins"].items()}
     joined = {"kernel"} if kind == "unnormalized" else set()
     assert set(env["joins"]) == (joined | {"probe"} if n >= 4 else joined)
-    tables = {"kernel": np.arange(ctx.order) != 0, "probe": env["trq"]}
-    for name, table in {"r-trq": env["trq"], "r-kz": env["kz"]}.items():
+    kz, trq = search._criterion_tables(ctx)
+    tables = {"kernel": np.arange(ctx.order) != 0, "probe": trq}
+    for name, table in {"r-trq": trq, "r-kz": kz}.items():
         stages[name] = (dec["r"], search._SpanJoin(dec["r"], table))
         tables[name] = table
     last = (size - 1) // search.BLOCK
@@ -733,9 +734,51 @@ def test_theorem8_candidates_fail_mod16_in_normalized_coset(n, forced):
         assert _coset_rows(origin, basis, [m]).tolist() == [list(coeffs)]
         ms.append(m)
     ms = np.sort(np.array(ms, dtype=np.int64))
-    counts, _, _ = search._funnel(ms, env["dec"], env["kz"], env["trq"])
+    _, trq = search._criterion_tables(ctx)
+    stages = [(None, env["dec"]["probe"], trq), *env["stages"]]
+    counts, _, _ = search._funnel(ms, stages, env["dec"]["f"], {"nonzero": int(ms.size)})
     assert counts["nonzero"] == forced
     assert counts["mod16-necessary"] == 0
+
+
+STAGE_NAMES = ["nonzero", "kernel-intersection", "mod16-necessary", "kloosterman-zero", "bijective"]
+
+
+def test_funnel_decodes_nothing_after_last_survivor(monkeypatch):
+    # once no candidate is left, the funnel calls no decoder: no _SpanMap
+    # of a fixed-L1 block and no pair-batch decoder sees an empty index
+    # array, and every stage count is still recorded.  Identity n = 5
+    # blocks have no mod-16 survivors; canonical n = 4 batch 0 has no
+    # kernel-intersection survivors
+    sizes = []
+
+    def spy(fn):
+        def decode(*args):
+            sizes.append(np.size(args[-1]))
+            return fn(*args)
+
+        return decode
+
+    monkeypatch.setattr(search._SpanMap, "__call__", spy(search._SpanMap.__call__))
+    pair_decoder = search._pair_decoder
+
+    def spied_pair_decoder(*args, **kw):
+        stages, f = pair_decoder(*args, **kw)
+        return [(name, spy(rows), table) for name, rows, table in stages], spy(f)
+
+    monkeypatch.setattr(search, "_pair_decoder", spied_pair_decoder)
+    for n, kind, blocks in [(5, "identity", range(4)), (7, "normalized", [0])]:
+        key = (n, None, FIXED_L1[kind](make_field(n)), kind == "normalized")
+        for b in blocks:
+            counts = search._fixed_l1_block((*key, b * search.BLOCK))["counts"]
+            assert list(counts) == STAGE_NAMES
+            assert kind != "identity" or counts["mod16-necessary"] == 0
+    batches = search.canonical_batches
+    monkeypatch.setattr(search, "canonical_batches", lambda ctx: islice(batches(ctx), 1))
+    rep = search.full_search(4)
+    assert [name for name, _ in rep.stages] == STAGE_NAMES
+    assert dict(rep.stages)["kernel-intersection"] == 0
+    assert sizes and min(sizes) > 0
 
 
 def test_report_json_shape(identity4_report):
