@@ -86,15 +86,7 @@ def _emit(args, ctx, result: dict, summary: str) -> None:
 
 
 def _field(args):
-    n, modulus = parse_field_spec(args.field)
-    if getattr(args, "modulus", None):
-        flag = int(args.modulus, 16)
-        if modulus not in (None, flag):
-            raise UsageError(
-                f"--field {args.field} names modulus {modulus:#x} but --modulus gives {flag:#x}"
-            )
-        modulus = flag
-    return make_field(n, modulus)
+    return make_field(*parse_field_spec(args.field))
 
 
 # -- subcommands ------------------------------------------------------------
@@ -228,7 +220,6 @@ def build_parser() -> _Parser:
 
     def add_common(sp):
         sp.add_argument("--field", required=True, help='field spec "n" or "n:0xHEX"')
-        sp.add_argument("--modulus", help="modulus override as hex", default=None)
 
     sp = sub.add_parser("field-info", help="inspect one concrete field")
     add_common(sp)

@@ -28,34 +28,12 @@ __all__ = [
     "is_irreducible",
     "parse_field_spec",
     "span_table",
-    "DEFAULT_MODULI",
     "MIN_N",
     "MAX_N",
 ]
 
 MIN_N = 2
 MAX_N = 16
-
-# Lexicographically smallest irreducible bitmask per degree.  Re-verified
-# against is_irreducible() at import time; see _check_default_table().
-DEFAULT_MODULI = {
-    2: 0x7,
-    3: 0xB,
-    4: 0x13,
-    5: 0x25,
-    6: 0x43,
-    7: 0x83,
-    8: 0x11B,
-    9: 0x203,
-    10: 0x409,
-    11: 0x805,
-    12: 0x1009,
-    13: 0x201B,
-    14: 0x4021,
-    15: 0x8003,
-    16: 0x1002B,
-}
-
 
 def _poly_degree(p: int) -> int:
     return p.bit_length() - 1
@@ -91,10 +69,13 @@ def irreducible_polys(n: int) -> Iterator[int]:
             yield p
 
 
+@lru_cache(maxsize=None)
 def default_modulus(n: int) -> int:
+    """The lexicographically smallest irreducible bitmask of degree n, the
+    first that irreducible_polys(n) yields."""
     if not MIN_N <= n <= MAX_N:
         raise ValueError(f"extension degree n={n} out of range [{MIN_N}, {MAX_N}]")
-    return DEFAULT_MODULI[n]
+    return next(irreducible_polys(n))
 
 
 def alternate_modulus(n: int) -> Optional[int]:
@@ -102,17 +83,6 @@ def alternate_modulus(n: int) -> Optional[int]:
     it = irreducible_polys(n)
     next(it)
     return next(it, None)
-
-
-def _check_default_table() -> None:
-    for n, m in DEFAULT_MODULI.items():
-        if _poly_degree(m) != n or not is_irreducible(m):
-            raise AssertionError(f"default modulus table corrupt at n={n}")
-        if m != next(irreducible_polys(n)):
-            raise AssertionError(f"default modulus for n={n} is not the smallest")
-
-
-_check_default_table()
 
 
 def parse_field_spec(spec: str) -> tuple[int, Optional[int]]:
@@ -148,7 +118,7 @@ class FieldContext:
         if not MIN_N <= n <= MAX_N:
             raise ValueError(f"extension degree n={n} out of range [{MIN_N}, {MAX_N}]")
         if modulus is None:
-            modulus = DEFAULT_MODULI[n]
+            modulus = default_modulus(n)
         if _poly_degree(modulus) != n:
             raise ValueError(f"modulus {modulus:#x} does not have degree {n}")
         if not is_irreducible(modulus):

@@ -24,8 +24,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .gf2n import FieldContext
-from .kloosterman import kloosterman_all, qform_table
+from .gf2n import FieldContext, span_table
+from .kloosterman import divisible_by_16, kloosterman_all, qform_table
 from .linmap import LinearizedPoly, bijective_factor, kernels_intersect_trivially
 from .vbf import TruthTable
 
@@ -48,6 +48,9 @@ __all__ = [
     "x8_parity_via_interpolation",
     "normalize_pair",
 ]
+
+# words per row array in one block of hyperplane_union_size (512 KB)
+_UNION_WORDS = 1 << 16
 
 
 def build_F(l1: LinearizedPoly, l2: LinearizedPoly) -> TruthTable:
@@ -80,7 +83,7 @@ def necessary_mod16(l1: LinearizedPoly, l2: LinearizedPoly) -> bool:
     if ctx.n < 4:
         raise ValueError("the mod-16 condition requires n >= 4")
     r = _r_table(l1, l2)
-    return r is not None and bool(np.all((ctx.trace_table[r] == 0) & (qform_table(ctx)[r] == 0)))
+    return r is not None and bool(np.all(divisible_by_16(ctx, r)))
 
 
 # -- image sets and hyperplane geometry ------------------------------------
@@ -108,23 +111,45 @@ def prop3_identity_holds(ctx: FieldContext, a: int) -> bool:
     return image_set_Ma(ctx, a) == ma_hyperplane_form(ctx, a)
 
 
-def quad_solvable(ctx: FieldContext, a: int, b: int, c: int) -> bool:
-    """Solvability of a x^2 + b x + c = 0 with b != 0: Tr(ac / b^2) = 0."""
-    if b == 0:
+def quad_solvable(ctx: FieldContext, a, b, c):
+    """Solvability of a x^2 + b x + c = 0 with b != 0: Tr(ac / b^2) = 0.
+    A bool for elements, a bool array for arrays (broadcast together).
+
+    ac / b^2 is g^(log a + log c - 2 log b), or 0 when a or c is 0.
+    """
+    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
+    if np.count_nonzero(b) < b.size:
         raise ValueError("b must be nonzero")
-    return ctx.trace(ctx.mul(ctx.mul(a, c), ctx.inv0(ctx.sqr(b)))) == 0
+    log = ctx.log_table
+    ac_b2 = ctx.exp_table[(log[a] + log[c] - 2 * log[b]) % (ctx.order - 1)]
+    ok = (ctx.trace_table[ac_b2] == 0) | (a == 0) | (c == 0)
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def hyperplane_union_size(ctx: FieldContext, a, b, c):
     """Size of the union of the hyperplanes Tr(a x) = 0, Tr(b x) = 0 and
-    Tr(c x) = 0: an int for elements, an array for equal-shape arrays."""
+    Tr(c x) = 0: an int for elements, an array for equal-shape arrays.
+
+    Tr(v x) is the parity of t[v] & x (t = trace_dual_table), so the
+    packed row of the x outside H_v is the XOR of the bit planes of x
+    that t[v] picks, read from the spans of the low and the high planes.
+    The union misses the x in all three rows.  Triples go in blocks of
+    at most _UNION_WORDS words per row array.
+    """
     if not np.shape(a) == np.shape(b) == np.shape(c):
         raise ValueError("a, b and c must have the same shape")
-    xs = np.arange(ctx.order)
-    in_union = np.zeros(np.shape(a) + xs.shape, dtype=bool)
-    for v in (a, b, c):
-        in_union |= ctx.trace_table[ctx.mul_vec(np.expand_dims(v, -1), xs)] == 0
-    sizes = in_union.sum(axis=-1)
+    q, h = ctx.order, ctx.n // 2
+    xs = np.arange(-(-q // 64) * 64)
+    bits = (xs >> np.arange(ctx.n)[:, None]) & 1 & (xs < q)
+    planes = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    low, high = span_table(planes[:h]), span_table(planes[h:])
+    t = [ctx.trace_dual_table[np.reshape(v, -1)] for v in (a, b, c)]
+    sizes = np.empty(t[0].size, dtype=np.int64)
+    step = max(1, _UNION_WORDS // planes.shape[1])
+    for lo in range(0, sizes.size, step):
+        ra, rb, rc = (low[u & ((1 << h) - 1)] ^ high[u >> h] for u in (v[lo : lo + step] for v in t))
+        sizes[lo : lo + step] = q - np.bitwise_count(ra & rb & rc).sum(axis=1, dtype=np.int64)
+    sizes = sizes.reshape(np.shape(a))
     return int(sizes) if sizes.ndim == 0 else sizes
 
 

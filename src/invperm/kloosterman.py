@@ -145,11 +145,16 @@ def bform(ctx: FieldContext, x: int, y: int) -> int:
     return ctx.trace(ctx.mul(x, y)) ^ (ctx.trace(x) & ctx.trace(y))
 
 
-def divisible_by_16(ctx: FieldContext, a: int) -> bool:
-    """Necessary-and-sufficient dyadic test: Tr(a) = 0 and Q(a) = 0 (n >= 4)."""
+def divisible_by_16(ctx: FieldContext, a):
+    """Necessary-and-sufficient dyadic test: Tr(a) = 0 and Q(a) = 0 (n >= 4).
+    A bool for an element, a bool array for an array of elements."""
     if ctx.n < 4:
         raise ValueError("the mod-16 characterization requires n >= 4")
-    return ctx.trace(a) == 0 and qform(ctx, a) == 0
+    a = np.asarray(a)
+    if a.size and not (0 <= a.min() and a.max() < ctx.order):
+        raise ValueError(f"element out of range for GF(2^{ctx.n})")
+    ok = (ctx.trace_table[a] == 0) & (qform_table(ctx)[a] == 0)
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 @dataclass(frozen=True)
@@ -194,8 +199,7 @@ def kloosterman_zeros(ctx: FieldContext) -> KloostermanCensus:
     q = ctx.order
     xs = np.arange(1, q)
     if ctx.n >= 4:
-        qt = qform_table(ctx)
-        cand = xs[(ctx.trace_table[xs] == 0) & (qt[xs] == 0)]
+        cand = xs[divisible_by_16(ctx, xs)]
         prefilter = "trace-and-qform"
     else:
         cand = xs

@@ -5,6 +5,13 @@ its independent oracle (exhaustively where the space allows, seeded
 random sampling otherwise) and returns a uniform result record with a
 violation list.  An empty violation list means the claim held on every
 case checked.
+
+A driver states no formula of its own: it checks the exported library
+function that states the claim.  lemma2 checks quad_solvable against
+the brute-force root scan, lemma4 checks hyperplane_union_size against
+a + b = c and the count q/2 + q/4 + q/8, and theorem3 checks
+divisible_by_16 against K(a) mod 16 from the fast transform.  So a
+fault in one of those functions is a violation here.
 """
 
 from __future__ import annotations
@@ -16,16 +23,18 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from .gf2n import FieldContext, make_field
+from .gf2n import make_field
 from .inverse_perm import (
+    hyperplane_union_size,
     image_set_Ma,
     ma_hyperplane_form,
+    quad_solvable,
     recurrence_coeffs,
     verify_conditions,
     x8_coefficient_parity,
     x8_parity_via_interpolation,
 )
-from .kloosterman import kloosterman_all, kloosterman_zeros, qform_table
+from .kloosterman import divisible_by_16, kloosterman_all, kloosterman_zeros
 from .linmap import LinearizedPoly
 from .search import (
     all_pair_batches,
@@ -68,14 +77,13 @@ class VerifyResult:
 
 
 def verify_theorem3(n: int, modulus: Optional[int] = None) -> VerifyResult:
-    """16 | K(a) exactly when Tr(a) = 0 and Q(a) = 0, for every a (n >= 4)."""
-    if n < 4:
-        raise ValueError("the mod-16 characterization requires n >= 4")
+    """16 | K(a) exactly when Tr(a) = 0 and Q(a) = 0, for every a (n >= 4):
+    divisible_by_16 against the transform's K(a) mod 16."""
     ctx = make_field(n, modulus)
+    by_form = divisible_by_16(ctx, np.arange(ctx.order))
     res = VerifyResult("theorem3", ctx.spec, ctx.order)
     res.details["statement"] = "16 | K(a) <=> Tr(a) = 0 and Q(a) = 0"
     ks = kloosterman_all(ctx)
-    by_form = (ctx.trace_table == 0) & (qform_table(ctx) == 0)
     by_sum = ks % 16 == 0
     for a in np.nonzero(by_form != by_sum)[0]:
         res.note({"a": f"{int(a):x}", "K": int(ks[a])})
@@ -128,38 +136,25 @@ def verify_proposition2(
 def verify_lemma2(n: int, modulus: Optional[int] = None) -> VerifyResult:
     """Tr(ac/b^2) = 0 <=> a x^2 + b x + c = 0 has a root (b != 0).
 
-    Exhaustive over all (a, b, c) with the brute-force root scan as the
-    oracle; intended for n <= 6.
+    quad_solvable over every (a, b, c), one call per a, against the
+    brute-force root scan as the oracle; intended for n <= 6.
     """
     ctx = make_field(n, modulus)
     q = ctx.order
     res = VerifyResult("lemma2", ctx.spec, 0)
     res.details["statement"] = "a x^2 + b x + c solvable <=> Tr(ac/b^2) = 0 (b != 0)"
-    xs = np.arange(q)
+    xs, bs = np.arange(q), np.arange(1, q)
+    bx = ctx.mul_vec(bs[:, None], xs)
+    rows = np.arange(q - 1)[:, None]
     for a in range(q):
-        ax2 = ctx.mul_vec(a, ctx.sqr_table)
-        for b in range(1, q):
-            vals = ax2 ^ ctx.mul_vec(b, xs)
-            reachable = np.zeros(q, dtype=bool)
-            reachable[vals] = True
-            ac = ctx.mul_vec(a, xs)
-            formula = ctx.trace_table[ctx.mul_vec(ac, ctx.inv0(ctx.sqr(b)))] == 0
-            res.cases += q
-            for c in np.nonzero(reachable != formula)[0]:
-                res.note({"a": a, "b": b, "c": int(c)})
+        # row b - 1 marks every c = a x^2 + b x with a root x
+        reachable = np.zeros((q - 1, q), dtype=bool)
+        reachable[rows, ctx.mul_vec(a, ctx.sqr_table) ^ bx] = True
+        formula = quad_solvable(ctx, a, bs[:, None], xs)
+        res.cases += reachable.size
+        for i, c in zip(*np.nonzero(reachable != formula)):
+            res.note({"a": a, "b": int(bs[i]), "c": int(c)})
     return res
-
-
-def _hyperplane_masks(ctx: FieldContext) -> List[int]:
-    """Bitmask over x of membership in the hyperplane of each a."""
-    masks = [0] * ctx.order
-    xs = np.arange(ctx.order)
-    for a in range(1, ctx.order):
-        bits = ctx.trace_table[ctx.mul_vec(a, xs)] == 0
-        masks[a] = int(
-            sum(1 << int(x) for x in np.nonzero(bits)[0])
-        )
-    return masks
 
 
 def verify_lemma4(
@@ -170,10 +165,11 @@ def verify_lemma4(
 ) -> VerifyResult:
     """Three hyperplanes cover the field exactly when a + b = c.
 
-    Exhaustive over distinct nonzero triples for n <= 6, seeded random
-    triples beyond (20000 unless samples says otherwise; samples is
-    rejected at n <= 6); also checks the union size formula in the
-    non-covering case and the covering triple built inside any scaled
+    hyperplane_union_size over distinct nonzero triples, exhaustively
+    for n <= 6 and on seeded random triples beyond (20000 unless samples
+    says otherwise; samples is rejected at n <= 6): the union is the
+    whole field exactly when a + b = c, and has q/2 + q/4 + q/8 elements
+    otherwise.  Also checks the covering triple built inside any scaled
     subfield with k > 1.
     """
     if n <= 6 and samples is not None:
@@ -182,46 +178,37 @@ def verify_lemma4(
     q = ctx.order
     res = VerifyResult("lemma4", ctx.spec, 0)
     res.details["statement"] = "H_a | H_b | H_c = field <=> a + b = c"
-    masks = _hyperplane_masks(ctx)
-    full = (1 << q) - 1
-    expected_partial = q // 2 + q // 4 + q // 8
-
-    def check(a, b, c):
-        union = masks[a] | masks[b] | masks[c]
-        covers = union == full
-        should = (a ^ b) == c
-        if covers != should:
-            res.note({"a": a, "b": b, "c": c, "covers": covers})
-        if not covers and union.bit_count() != expected_partial:
-            res.note({"a": a, "b": b, "c": c, "union_size": union.bit_count()})
-        res.cases += 1
-
     if n <= 6:
         res.details["mode"] = "exhaustive"
-        for a in range(1, q):
-            for b in range(1, q):
-                if b == a:
-                    continue
-                for c in range(1, q):
-                    if c == a or c == b:
-                        continue
-                    check(a, b, c)
+        a, b, c = (m.ravel() for m in np.meshgrid(*[np.arange(1, q, dtype=np.uint8)] * 3, indexing="ij"))
+        keep = (a != b) & (b != c) & (a != c)
+        a, b, c = a[keep], b[keep], c[keep]
     else:
         samples = 20_000 if samples is None else samples
         res.details["mode"] = f"random(samples={samples}, seed={seed})"
         rng = random.Random(seed)
-        done = 0
-        while done < samples:
-            a, b, c = (rng.randrange(1, q) for _ in range(3))
-            if len({a, b, c}) < 3:
-                continue
-            check(a, b, c)
-            done += 1
+        draw, drawn = rng.randrange, []  # a, b, c of each triple in turn
+        while len(drawn) < 3 * samples:
+            a, b, c = draw(1, q), draw(1, q), draw(1, q)
+            if a != b != c != a:
+                drawn += (a, b, c)
         # make sure both branches of the equivalence are exercised
         for _ in range(64):
-            a, b = rng.randrange(1, q), rng.randrange(1, q)
+            a, b = draw(1, q), draw(1, q)
             if a != b and (a ^ b) not in (0, a, b):
-                check(a, b, a ^ b)
+                drawn += (a, b, a ^ b)
+        a, b, c = np.array(drawn, dtype=np.int64).reshape(-1, 3).T
+    sizes = hyperplane_union_size(ctx, a, b, c)
+    res.cases += sizes.size
+    covers = sizes == q
+    wrong_cover = covers != ((a ^ b) == c)
+    wrong_size = ~covers & (sizes != q // 2 + q // 4 + q // 8)
+    for i in np.nonzero(wrong_cover | wrong_size)[0]:
+        t = {"a": int(a[i]), "b": int(b[i]), "c": int(c[i])}
+        if wrong_cover[i]:
+            res.note({**t, "covers": bool(covers[i])})
+        if wrong_size[i]:
+            res.note({**t, "union_size": int(sizes[i])})
 
     # covering triples inside scaled subfields (k > 1)
     rng = random.Random(seed + 1)
@@ -234,9 +221,8 @@ def verify_lemma4(
         a, b = ctx.mul(r, s1), ctx.mul(r, s2)
         s = ctx.inv0(ctx.inv0(s1) ^ ctx.inv0(s2))
         c = ctx.mul(r, s)
-        union = masks[ctx.inv0(a)] | masks[ctx.inv0(b)] | masks[ctx.inv0(c)]
         res.cases += 1
-        if union != full:
+        if hyperplane_union_size(ctx, ctx.inv0(a), ctx.inv0(b), ctx.inv0(c)) != q:
             res.note({"subfield_k": k, "r": r, "triple": [a, b, c]})
     return res
 

@@ -216,26 +216,21 @@ def test_search_rangeerror_message(capsys):
 
 
 def test_kloosterman_modulus_flag(capsys):
-    # the census interface accepts the modulus as a separate flag too
-    code, doc, _ = run_cli(
-        capsys, "kloosterman", "census", "--field", "5", "--modulus", "0x29"
-    )
+    # the census takes its modulus from the field spec
+    code, doc, _ = run_cli(capsys, "kloosterman", "census", "--field", "5:0x29")
     assert code == 0
     assert doc["result"]["modulus"] == "0x29"
     assert doc["result"]["zero_count"] >= 1
 
 
 def test_conflicting_modulus_exits_one(capsys):
-    # a modulus in the field spec and a different --modulus is bad input,
-    # not a silent choice of one of them
-    code, doc, err = run_cli(capsys, "field-info", "--field", "5:0x25", "--modulus", "0x29")
-    assert code == 1
-    assert doc is None
-    assert "0x25" in err and "0x29" in err
-    # the same modulus given both ways is no conflict
-    code, doc, _ = run_cli(capsys, "field-info", "--field", "5:0x29", "--modulus", "0x029")
-    assert code == 0
-    assert doc["result"]["spec"] == "5:0x29"
+    # the field spec is the only way to name a modulus: a --modulus flag
+    # is bad input, whether or not it agrees with the spec
+    for spec, flag in (("5:0x25", "0x29"), ("5:0x29", "0x29"), ("5", "0x29")):
+        code, doc, err = run_cli(capsys, "field-info", "--field", spec, "--modulus", flag)
+        assert code == 1
+        assert doc is None
+        assert "--modulus" in err
 
 
 def test_search_progress_stream(capsys):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from invperm.gf2n import (
-    DEFAULT_MODULI,
     FieldContext,
     alternate_modulus,
     default_modulus,
@@ -18,9 +17,22 @@ from invperm.gf2n import (
 )
 
 
+PINNED_DEFAULT_MODULI = {
+    2: 0x7, 3: 0xB, 4: 0x13, 5: 0x25, 6: 0x43, 7: 0x83, 8: 0x11B, 9: 0x203,
+    10: 0x409, 11: 0x805, 12: 0x1009, 13: 0x201B, 14: 0x4021, 15: 0x8003,
+    16: 0x1002B,
+}
+
+
 def test_default_moduli_are_smallest_irreducibles():
-    for n in range(2, 17):
-        assert default_modulus(n) == next(irreducible_polys(n))
+    for n, m in PINNED_DEFAULT_MODULI.items():
+        assert default_modulus(n) == m == next(irreducible_polys(n))
+        assert is_irreducible(m)
+        assert not any(is_irreducible(p) for p in range(1 << n, m))
+        assert make_field(n).modulus == m
+    for bad in (1, 17):
+        with pytest.raises(ValueError, match="out of range"):
+            default_modulus(bad)
 
 
 def test_make_field_default_n3():

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from invperm import inverse_perm
 from invperm.gf2n import make_field
 from invperm.inverse_perm import (
     ConditionReport,
@@ -199,6 +200,61 @@ def test_hyperplane_cover_rejects_bad_args():
             hyperplane_cover(ctx, 1, 2, bad)
         with pytest.raises(ValueError, match="distinct"):
             hyperplane_cover(ctx, np.array([1, 1]), np.array([2, 2]), np.array([3, bad]))
+
+
+def _literal_union_size(ctx, a, b, c):
+    return len(set().union(*(ctx.hyperplane(v) for v in (a, b, c))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hyperplane_union_size_every_nonzero_triple(n, monkeypatch):
+    ctx = make_field(n)
+    r = np.arange(1, ctx.order)
+    a, b, c = (m.ravel() for m in np.meshgrid(r, r, r, indexing="ij"))
+    sizes = hyperplane_union_size(ctx, a, b, c)
+    assert sizes.shape == a.shape
+    expected = [_literal_union_size(ctx, *t) for t in zip(a.tolist(), b.tolist(), c.tolist())]
+    assert sizes.tolist() == expected
+    # a 2-D call keeps its shape
+    grid = hyperplane_union_size(ctx, a.reshape(-1, r.size), b.reshape(-1, r.size), c.reshape(-1, r.size))
+    assert np.array_equal(grid.ravel(), sizes)
+    # blocks of 7 triples, the last one short, give the same sizes
+    monkeypatch.setattr(inverse_perm, "_UNION_WORDS", 7)
+    assert np.array_equal(hyperplane_union_size(ctx, a, b, c), sizes)
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_hyperplane_union_size_random_triples(n):
+    ctx = make_field(n)
+    rng = random.Random(n)
+    triples = [tuple(rng.randrange(1, ctx.order) for _ in range(3)) for _ in range(40)]
+    triples += [(a, b, a ^ b) for a, b, _ in triples[:10] if a != b]
+    a, b, c = (np.array(v) for v in zip(*triples))
+    sizes = hyperplane_union_size(ctx, a, b, c)
+    for i, t in enumerate(triples):
+        expected = _literal_union_size(ctx, *t)
+        assert sizes[i] == expected
+        # scalar calls give plain ints
+        got = hyperplane_union_size(ctx, *t)
+        assert type(got) is int and got == expected
+    with pytest.raises(ValueError, match="same shape"):
+        hyperplane_union_size(ctx, a, b, c[:-1])
+
+
+def test_quad_solvable_array_matches_scalar():
+    for n in (3, 4):
+        ctx = make_field(n)
+        q = ctx.order
+        a, b, c = np.arange(q)[:, None, None], np.arange(1, q)[:, None], np.arange(q)
+        grid = quad_solvable(ctx, a, b, c)
+        assert grid.shape == (q, q - 1, q) and grid.dtype == bool
+        for x in range(q):
+            for y in range(1, q):
+                for z in range(q):
+                    got = quad_solvable(ctx, x, y, z)
+                    assert type(got) is bool and got == grid[x, y - 1, z]
+        with pytest.raises(ValueError, match="nonzero"):
+            quad_solvable(ctx, a, np.arange(q)[:, None], c)
 
 
 def test_pair_report_shared_kernel():

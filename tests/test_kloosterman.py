@@ -144,6 +144,26 @@ def test_divisible_by_16_api():
         divisible_by_16(make_field(3), 1)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 8])
+def test_divisible_by_16_array_matches_scalar(n):
+    ctx = make_field(n)
+    xs = np.arange(ctx.order)
+    arr = divisible_by_16(ctx, xs)
+    assert arr.dtype == bool and arr.shape == xs.shape
+    for a in ctx.elements():
+        got = divisible_by_16(ctx, a)
+        assert type(got) is bool and got == arr[a]
+    assert np.array_equal(divisible_by_16(ctx, xs.reshape(4, -1)), arr.reshape(4, -1))
+    assert divisible_by_16(ctx, xs[:0]).shape == (0,)
+    for bad in (-1, ctx.order):
+        with pytest.raises(ValueError, match="out of range"):
+            divisible_by_16(ctx, bad)
+        with pytest.raises(ValueError, match="out of range"):
+            divisible_by_16(ctx, np.array([1, bad]))
+    with pytest.raises(ValueError, match="n >= 4"):
+        divisible_by_16(make_field(3), np.arange(8))
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 def test_census_zero_count_positive(n):
     census = kloosterman_zeros(make_field(n))

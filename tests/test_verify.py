@@ -1,8 +1,12 @@
 """Verification drivers: every claim checker runs clean on its field range."""
 
+import functools
+import json
+
+import numpy as np
 import pytest
 
-from invperm import verify
+from invperm import cli, verify
 from invperm.gf2n import alternate_modulus, make_field
 
 
@@ -109,3 +113,49 @@ def test_verify_result_json():
     assert d["ok"] is True
     assert d["cases_checked"] == 16
     assert d["violations"] == []
+
+
+def _corrupted_at(fn, point, change):
+    """fn with change applied to its answer where (a, b, c) or a equals point."""
+
+    def wrapped(ctx, *args):
+        out = np.asarray(fn(ctx, *args))
+        hit = functools.reduce(np.logical_and, [np.asarray(v) == p for v, p in zip(args, point)])
+        return np.where(hit, change(out), out)
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "claim, n, attr, point, change, violation",
+    [
+        ("lemma2", 4, "quad_solvable", (3, 5, 7), np.logical_not, {"a": 3, "b": 5, "c": 7}),
+        ("lemma4", 4, "hyperplane_union_size", (1, 2, 4), lambda s: s + 1,
+         {"a": 1, "b": 2, "c": 4, "union_size": 15}),
+        ("lemma4", 4, "hyperplane_union_size", (1, 2, 3), lambda s: s - 2,
+         {"a": 1, "b": 2, "c": 3, "covers": False}),
+        ("theorem3", 6, "divisible_by_16", (5,), np.logical_not, {"a": "5", "K": -8}),
+    ],
+)
+def test_driver_reports_a_fault_in_the_library_function(
+    monkeypatch, capsys, claim, n, attr, point, change, violation
+):
+    # each driver checks the exported function that states its claim, so
+    # one wrong answer from that function is a violation and exit code 2
+    assert verify.run_claim(claim, n).ok
+    monkeypatch.setattr(verify, attr, _corrupted_at(getattr(verify, attr), point, change))
+    res = verify.run_claim(claim, n)
+    assert res.violations == [violation]
+    assert cli.run(["verify", claim, "--field", str(n)]) == cli.EXIT_VIOLATION
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"]["violations"] == [violation]
+
+
+def test_lemma4_random_mode_reports_a_fault(monkeypatch):
+    real = verify.hyperplane_union_size
+    monkeypatch.setattr(verify, "hyperplane_union_size", lambda ctx, a, b, c: real(ctx, a, b, c) - 1)
+    res = verify.verify_lemma4(8, samples=50, seed=3)
+    # every sampled triple reports, so the list is full before the subfield checks
+    assert not res.ok
+    assert len(res.violations) == verify.MAX_VIOLATIONS
+    assert all("union_size" in v or "covers" in v for v in res.violations)
