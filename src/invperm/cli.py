@@ -68,13 +68,13 @@ def result_digest(result: dict) -> str:
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
-def _emit(args, ctx, result: dict, summary: str) -> None:
+def _emit(args, argv, ctx, result: dict, summary: str) -> None:
     envelope = {
         "manifest": {
             "tool": "invperm",
             "version": __version__,
             "subcommand": args.subcommand,
-            "argv": args._argv,
+            "argv": list(argv),
             "field": ctx.spec,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "digest": result_digest(result),
@@ -85,15 +85,14 @@ def _emit(args, ctx, result: dict, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _field(args):
-    return make_field(*parse_field_spec(args.field))
-
-
 # -- subcommands ------------------------------------------------------------
+#
+# Each cmd_* takes the parsed arguments and the field of --field and
+# returns (result, summary, ok); run() emits the report and maps ok to
+# the exit code.
 
 
-def cmd_field_info(args) -> int:
-    ctx = _field(args)
+def cmd_field_info(args, ctx):
     result = {
         "n": ctx.n,
         "modulus": f"{ctx.modulus:#x}",
@@ -102,12 +101,10 @@ def cmd_field_info(args) -> int:
         "generator": f"{ctx.generator:x}",
         "trace_of_one": ctx.trace(1),
     }
-    _emit(args, ctx, result, f"GF(2^{ctx.n}) with modulus {ctx.modulus:#x}")
-    return EXIT_OK
+    return result, f"GF(2^{ctx.n}) with modulus {ctx.modulus:#x}", True
 
 
-def cmd_kloosterman(args) -> int:
-    ctx = _field(args)
+def cmd_kloosterman(args, ctx):
     census = kloosterman_zeros(ctx)
     if args.csv:
         ks = kloosterman_all(ctx)
@@ -120,11 +117,10 @@ def cmd_kloosterman(args) -> int:
     result = census.to_json_dict()
     if args.dump_sums:
         result["sums"] = kloosterman_all(ctx).tolist()
-    _emit(args, ctx, result, f"{census.zero_count} Kloosterman zeros in {ctx.spec}")
-    return EXIT_OK
+    return result, f"{census.zero_count} Kloosterman zeros in {ctx.spec}", True
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, ctx):
     kw = {}
     if args.samples is not None:
         if args.samples < 1:
@@ -132,13 +128,9 @@ def cmd_verify(args) -> int:
         if "samples" not in inspect.signature(CLAIMS[args.claim]).parameters:
             raise UsageError(f"claim {args.claim} takes no --samples")
         kw["samples"] = args.samples
-    ctx = _field(args)
     res = run_claim(args.claim, ctx.n, ctx.modulus, **kw)
-    _emit(
-        args, ctx, res.to_json_dict(),
-        f"{args.claim}: {'ok' if res.ok else 'VIOLATED'} ({res.cases} cases)",
-    )
-    return EXIT_OK if res.ok else EXIT_VIOLATION
+    summary = f"{args.claim}: {'ok' if res.ok else 'VIOLATED'} ({res.cases} cases)"
+    return res.to_json_dict(), summary, res.ok
 
 
 def _expected_witnesses(mode: str, n: int) -> Optional[bool]:
@@ -150,8 +142,7 @@ def _expected_witnesses(mode: str, n: int) -> Optional[bool]:
     return None
 
 
-def cmd_search(args) -> int:
-    ctx = _field(args)
+def cmd_search(args, ctx):
     runner = {
         "full": full_search,
         "normalized": normalized_search,
@@ -177,40 +168,32 @@ def cmd_search(args) -> int:
     violated = violated or report.audit_violations > 0
     result["expected_witnesses"] = expected
     result["verdict"] = "violated" if violated else "ok"
-    _emit(
-        args, ctx, result,
+    summary = (
         f"search {args.mode} on {ctx.spec}: {report.witness_count} witnesses "
-        f"({report.examined} candidates in {report.elapsed_s:.1f}s)",
+        f"({report.examined} candidates in {report.elapsed_s:.1f}s)"
     )
-    return EXIT_VIOLATION if violated else EXIT_OK
+    return result, summary, not violated
 
 
-def cmd_invariants(args) -> int:
-    ctx = _field(args)
+def cmd_invariants(args, ctx):
     results = invariants_suite(ctx.n, ctx.modulus)
     ok = all(r.ok for r in results)
     result = {"suite": [r.to_json_dict() for r in results], "ok": ok}
     lines = ", ".join(f"{r.claim}={'ok' if r.ok else 'FAIL'}" for r in results)
-    _emit(args, ctx, result, lines)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return result, lines, ok
 
 
-def cmd_check_pair(args) -> int:
-    ctx = _field(args)
+def cmd_check_pair(args, ctx):
     try:
         l1 = LinearizedPoly.from_text(ctx, args.l1)
         l2 = LinearizedPoly.from_text(ctx, args.l2)
     except ValueError as exc:
         raise UsageError(f"bad coefficient list: {exc}") from exc
     report = kernel_structure_check(l1, l2)
-    result = report.to_json_dict()
-    _emit(
-        args, ctx, result,
-        f"is_permutation={report.is_permutation} criterion={report.kloosterman_criterion}",
-    )
+    summary = f"is_permutation={report.is_permutation} criterion={report.kloosterman_criterion}"
     # a mismatch between the criterion and direct bijectivity breaks the
     # exact permutation characterization: loud failure
-    return EXIT_OK if report.criterion_consistent else EXIT_VIOLATION
+    return report.to_json_dict(), summary, report.criterion_consistent
 
 
 def build_parser() -> _Parser:
@@ -265,8 +248,10 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args._argv = list(argv)
-        return args.fn(args)
+        ctx = make_field(*parse_field_spec(args.field))
+        result, summary, ok = args.fn(args, ctx)
+        _emit(args, argv, ctx, result, summary)
+        return EXIT_OK if ok else EXIT_VIOLATION
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -157,12 +157,12 @@ class LinearizedPoly:
         return Subspace(self.ctx, basis)
 
     def image(self) -> "Subspace":
-        return Subspace.from_elements(self.ctx, self._basis_images().tolist())
+        return Subspace(self.ctx, self._basis_images().tolist())
 
     def apply_to_subspace(self, s: "Subspace") -> "Subspace":
         if s.ctx != self.ctx:
             raise ValueError("context mismatch")
-        return Subspace.from_elements(self.ctx, (self(b) for b in s.basis))
+        return Subspace(self.ctx, (self(b) for b in s.basis))
 
 
 class Subspace:
@@ -176,10 +176,6 @@ class Subspace:
         self.ctx = ctx
         self.basis: Tuple[int, ...] = tuple(sorted(red, reverse=True))
         self.dim = len(self.basis)
-
-    @classmethod
-    def from_elements(cls, ctx: FieldContext, elems: Iterable[int]) -> "Subspace":
-        return cls(ctx, elems)
 
     @classmethod
     def trivial(cls, ctx: FieldContext) -> "Subspace":
@@ -222,7 +218,7 @@ class Subspace:
         # a null vector u gives the common element A u, A the low len(a) columns
         mask = (1 << len(a)) - 1
         elems = [gf2mat.mat_vec(rows, u & mask) for u in gf2mat.nullspace(rows, len(a) + len(b))]
-        return Subspace.from_elements(self.ctx, elems)
+        return Subspace(self.ctx, elems)
 
     def is_subfield_translate(self) -> Optional[Tuple[int, int]]:
         """(a, k) with self = a * F_{2^k}, or None.

@@ -17,10 +17,11 @@ candidate source hands the funnel the same thing: an ordered stage list
 of (name, rows, table) and a decoder f of F's table.  rows is a decoder,
 a function of candidate indices, and a stage keeps the candidates whose
 row lies in the bool table entry by entry (_all_in: one lookup, then one
-word compare per row where the row fits a word).  The mod-16 stage is
-preceded by an unnamed probe stage that reads R at the 8 _PROBE points,
-one uint64 per candidate.  The stages before the full mod-16 one, kernel
-and probe, are the funnel's prefix.  A map's coefficients, table and
+word compare per row where the row fits a word).  One builder,
+_criterion_stages, makes every source's list from its row decoders.
+The mod-16 stage is preceded by an unnamed probe stage that reads R at
+the 8 _PROBE points, one uint64 per candidate.  The stages before the
+full mod-16 one, kernel and probe, are the funnel's prefix.  A map's coefficients, table and
 adjoint table (its map row, _map_rows) are GF(2)-linear in the map, so
 maps decode as XORs of precomputed map rows through a _SpanMap, with no
 field multiplications; its span tables hold rows as machine words.
@@ -28,7 +29,8 @@ field multiplications; its span tables hold rows as machine words.
 full_search and verify_proposition2 read batches of (L1, L2) pairs: all
 nonzero pairs at n <= 3, canonical orbit representatives at n = 4, or
 random rows.  Each map is decoded from an n^2-bit word, its packed
-coefficients or matrix; R = L1* L2* is a product-table lookup.  The
+coefficients or matrix; a batch keeps the two map-row arrays and slices
+them at _row_cuts; R = L1* L2* is a product-table lookup.  The
 other two drivers call one fixed-L1 search.  A block of it is the key
 (n, modulus, L1, value_one, start); each process builds the state of a
 key once (_fixed_l1_env): a coset of L2* coefficient vectors (the
@@ -41,8 +43,9 @@ byte, an AND of precomputed 256-bit masks of the low bytes, with no
 row decoded per candidate.  Only the survivors, 0 per block at
 identity n = 5 and about 600 at normalized n = 7, run the rest of the
 stage list, and a block with none decodes nothing.  A prefix stage
-whose row is the same on the whole coset and passes is dropped (the
-kernel stage of normalized, where L2*(1) = 1).  L2 = 0 is in the coset
+whose row is the same on the whole coset and passes gets no join and
+only records its count (the kernel stage of normalized, where
+L2*(1) = 1, and the empty kernel row of identity).  L2 = 0 is in the coset
 only when the system is homogeneous, and then it is index 0, so the
 nonzero stage drops that index and L2's coefficients are decoded only
 for the witnesses and the audit rows.
@@ -74,7 +77,7 @@ import numpy as np
 from . import gf2mat
 from .gf2n import FieldContext, make_field, span_table
 from .inverse_perm import build_F
-from .kloosterman import kloosterman_all, qform_table
+from .kloosterman import divisible_by_16, kloosterman_all
 from .linmap import LinearizedPoly
 
 __all__ = [
@@ -184,6 +187,11 @@ def _map_rows(ctx: FieldContext, maps) -> np.ndarray:
     return np.array(rows, dtype=np.uint8)
 
 
+def _row_cuts(ctx: FieldContext) -> Tuple[int, int]:
+    """Columns of a map row where its table and its adjoint table begin."""
+    return ctx.n, ctx.n + ctx.order
+
+
 # -- linear presolve of the trace condition ------------------------------------
 
 
@@ -217,9 +225,16 @@ def _solve_coset(ctx, rows: List[int], rhs: int):
 _PROBE = list(range(1, 9))
 
 
-def _criterion_tables(ctx: FieldContext) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-element lookups: K(a) = 0, and Tr(a) = Q(a) = 0 (16 | K(a))."""
-    return kloosterman_all(ctx) == 0, (ctx.trace_table == 0) & (qform_table(ctx) == 0)
+def _criterion_stages(ctx: FieldContext, kernel, probe, r, mod16: bool) -> list:
+    """The criterion's ordered stage list (name, rows, table) over a
+    source's row decoders: kernel (adjoint values at nonzero points),
+    probe (R at _PROBE, read only with mod16) and r (R everywhere)."""
+    stages = [("kernel-intersection", kernel, np.arange(ctx.order) != 0)]
+    if mod16:  # a few points first, then the full mod-16 condition
+        d16 = divisible_by_16(ctx, np.arange(ctx.order))
+        stages += [(None, probe, d16), ("mod16-necessary", r, d16)]
+    stages.append(("kloosterman-zero", r, kloosterman_all(ctx) == 0))
+    return stages
 
 
 def _funnel(alive: np.ndarray, stages: list, f, counts: dict):
@@ -336,25 +351,24 @@ def _fixed_l1_env(
     affine in the index too; "dec" decodes them through _SpanMaps.
     "coeffs" gives L2's coefficient vector packed into one uint64 (c_i
     at bit n*i; blocks decode it only for the rows they report),
-    "kernel" L2* at the nonzero kernel points of L1* (only when there
-    are any), "probe" (n >= 4) and "r" the table R(b) = L1*(b) L2*(b)
+    "kernel" L2* at the nonzero kernel points of L1* (no column when L1*
+    is injective), "probe" (n >= 4) and "r" the table R(b) = L1*(b) L2*(b)
     at the 8 probe points (one uint64 per candidate) and everywhere,
     and "f" the table of F = L1(x^-1) + L2(x).
 
-    "joins" holds a _SpanJoin per prefix stage, kernel (table: nonzero
-    values) and probe (table: Tr = Q = 0), which blocks run in place of
-    the decoders.  A prefix stage whose row is constant on the coset
-    (every basis image 0) and whose origin row passes cannot reject, so
-    it gets neither decoder nor join, and its count is the nonzero count:
-    under value_one the kernel stage of L1 = x^(2^(n-1)) + x, whose one
-    nonzero kernel point is 1.  "stages" is the funnel's stage list after
-    the prefix: mod16-necessary (n >= 4), then kloosterman-zero, both on
-    the "r" rows.
+    The stage list of _criterion_stages splits where the stages on the
+    full "r" rows begin.  "joins" holds the stages ahead of it as
+    (name, join), after ("nonzero", None) for the cut at "first": the
+    join is a _SpanJoin, which blocks run in place of the decoder, or
+    None for a stage that cannot reject, whose row is the origin's on the
+    whole coset (every basis image 0) and lies in the table.  That is the
+    kernel stage under value_one (the one nonzero kernel point of
+    L1 = x^(2^(n-1)) + x is 1) and for an injective L1* (an empty row).
+    "stages" is the rest of the list.
     """
     ctx = make_field(n, modulus)
     l1 = LinearizedPoly(ctx, l1_coeffs)
     l1s_tab = l1.adjoint().table()
-    kz, trq = _criterion_tables(ctx)
     rows = _trace_rows(ctx, l1s_tab) if n >= 6 else []
     rhs = 0
     if value_one:  # L2*(1) = sum_i c_i = 1: bit t of the sum is [t = 0]
@@ -364,33 +378,32 @@ def _fixed_l1_env(
     if len(basis) > 30:
         raise AssertionError(f"presolve left an infeasible space 2^{len(basis)}")
     l2_maps = [LinearizedPoly(ctx, c).adjoint() for c in (origin, *basis)]
-    coeffs, f, l2s = np.split(_map_rows(ctx, l2_maps), [n, n + ctx.order], axis=1)
+    coeffs, f, l2s = np.split(_map_rows(ctx, l2_maps), _row_cuts(ctx), axis=1)
     r = ctx.mul_vec(l1s_tab, l2s).astype(np.uint8)
     f[0] ^= l1.table()[ctx.inv_table].astype(np.uint8)
-    tabs = {"coeffs": _pack(n, coeffs), "r": r, "f": f}
-    kernel_pts = np.flatnonzero(l1s_tab[1:] == 0) + 1
-    if kernel_pts.size:  # an injective L1* leaves the kernel stage nothing to test
-        tabs["kernel"] = l2s[:, kernel_pts]
+    tabs = {"coeffs": _pack(n, coeffs), "kernel": l2s[:, 1:][:, l1s_tab[1:] == 0], "r": r, "f": f}
     if n >= 4:
         tabs["probe"] = r[:, _PROBE]
-    prefix = {"kernel": np.arange(ctx.order) != 0, "probe": trq}
-    for name, table in prefix.items():
-        # a row constant over the coset and inside the table rejects nothing
-        if name in tabs and not tabs[name][1:].any() and _all_in(table, tabs[name][:1])[0]:
-            del tabs[name]
     dec = {name: _SpanMap(tab[0], tab[1:]) for name, tab in tabs.items()}
-    joins = {name: _SpanJoin(dec[name], table) for name, table in prefix.items() if name in dec}
-    stages = [("mod16-necessary", dec["r"], trq)] if n >= 4 else []
-    stages.append(("kloosterman-zero", dec["r"], kz))
+    stages = _criterion_stages(ctx, dec["kernel"], dec.get("probe"), dec["r"], n >= 4)
+    split = next(i for i, (_, rows, _) in enumerate(stages) if rows is dec["r"])
+
+    def join(rows, table):  # None when the row is constant and inside the table
+        if not rows.images.any() and table[rows.origin].all():
+            return None
+        return _SpanJoin(rows, table)
+
     return {
-        "ctx": ctx, "origin": origin, "basis": basis, "dec": dec, "joins": joins,
-        "stages": stages, "first": int(not any(origin)),
+        "ctx": ctx, "origin": origin, "basis": basis, "dec": dec,
+        "joins": [("nonzero", None)]
+        + [(name, join(rows, table)) for name, rows, table in stages[:split]],
+        "stages": stages[split:], "first": int(not any(origin)),
     }
 
 
 class _SpanMap:
     """GF(2)-affine map from candidate indices m to rows:
-    origin XOR the images of the set bits of m.
+    origin XOR the images of the set bits of m (both kept as given).
 
     Index bits are consumed in 8-bit chunks through span tables (the
     XOR of every subset of 8 images), one gather per chunk; the origin
@@ -401,6 +414,7 @@ class _SpanMap:
     """
 
     def __init__(self, origin: np.ndarray, images: np.ndarray):
+        self.origin, self.images = origin, images
         rows = np.concatenate([np.asarray(origin)[None], images])
         self.dtype, self.shape = rows.dtype, rows.shape[1:]
         words = _words(rows.reshape(len(rows), -1))
@@ -451,20 +465,22 @@ def _fixed_l1_block(args) -> dict:
     """Run the funnel on the block of BLOCK candidates from start; a pure
     function of args = (n, modulus, l1_coeffs, value_one, start).
 
-    The prefix stages are the env's joins, masks over the block; only
-    their survivors are indices, and they alone run the env's stage list."""
+    The env's joins, masks over the block, are ANDed in order; only their
+    survivors are indices, and they alone run the env's stage list."""
     n, modulus, l1_coeffs, value_one, start = args
     env = _fixed_l1_env(n, modulus, l1_coeffs, value_one)
-    ctx, dec, joins = env["ctx"], env["dec"], env["joins"]
+    ctx, dec = env["ctx"], env["dec"]
     first = max(start, env["first"])
     end = max(first, min(start + BLOCK, 1 << len(env["basis"])))  # empty past the space
     keep = np.ones(end - start, dtype=bool)
     keep[: first - start] = False
-    if "kernel" in joins:
-        keep &= joins["kernel"](start)[: keep.size]
-    counts = {"nonzero": end - first, "kernel-intersection": int(np.count_nonzero(keep))}
-    if "probe" in joins:
-        keep &= joins["probe"](start)[: keep.size]
+    counts, count = {}, end - first
+    for name, join in env["joins"]:
+        if join is not None:
+            keep &= join(start)[: keep.size]
+            count = int(np.count_nonzero(keep))
+        if name:
+            counts[name] = count
     alive = np.flatnonzero(keep) + start
     counts, alive, bij = _funnel(alive, env["stages"], dec["f"], counts)
 
@@ -608,14 +624,14 @@ def canonical_batches(ctx: FieldContext):
     for lo in range(0, len(rref), BLOCK):
         stacked = rref[lo : lo + BLOCK]
         w1, w2 = (_pack(n, half) for half in (stacked & ctx.mask, stacked >> n))
-        yield dict(_pair_batch(ctx, decode(w1), decode(w2), w1, w2), stacked=stacked)
+        yield dict(_pair_batch(decode(w1), decode(w2), w1, w2), stacked=stacked)
 
 
 # -- pair batches ----------------------------------------------------------------
 #
-# A pair batch holds, per row, the maps L1, L2 as coefficient rows c1, c2,
-# the value tables t1, t2 of L1, L2 and t1s, t2s of their adjoints (all
-# uint8), and a nonzero mask.  Each map is named by an n^2-bit word: its
+# A pair batch holds, per row, the map rows (_map_rows) l1 and l2 of the
+# maps L1, L2 and a nonzero mask; _row_cuts gives the columns where a map
+# row's table and adjoint table begin.  Each map is named by an n^2-bit word: its
 # packed coefficients (all nonzero maps at n <= 3, random rows) or matrix
 # (canonical representatives at n = 4).  Map rows are GF(2)-linear in the
 # word, so a batch decodes, as a fixed-L1 coset does, through one _SpanMap
@@ -635,14 +651,10 @@ def _coeff_decoder(ctx: FieldContext) -> _SpanMap:
     return _word_decoder(ctx, units)
 
 
-def _pair_batch(ctx: FieldContext, l1_rows: np.ndarray, l2_rows: np.ndarray, w1, w2) -> dict:
+def _pair_batch(l1_rows: np.ndarray, l2_rows: np.ndarray, w1, w2) -> dict:
     """Pair batch of the maps with map rows l1_rows (L1) and l2_rows (L2),
     decoded from the words w1 and w2: a map is zero exactly when its word is."""
-    cuts = [ctx.n, ctx.n + ctx.order]
-    c1, t1, t1s = np.split(l1_rows, cuts, axis=1)
-    c2, t2, t2s = np.split(l2_rows, cuts, axis=1)
-    nonzero = (w1 != 0) & (w2 != 0)
-    return dict(c1=c1, c2=c2, t1=t1, t2=t2, t1s=t1s, t2s=t2s, nonzero=nonzero)
+    return dict(l1=l1_rows, l2=l2_rows, nonzero=(w1 != 0) & (w2 != 0))
 
 
 def all_pair_batches(ctx: FieldContext) -> Iterator[dict]:
@@ -654,7 +666,7 @@ def all_pair_batches(ctx: FieldContext) -> Iterator[dict]:
     words = np.arange(1, 1 << (ctx.n * ctx.n), dtype=np.int64)
     every = _coeff_decoder(ctx)(words)
     for w, row in zip(words, every):
-        yield _pair_batch(ctx, np.broadcast_to(row, every.shape), every, w, words)
+        yield _pair_batch(np.broadcast_to(row, every.shape), every, w, words)
 
 
 def random_pair_batches(ctx: FieldContext, samples: int, seed: int) -> Iterator[dict]:
@@ -666,33 +678,30 @@ def random_pair_batches(ctx: FieldContext, samples: int, seed: int) -> Iterator[
         c1 = rng.integers(0, ctx.order, (b, ctx.n), dtype=np.int64)
         c2 = rng.integers(0, ctx.order, (b, ctx.n), dtype=np.int64)
         w1, w2 = _pack(ctx.n, c1), _pack(ctx.n, c2)
-        yield _pair_batch(ctx, decode(w1), decode(w2), w1, w2)
+        yield _pair_batch(decode(w1), decode(w2), w1, w2)
 
 
-def _pair_decoder(ctx: FieldContext, batch: dict, tables, mod16: bool):
-    """The funnel's (stages, f) over the row indices of a pair batch, with
-    tables = _criterion_tables(ctx); R is the one product-table lookup."""
-    kz, trq = tables
+def _pair_decoder(ctx: FieldContext, batch: dict, mod16: bool):
+    """The funnel's (stages, f) over the row indices of a pair batch;
+    R is the one product-table lookup."""
     mt = ctx.mul_table
-    t1, t2, t1s, t2s = batch["t1"], batch["t2"], batch["t1s"], batch["t2s"]
+    l1, l2 = batch["l1"], batch["l2"]
+    tab, adj = _row_cuts(ctx)
 
     def product(pts):
-        return lambda i: mt[t1s[i][:, pts], t2s[i][:, pts]]
+        return lambda i: mt[l1[i, adj:][:, pts], l2[i, adj:][:, pts]]
 
     def kernel(i):  # zero exactly where b != 0 lies in both adjoint kernels
-        return t1s[i, 1:] | t2s[i, 1:]
+        return l1[i, adj + 1 :] | l2[i, adj + 1 :]
 
-    r = product(slice(None))
-    stages = [("kernel-intersection", kernel, np.arange(ctx.order) != 0)]
-    if mod16:  # a few points first, then the full mod-16 condition
-        stages += [(None, product(_PROBE), trq), ("mod16-necessary", r, trq)]
-    stages.append(("kloosterman-zero", r, kz))
-    return stages, lambda i: t1[i][:, ctx.inv_table] ^ t2[i]
+    stages = _criterion_stages(ctx, kernel, product(_PROBE), product(slice(None)), mod16)
+    return stages, lambda i: l1[i, tab:adj][:, ctx.inv_table] ^ l2[i, tab:adj]
 
 
-def _batch_pairs(batch: dict, rows: np.ndarray) -> list:
+def _batch_pairs(ctx: FieldContext, batch: dict, rows: np.ndarray) -> list:
     """(L1, L2) coefficient-tuple pairs of the given rows of a pair batch."""
-    return list(zip(*(map(tuple, batch[k][rows].tolist()) for k in ("c1", "c2"))))
+    tab, _ = _row_cuts(ctx)
+    return list(zip(*(map(tuple, batch[k][rows, :tab].tolist()) for k in ("l1", "l2"))))
 
 
 def criterion_mismatches(ctx: FieldContext, batches) -> Iterator[tuple]:
@@ -703,13 +712,12 @@ def criterion_mismatches(ctx: FieldContext, batches) -> Iterator[tuple]:
     no stage.  Yields, per batch, the number of nonzero rows checked and
     the (L1, L2) coefficient-tuple pairs that disagree.
     """
-    tables = _criterion_tables(ctx)
     for batch in batches:
         rows = np.flatnonzero(batch["nonzero"])
-        stages, f = _pair_decoder(ctx, batch, tables, mod16=False)
+        stages, f = _pair_decoder(ctx, batch, mod16=False)
         _, crit, _ = _funnel(rows, stages, f, {})
         _, _, bij = _funnel(rows, [], f, {})
-        yield rows.size, _batch_pairs(batch, rows[np.isin(rows, crit) != bij])
+        yield rows.size, _batch_pairs(ctx, batch, rows[np.isin(rows, crit) != bij])
 
 
 def full_search(
@@ -735,13 +743,12 @@ def full_search(
         batches, examined = canonical_batches(ctx), canonical_pair_count(n)
         partitions = -(-examined // BLOCK)
         mode, block, notes = "canonical", BLOCK, ("one representative per left-composition orbit",)
-    tables = _criterion_tables(ctx)
 
     def run(batch):
         rows = np.flatnonzero(batch["nonzero"])
-        stages, f = _pair_decoder(ctx, batch, tables, n >= 4)
+        stages, f = _pair_decoder(ctx, batch, n >= 4)
         counts, alive, bij = _funnel(rows, stages, f, {"nonzero": int(rows.size)})
-        return _block_result(counts, rows, alive, bij, partial(_batch_pairs, batch))
+        return _block_result(counts, rows, alive, bij, partial(_batch_pairs, ctx, batch))
 
     results = _dispatch(run, batches, partitions, progress=progress)
     return _report(

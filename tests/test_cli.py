@@ -325,3 +325,28 @@ def test_proposition2_reports_corrupted_kloosterman_table(capsys, monkeypatch):
     code, doc, _ = run_cli(capsys, "verify", "proposition2", "--field", "3")
     assert code == 2
     assert doc["result"]["ok"] is False
+
+
+@pytest.mark.parametrize("mode", ["full", "identity-l1"])
+def test_search_reads_divisible_by_16(capsys, monkeypatch, mode):
+    # with every element failing the mod-16 test, no candidate passes
+    # mod16-necessary: the pair batches of full n = 4 and the fixed-L1
+    # coset of identity-l1 n = 4 (10 and 5 survivors with the real test)
+    # lose every witness, and the expected-witness verdict fails loudly
+    from functools import lru_cache
+
+    import numpy as np
+
+    from invperm import search
+
+    monkeypatch.setattr(search, "divisible_by_16", lambda ctx, a: np.zeros(np.shape(a), dtype=bool))
+    # a fresh cache, so no fixed-L1 env built with the real test is reused
+    fresh = lru_cache(maxsize=None)(search._fixed_l1_env.__wrapped__)
+    monkeypatch.setattr(search, "_fixed_l1_env", fresh)
+    code, doc, _ = run_cli(capsys, "search", mode, "--field", "4")
+    assert code == 2
+    stages = {s["name"]: s["survivors"] for s in doc["result"]["stages"]}
+    assert stages["kernel-intersection"] > 0
+    assert stages["mod16-necessary"] == 0
+    assert doc["result"]["witness_count"] == 0
+    assert doc["result"]["verdict"] == "violated"

@@ -57,7 +57,7 @@ def test_basis_images_match_pointwise_eval(n):
         assert l.table().tolist() == [l(x) for x in ctx.elements()]
         cols = [l(1 << j) for j in range(n)]
         assert l.matrix() == [sum(((cols[j] >> i) & 1) << j for j in range(n)) for i in range(n)]
-        assert l.image() == Subspace.from_elements(ctx, cols)
+        assert l.image() == Subspace(ctx, cols)
 
 
 def test_adjoint_formula_examples():
@@ -191,10 +191,10 @@ def test_subspace_canonical_equality_and_membership():
     rng = random.Random(31)
     for _ in range(50):
         vecs = [rng.randrange(ctx.order) for _ in range(3)]
-        s1 = Subspace.from_elements(ctx, vecs)
+        s1 = Subspace(ctx, vecs)
         # same span, different generating set
         mixed = [vecs[0] ^ vecs[1], vecs[1], vecs[2] ^ vecs[0]] + vecs
-        s2 = Subspace.from_elements(ctx, mixed)
+        s2 = Subspace(ctx, mixed)
         assert s1 == s2
         span = s1.elements()
         assert len(span) == len(s1)
@@ -209,8 +209,8 @@ def test_subspace_intersection():
     ctx = make_field(6)
     rng = random.Random(41)
     for _ in range(50):
-        a = Subspace.from_elements(ctx, [rng.randrange(64) for _ in range(3)])
-        b = Subspace.from_elements(ctx, [rng.randrange(64) for _ in range(3)])
+        a = Subspace(ctx, [rng.randrange(64) for _ in range(3)])
+        b = Subspace(ctx, [rng.randrange(64) for _ in range(3)])
         inter = a.intersection(b)
         brute = sorted(set(a.elements()) & set(b.elements()))
         assert inter.elements() == brute
@@ -228,7 +228,7 @@ def test_apply_to_subspace():
     rng = random.Random(51)
     ident = LinearizedPoly.identity(ctx)
     for _ in range(30):
-        s = Subspace.from_elements(ctx, [rng.randrange(32) for _ in range(2)])
+        s = Subspace(ctx, [rng.randrange(32) for _ in range(2)])
         l = LinearizedPoly.random(ctx, rng)
         assert ident.apply_to_subspace(s) == s
         img = l.apply_to_subspace(s)
@@ -240,11 +240,11 @@ def test_apply_to_subspace():
 def test_subfield_translate_detection():
     ctx = make_field(4)
     # F_2 itself
-    assert Subspace.from_elements(ctx, [1]).is_subfield_translate() == (1, 1)
+    assert Subspace(ctx, [1]).is_subfield_translate() == (1, 1)
     # g * F_4 inside GF(16): F_4 = {0,1,w,w^2} with w of order 3
     f4 = sorted(ctx.subfield_elements(2))
     g = ctx.generator
-    coset = Subspace.from_elements(ctx, [ctx.mul(g, x) for x in f4])
+    coset = Subspace(ctx, [ctx.mul(g, x) for x in f4])
     hit = coset.is_subfield_translate()
     assert hit is not None and hit[1] == 2
     a, k = hit
@@ -252,7 +252,7 @@ def test_subfield_translate_detection():
         coset.elements()
     )
     # span{1, g} is not multiplicatively closed after descaling
-    assert Subspace.from_elements(ctx, [1, g]).is_subfield_translate() is None
+    assert Subspace(ctx, [1, g]).is_subfield_translate() is None
 
 
 def test_kernels_intersect_trivially():

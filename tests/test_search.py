@@ -12,6 +12,7 @@ import pytest
 from invperm import cli, gf2mat, search
 from invperm.gf2n import FieldContext, alternate_modulus, make_field, span_table
 from invperm.inverse_perm import build_F, perm_criterion_kloosterman, recurrence_coeffs
+from invperm.kloosterman import kloosterman_all, qform_table
 from invperm.linmap import LinearizedPoly
 
 
@@ -277,14 +278,15 @@ def test_canonical_batches_match_maps(source, n, alternate):
             )
         ]
     rows = zero_rows = 0
+    tab, adj = n, n + ctx.order  # a map row is [coefficients | table | adjoint table]
     for batch, pairs in named:
-        assert len(pairs) == len(batch["c1"])
+        assert len(pairs) == len(batch["l1"])
         for i, keys in enumerate(pairs):
-            for key, c, t, ts in zip(keys, ("c1", "c2"), ("t1", "t2"), ("t1s", "t2s")):
+            for key, m in zip(keys, ("l1", "l2")):
                 coeffs, table, adjoint = expect(key)
-                assert tuple(batch[c][i].tolist()) == coeffs
-                assert np.array_equal(batch[t][i], table)
-                assert np.array_equal(batch[ts][i], adjoint)
+                assert tuple(batch[m][i, :tab].tolist()) == coeffs
+                assert np.array_equal(batch[m][i, tab:adj], table)
+                assert np.array_equal(batch[m][i, adj:], adjoint)
             both = all(any(expect(key)[0]) for key in keys)  # both maps nonzero
             assert bool(batch["nonzero"][i]) == both
             zero_rows += not both
@@ -548,8 +550,10 @@ def test_linear_decoder_matches_multiplication(kind, n, alternate):
     l1s_tab = l1.adjoint().table()
     kernel_pts = [b for b in range(1, ctx.order) if l1s_tab[b] == 0]
     # under value_one, L2*(1) = 1 on the whole coset: the kernel row is the
-    # constant 1 and its stage is dropped
-    assert ("kernel" in dec) == (bool(kernel_pts) and kind != "normalized")
+    # constant 1 and its stage gets no join, as does the empty kernel row
+    # of an injective L1*
+    joins = dict(env["joins"])
+    assert (joins["kernel-intersection"] is not None) == (bool(kernel_pts) and kind != "normalized")
     assert ("probe" in dec) == (n >= 4)
     top = (1 << len(basis)) - 1
     rng = np.random.default_rng(n)
@@ -568,9 +572,8 @@ def test_linear_decoder_matches_multiplication(kind, n, alternate):
         assert len(set(search._PROBE)) == len(search._PROBE)
         assert all(0 < b < 16 for b in search._PROBE)
         assert np.array_equal(dec["probe"](ms), r[:, search._PROBE])
-    if "kernel" in dec:
-        assert np.array_equal(dec["kernel"](ms), l2s[:, kernel_pts])
-    else:
+    assert np.array_equal(dec["kernel"](ms), l2s[:, kernel_pts])
+    if joins["kernel-intersection"] is None:
         assert not kernel_pts or (l2s[:, kernel_pts] != 0).all()
     l2 = _tables_from_coeffs(ctx, np.array(l2_coeffs, dtype=np.int64))
     l1_on_inv = l1.table()[ctx.inv_table]
@@ -627,11 +630,15 @@ def test_span_join_matches_row_lookup(kind, n, modulus):
     ctx = make_field(n, modulus)
     env = search._fixed_l1_env(n, modulus, FIXED_L1[kind](ctx), kind == "normalized")
     dec, size = env["dec"], 1 << len(env["basis"])
-    stages = {name: (dec[name], join) for name, join in env["joins"].items()}
-    joined = {"kernel"} if kind == "unnormalized" else set()
-    assert set(env["joins"]) == (joined | {"probe"} if n >= 4 else joined)
-    kz, trq = search._criterion_tables(ctx)
-    tables = {"kernel": np.arange(ctx.order) != 0, "probe": trq}
+    joins = [(name, join) for name, join in env["joins"] if join is not None]
+    joined = ["kernel-intersection"] if kind == "unnormalized" else []
+    assert [name for name, _ in joins] == (joined + [None] if n >= 4 else joined)
+    trq = (ctx.trace_table == 0) & (qform_table(ctx) == 0)
+    kz = kloosterman_all(ctx) == 0
+    # the unnamed joined stage is the probe
+    decoders = {"kernel-intersection": dec["kernel"], None: dec.get("probe")}
+    tables = {"kernel-intersection": np.arange(ctx.order) != 0, None: trq}
+    stages = {name: (decoders[name], join) for name, join in joins}
     for name, table in {"r-trq": trq, "r-kz": kz}.items():
         stages[name] = (dec["r"], search._SpanJoin(dec["r"], table))
         tables[name] = table
@@ -652,8 +659,9 @@ def test_constant_kernel_stage_is_dropped(alternate):
         modulus = alternate_modulus(n) if alternate else None
         ctx = make_field(n, modulus)
         env = search._fixed_l1_env(n, modulus, FIXED_L1["normalized"](ctx), True)
-        assert "kernel" not in env["joins"] and "kernel" not in env["dec"]
-        assert "probe" in env["joins"]
+        joins = dict(env["joins"])
+        assert joins["kernel-intersection"] is None and not env["dec"]["kernel"].images.any()
+        assert joins[None] is not None  # the probe
         counts = search._fixed_l1_block((n, modulus, FIXED_L1["normalized"](ctx), True, 0))["counts"]
         block = min(search.BLOCK, 1 << len(env["basis"]))
         assert counts["kernel-intersection"] == counts["nonzero"] == block
@@ -663,12 +671,24 @@ def test_constant_kernel_stage_is_dropped(alternate):
         ctx = make_field(n, modulus)
         key = (n, modulus, FIXED_L1["unnormalized"](ctx), False)
         env = search._fixed_l1_env(*key)
-        assert "kernel" in env["joins"]
+        assert dict(env["joins"])["kernel-intersection"] is not None
         counts = search._fixed_l1_block((*key, 0))["counts"]
         assert 0 < counts["kernel-intersection"] < counts["nonzero"]
         # the stage rejects exactly the rows with L2*(1) = 0
         every = np.arange(min(search.BLOCK, 1 << len(env["basis"])), dtype=np.int64)
         assert counts["kernel-intersection"] == np.count_nonzero(env["dec"]["kernel"](every))
+    # identity: L1* = x is injective, so the kernel row has no entry and
+    # no join is built; every nonzero candidate passes (index 0 is L2 = 0)
+    for n in (3, 4, 5, 6):
+        modulus = alternate_modulus(n) if alternate else None
+        ctx = make_field(n, modulus)
+        key = (n, modulus, FIXED_L1["identity"](ctx), False)
+        env = search._fixed_l1_env(*key)
+        assert dict(env["joins"])["kernel-intersection"] is None
+        assert env["dec"]["kernel"].origin.shape == (0,)
+        counts = search._fixed_l1_block((*key, 0))["counts"]
+        block = min(search.BLOCK, 1 << len(env["basis"]))
+        assert counts["kernel-intersection"] == counts["nonzero"] == block - 1
 
 
 def test_dispatch_caps_pool_at_partitions(monkeypatch):
@@ -734,9 +754,9 @@ def test_theorem8_candidates_fail_mod16_in_normalized_coset(n, forced):
         assert _coset_rows(origin, basis, [m]).tolist() == [list(coeffs)]
         ms.append(m)
     ms = np.sort(np.array(ms, dtype=np.int64))
-    _, trq = search._criterion_tables(ctx)
-    stages = [(None, env["dec"]["probe"], trq), *env["stages"]]
-    counts, _, _ = search._funnel(ms, stages, env["dec"]["f"], {"nonzero": int(ms.size)})
+    dec = env["dec"]
+    stages = search._criterion_stages(ctx, dec["kernel"], dec["probe"], dec["r"], True)
+    counts, _, _ = search._funnel(ms, stages, dec["f"], {"nonzero": int(ms.size)})
     assert counts["nonzero"] == forced
     assert counts["mod16-necessary"] == 0
 
@@ -749,8 +769,11 @@ def test_funnel_decodes_nothing_after_last_survivor(monkeypatch):
     # of a fixed-L1 block and no pair-batch decoder sees an empty index
     # array, and every stage count is still recorded.  Identity n = 5
     # blocks have no mod-16 survivors; canonical n = 4 batch 0 has no
-    # kernel-intersection survivors
-    sizes = []
+    # kernel-intersection survivors.  Every source records its counts in
+    # the order of _criterion_stages: fixed-L1 blocks, canonical and
+    # all-pairs batches (no mod-16 stage below n = 4) and a
+    # criterion_mismatches batch (no mod-16 stage: it is not the criterion)
+    sizes, names = [], []
 
     def spy(fn):
         def decode(*args):
@@ -764,6 +787,7 @@ def test_funnel_decodes_nothing_after_last_survivor(monkeypatch):
 
     def spied_pair_decoder(*args, **kw):
         stages, f = pair_decoder(*args, **kw)
+        names.append([name for name, _, _ in stages if name])
         return [(name, spy(rows), table) for name, rows, table in stages], spy(f)
 
     monkeypatch.setattr(search, "_pair_decoder", spied_pair_decoder)
@@ -777,7 +801,15 @@ def test_funnel_decodes_nothing_after_last_survivor(monkeypatch):
     monkeypatch.setattr(search, "canonical_batches", lambda ctx: islice(batches(ctx), 1))
     rep = search.full_search(4)
     assert [name for name, _ in rep.stages] == STAGE_NAMES
+    assert names == [STAGE_NAMES[1:-1]]
     assert dict(rep.stages)["kernel-intersection"] == 0
+    no_mod16 = [name for name in STAGE_NAMES if name != "mod16-necessary"]
+    rep = search.full_search(3)
+    assert [name for name, _ in rep.stages] == no_mod16
+    assert names[1:] == [no_mod16[1:-1]] * 511
+    ctx = make_field(3)
+    next(search.criterion_mismatches(ctx, search.all_pair_batches(ctx)))
+    assert names[-1] == no_mod16[1:-1]
     assert sizes and min(sizes) > 0
 
 
