@@ -143,45 +143,23 @@ class FieldContext:
                 a ^= self.modulus
         return p
 
-    def _find_generator(self) -> int:
-        group = self.order - 1
-        primes = []
-        m = group
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                primes.append(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            primes.append(m)
-        for g in range(2, self.order):
-            if all(self._pow_raw(g, group // p) != 1 for p in primes):
-                return g
-        raise AssertionError("no generator found (unreachable for a field)")
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return r
-
     def _build_tables(self) -> None:
         """Squaring, the trace and multiplication by g^k are GF(2)-linear, so
         each table is the span of n basis images; exp doubles, as
-        exp[k:2k] = g^k exp[:k], and log is its inverse permutation."""
+        exp[k:2k] = g^k exp[:k], and log is its inverse permutation.  The
+        generator is the first g = 2, 3, ... whose powers g^k, 0 < k < q - 1,
+        all differ from 1: the smallest primitive element."""
         q, n = self.order, self.n
-        g = self._find_generator()
         basis = [1 << j for j in range(n)]
         exp = np.zeros(2 * q, dtype=np.int64)
         exp[0] = 1
-        for t in range(n):  # the last step also sets exp[q - 1] = g^(q - 1) = 1
-            gk = self._pow_raw(g, 1 << t)
-            exp[1 << t : 2 << t] = span_table([self._mul_raw(gk, b) for b in basis])[exp[: 1 << t]]
+        for g in range(2, q):
+            gk = g
+            for t in range(n):  # the last step also sets exp[q - 1] = g^(q - 1) = 1
+                exp[1 << t : 2 << t] = span_table([self._mul_raw(gk, b) for b in basis])[exp[: 1 << t]]
+                gk = self._mul_raw(gk, gk)
+            if not (exp[1 : q - 1] == 1).any():
+                break
         exp[q - 1 : 2 * (q - 1)] = exp[: q - 1]
         log = np.zeros(q, dtype=np.int64)
         log[exp[: q - 1]] = np.arange(q - 1)
@@ -199,6 +177,8 @@ class FieldContext:
             tr ^= x
             x = self.sqr_table[x]
         self.trace_table = span_table(tr.astype(np.uint8))
+        for table in (exp, log, inv, self.sqr_table, self.trace_table):
+            table.setflags(write=False)
 
     # -- identity -----------------------------------------------------
 

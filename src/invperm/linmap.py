@@ -114,19 +114,9 @@ class LinearizedPoly:
         )
 
     def compose(self, other: "LinearizedPoly") -> "LinearizedPoly":
-        """self after other: x -> self(other(x))."""
+        """self after other: x -> self(other(x)), the matrix product."""
         self.check_same_ctx(other)
-        ctx = self.ctx
-        n = ctx.n
-        out = [0] * n
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            for j, d in enumerate(other.coeffs):
-                if not d:
-                    continue
-                out[(i + j) % n] ^= ctx.mul(c, ctx.pow2k(d, i))
-        return LinearizedPoly(ctx, tuple(out))
+        return LinearizedPoly.from_matrix(self.ctx, gf2mat.matmul(self.matrix(), other.matrix()))
 
     def adjoint(self) -> "LinearizedPoly":
         """L* with Tr(L(x) y) = Tr(x L*(y)); an involution."""

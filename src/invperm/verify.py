@@ -94,21 +94,24 @@ def verify_proposition2(
     n: int,
     modulus: Optional[int] = None,
     samples: Optional[int] = None,
-    seed: int = 20240,
+    seed: Optional[int] = None,
 ) -> VerifyResult:
     """Kloosterman criterion == direct bijectivity.
 
     Exhaustive over all nonzero pairs for n <= 3, over all canonical
     orbit representatives at n = 4, and over seeded random pairs for
-    5 <= n <= 8 (100000 unless samples says otherwise; a drawn pair with
-    a zero map is not counted).  samples is rejected where it would be
-    ignored.  Pair tables hold field elements as bytes and R is a
-    product-table lookup, so n > 8 is rejected.
+    5 <= n <= 8 (100000 unless samples says otherwise, seed 20240 unless
+    seed does; a drawn pair with a zero map is not counted).  samples and
+    seed are rejected where they would be ignored.  Pair tables hold
+    field elements as bytes and R is a product-table lookup, so n > 8 is
+    rejected.
     """
     if n > 8:
         raise ValueError(f"proposition2 supports n <= 8, where pair tables fit; got n={n}")
     if n <= 4 and samples is not None:
         raise ValueError("proposition2 takes no samples at n <= 4, where it checks every case")
+    if n <= 4 and seed is not None:
+        raise ValueError("proposition2 takes no seed at n <= 4, where it checks every case")
     ctx = make_field(n, modulus)
     res = VerifyResult("proposition2", ctx.spec, 0)
     res.details["statement"] = (
@@ -123,6 +126,7 @@ def verify_proposition2(
         batches = canonical_batches(ctx)
     else:
         samples = 100_000 if samples is None else samples
+        seed = 20240 if seed is None else seed
         res.details["mode"] = f"random(samples={samples}, seed={seed})"
         batches = random_pair_batches(ctx, samples, seed)
     for checked, bad in criterion_mismatches(ctx, batches):

@@ -193,6 +193,23 @@ def test_check_pair_wrong_coefficient_count_exits_one(capsys, l1):
     assert "need exactly 4 coefficients" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["field-info", "--field", "5:0xzz"], "bad modulus in field spec '5:0xzz'"),
+        (["field-info", "--field", "17:0x20009"], "n=17 out of range [2, 16]"),
+        (["check-pair", "--field", "5", "--l1", "20,0,0,0,0", "--l2", "1,0,0,0,0"],
+         "element 32 out of range for GF(2^5)"),
+        (["verify", "theorem8", "--field", "4"], "applies for n >= 5"),
+    ],
+)
+def test_bad_input_exits_one_with_message(capsys, argv, message):
+    code, doc, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert doc is None
+    assert message in err
+
+
 def test_reducible_modulus_exits_one(capsys):
     code, doc, err = run_cli(capsys, "kloosterman", "census", "--field", "5:0x21")
     assert code == 1

@@ -1,5 +1,6 @@
 """Field construction and arithmetic checks for GF(2^n)."""
 
+import itertools
 import random
 
 import numpy as np
@@ -312,3 +313,29 @@ def test_field_tables_are_cached_and_read_only():
     assert isinstance(ctx.trace_dual_basis, tuple)
     with pytest.raises(ValueError, match="n <= 8"):
         FieldContext(9).mul_table
+    # every table the context holds, eager or cached, rejects in-place writes
+    tables = {name: v for name, v in vars(ctx).items() if isinstance(v, np.ndarray)}
+    assert {"exp_table", "log_table", "inv_table", "sqr_table", "trace_table",
+            "pow2k_table", "trace_dual_table", "mul_table"} <= set(tables)
+    for name, table in tables.items():
+        assert not table.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[1] = 0
+
+
+def _order(ctx, g):
+    """Multiplicative order of g != 0 by repeated shift-and-reduce products."""
+    k, v = 1, g
+    while v != 1:
+        k, v = k + 1, ctx._mul_raw(v, g)
+    return k
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_generator_is_smallest_primitive_element(n):
+    # the first 8 moduli include fields whose smallest generator is 3, 6,
+    # 7 and 13 (n = 8 at 0x11b; the 4th modulus at n = 12)
+    for modulus in itertools.islice(irreducible_polys(n), 8):
+        ctx = FieldContext(n, modulus)
+        assert _order(ctx, ctx.generator) == ctx.order - 1
+        assert all(_order(ctx, g) < ctx.order - 1 for g in range(2, ctx.generator))
