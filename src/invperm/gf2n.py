@@ -48,9 +48,9 @@ def _poly_mod(a: int, m: int) -> int:
 
 def is_irreducible(p: int) -> bool:
     """Irreducibility over GF(2) by trial division up to degree n/2."""
-    n = _poly_degree(p)
-    if n <= 0:
+    if p < 2:  # constants, and negative ints, which are no polynomials
         return False
+    n = _poly_degree(p)
     if n == 1:
         return True
     if not (p & 1):
@@ -119,7 +119,7 @@ class FieldContext:
             raise ValueError(f"extension degree n={n} out of range [{MIN_N}, {MAX_N}]")
         if modulus is None:
             modulus = default_modulus(n)
-        if _poly_degree(modulus) != n:
+        if modulus >> n != 1:  # also rejects a negative int
             raise ValueError(f"modulus {modulus:#x} does not have degree {n}")
         if not is_irreducible(modulus):
             raise ValueError(f"modulus {modulus:#x} is reducible over GF(2)")

@@ -213,22 +213,16 @@ class Subspace:
     def is_subfield_translate(self) -> Optional[Tuple[int, int]]:
         """(a, k) with self = a * F_{2^k}, or None.
 
-        Every nonzero member is tried as the scale candidate.
+        If self = a * F_{2^k}, then s^-1 * self = F_{2^k} for every nonzero
+        s in self, so the smallest nonzero member alone decides.
         """
-        if self.dim < 1:
-            return None
         k = self.dim
-        if self.ctx.n % k != 0:
+        if k < 1 or self.ctx.n % k != 0:
             return None
-        target = self.ctx.subfield_elements(k)
         span = self.elements()
-        for s in span:
-            if s == 0:
-                continue
-            s_inv = self.ctx.inv0(s)
-            if frozenset(self.ctx.mul(s_inv, x) for x in span) == target:
-                return (s, k)
-        return None
+        s = span[1]  # the smallest nonzero member
+        scaled = frozenset(self.ctx.mul(self.ctx.inv0(s), x) for x in span)
+        return (s, k) if scaled == self.ctx.subfield_elements(k) else None
 
 
 def kernels_intersect_trivially(l1: LinearizedPoly, l2: LinearizedPoly) -> bool:

@@ -20,11 +20,11 @@ row lies in the bool table entry by entry (_all_in: one lookup, then one
 word compare per row where the row fits a word).  One builder,
 _criterion_stages, makes every source's list from its row decoders.
 The mod-16 stage is preceded by an unnamed probe stage that reads R at
-the 8 _PROBE points, one uint64 per candidate.  The stages before the
-full mod-16 one, kernel and probe, are the funnel's prefix.  A map's coefficients, table and
-adjoint table (its map row, _map_rows) are GF(2)-linear in the map, so
-maps decode as XORs of precomputed map rows through a _SpanMap, with no
-field multiplications; its span tables hold rows as machine words.
+the 8 _PROBE points, 8 bytes per candidate.  The stages before the
+full mod-16 one, kernel and probe, are the funnel's prefix.  A map's
+coefficients, table and adjoint table (its map row, _map_rows) are
+GF(2)-linear in the map, so maps decode as XORs of precomputed map rows
+through a _SpanMap, with no field multiplications.
 
 full_search and verify_proposition2 read batches of (L1, L2) pairs: all
 nonzero pairs at n <= 3, canonical orbit representatives at n = 4, or
@@ -37,18 +37,15 @@ key once (_fixed_l1_env): a coset of L2* coefficient vectors (the
 trace presolve's equations are in L2*'s bits) and its decoders.  The
 adjoint is GF(2)-linear, so L2's map row and R are affine in L2* too;
 they decode from the map rows of L2 at the coset's origin and basis
-vectors.  A block's indices share all bytes but the low two, so its
-prefix stages are a join over those two bytes (_SpanJoin): per high
-byte, an AND of precomputed 256-bit masks of the low bytes, with no
-row decoded per candidate.  Only the survivors, 0 per block at
+vectors.  A block's indices share all bytes but the low two, so each
+of its prefix stages is a join over those two bytes (_SpanJoin): per
+high byte, an AND of precomputed 256-bit masks of the low bytes, with
+no row decoded per candidate.  Only the survivors, 0 per block at
 identity n = 5 and about 600 at normalized n = 7, run the rest of the
-stage list, and a block with none decodes nothing.  A prefix stage
-whose row is the same on the whole coset and passes gets no join and
-only records its count (the kernel stage of normalized, where
-L2*(1) = 1, and the empty kernel row of identity).  L2 = 0 is in the coset
-only when the system is homogeneous, and then it is index 0, so the
-nonzero stage drops that index and L2's coefficients are decoded only
-for the witnesses and the audit rows.
+stage list, and a block with none decodes nothing.  L2 = 0 is in the
+coset only when the system is homogeneous, and then it is index 0, so
+the nonzero stage drops that index and L2's coefficients are decoded
+only for the witnesses and the audit rows.
 
 Blocks are deterministic and merged in block order, so witness lists
 and counts are identical for any worker count.  Every driver ends a
@@ -348,23 +345,20 @@ def _fixed_l1_env(
     index is L2* = 0 and "first" is 0.
 
     The adjoint is GF(2)-linear, so the map rows of L2 = (L2*)* are
-    affine in the index too; "dec" decodes them through _SpanMaps.
-    "coeffs" gives L2's coefficient vector packed into one uint64 (c_i
-    at bit n*i; blocks decode it only for the rows they report),
-    "kernel" L2* at the nonzero kernel points of L1* (no column when L1*
-    is injective), "probe" (n >= 4) and "r" the table R(b) = L1*(b) L2*(b)
-    at the 8 probe points (one uint64 per candidate) and everywhere,
-    and "f" the table of F = L1(x^-1) + L2(x).
+    affine in the index too; "dec" decodes them, as byte rows, through
+    _SpanMaps.  "coeffs" gives L2's coefficient vector (blocks decode it
+    only for the rows they report), "kernel" L2* at the nonzero kernel
+    points of L1* (no column when L1* is injective), "probe" (n >= 4)
+    and "r" the table R(b) = L1*(b) L2*(b) at the 8 probe points and
+    everywhere, and "f" the table of F = L1(x^-1) + L2(x).
 
     The stage list of _criterion_stages splits where the stages on the
     full "r" rows begin.  "joins" holds the stages ahead of it as
-    (name, join), after ("nonzero", None) for the cut at "first": the
-    join is a _SpanJoin, which blocks run in place of the decoder, or
-    None for a stage that cannot reject, whose row is the origin's on the
-    whole coset (every basis image 0) and lies in the table.  That is the
-    kernel stage under value_one (the one nonzero kernel point of
-    L1 = x^(2^(n-1)) + x is 1) and for an injective L1* (an empty row).
-    "stages" is the rest of the list.
+    (name, _SpanJoin), which blocks run in place of the decoders; a
+    stage that cannot reject (the kernel stage under value_one, whose
+    row is the constant 1, or the empty kernel row of an injective L1*)
+    is a join that passes every candidate.  "stages" is the rest of the
+    list.
     """
     ctx = make_field(n, modulus)
     l1 = LinearizedPoly(ctx, l1_coeffs)
@@ -381,52 +375,39 @@ def _fixed_l1_env(
     coeffs, f, l2s = np.split(_map_rows(ctx, l2_maps), _row_cuts(ctx), axis=1)
     r = ctx.mul_vec(l1s_tab, l2s).astype(np.uint8)
     f[0] ^= l1.table()[ctx.inv_table].astype(np.uint8)
-    tabs = {"coeffs": _pack(n, coeffs), "kernel": l2s[:, 1:][:, l1s_tab[1:] == 0], "r": r, "f": f}
+    tabs = {"coeffs": coeffs, "kernel": l2s[:, 1:][:, l1s_tab[1:] == 0], "r": r, "f": f}
     if n >= 4:
         tabs["probe"] = r[:, _PROBE]
     dec = {name: _SpanMap(tab[0], tab[1:]) for name, tab in tabs.items()}
     stages = _criterion_stages(ctx, dec["kernel"], dec.get("probe"), dec["r"], n >= 4)
     split = next(i for i, (_, rows, _) in enumerate(stages) if rows is dec["r"])
-
-    def join(rows, table):  # None when the row is constant and inside the table
-        if not rows.images.any() and table[rows.origin].all():
-            return None
-        return _SpanJoin(rows, table)
-
     return {
-        "ctx": ctx, "origin": origin, "basis": basis, "dec": dec,
-        "joins": [("nonzero", None)]
-        + [(name, join(rows, table)) for name, rows, table in stages[:split]],
+        "origin": origin, "basis": basis, "dec": dec,
+        "joins": [(name, _SpanJoin(rows, table)) for name, rows, table in stages[:split]],
         "stages": stages[split:], "first": int(not any(origin)),
     }
 
 
 class _SpanMap:
-    """GF(2)-affine map from candidate indices m to rows:
-    origin XOR the images of the set bits of m (both kept as given).
+    """GF(2)-affine map from candidate indices m to rows: origin XOR the
+    images of the set bits of m, in the rows' own dtype and shape.
 
     Index bits are consumed in 8-bit chunks through span tables (the
     XOR of every subset of 8 images), one gather per chunk; the origin
-    is XORed into the first table.  The tables hold each row as machine
-    words (_words), and the XORed words are viewed back as rows of the
-    origin's dtype and shape.  spans[k] serves index byte k, so
+    is XORed into the first table.  spans[k] serves index byte k, so
     _SpanJoin reads the tables of byte rows directly.
     """
 
     def __init__(self, origin: np.ndarray, images: np.ndarray):
-        self.origin, self.images = origin, images
-        rows = np.concatenate([np.asarray(origin)[None], images])
-        self.dtype, self.shape = rows.dtype, rows.shape[1:]
-        words = _words(rows.reshape(len(rows), -1))
-        self.spans = [span_table(words[lo : lo + 8]) for lo in range(1, len(words), 8)]
-        self.spans[0] ^= words[0]
+        self.spans = [span_table(images[lo : lo + 8]) for lo in range(0, len(images), 8)]
+        self.spans[0] ^= origin
 
     def __call__(self, ms: np.ndarray) -> np.ndarray:
         # np.take copies whole rows; fancy indexing goes element-wise
         out = np.take(self.spans[0], ms & 0xFF, axis=0)
         for k, tab in enumerate(self.spans[1:], 1):
             out ^= np.take(tab, (ms >> (8 * k)) & 0xFF, axis=0)
-        return out.view(self.dtype).reshape((ms.size,) + self.shape)
+        return out
 
 
 class _SpanJoin:
@@ -445,7 +426,7 @@ class _SpanJoin:
     """
 
     def __init__(self, rows: _SpanMap, table: np.ndarray):
-        lo, *self.spans = [tab.view(np.uint8) for tab in rows.spans]
+        lo, *self.spans = rows.spans
         hits = table[lo[None] ^ np.arange(table.size, dtype=np.uint8)[:, None, None]]
         bits = np.zeros((lo.shape[1], table.size, 256), dtype=bool)
         bits[:, :, : len(lo)] = hits.transpose(2, 0, 1)  # (b, v, l)
@@ -465,28 +446,26 @@ def _fixed_l1_block(args) -> dict:
     """Run the funnel on the block of BLOCK candidates from start; a pure
     function of args = (n, modulus, l1_coeffs, value_one, start).
 
-    The env's joins, masks over the block, are ANDed in order; only their
-    survivors are indices, and they alone run the env's stage list."""
+    The indices from "first" are the nonzero stage's.  The env's joins,
+    masks over the block, are ANDed in order, and a named one records
+    the count after it; only their survivors are indices, and they alone
+    run the env's stage list."""
     n, modulus, l1_coeffs, value_one, start = args
     env = _fixed_l1_env(n, modulus, l1_coeffs, value_one)
-    ctx, dec = env["ctx"], env["dec"]
     first = max(start, env["first"])
     end = max(first, min(start + BLOCK, 1 << len(env["basis"])))  # empty past the space
     keep = np.ones(end - start, dtype=bool)
     keep[: first - start] = False
-    counts, count = {}, end - first
+    counts = {"nonzero": end - first}
     for name, join in env["joins"]:
-        if join is not None:
-            keep &= join(start)[: keep.size]
-            count = int(np.count_nonzero(keep))
+        keep &= join(start)[: keep.size]
         if name:
-            counts[name] = count
+            counts[name] = int(np.count_nonzero(keep))
     alive = np.flatnonzero(keep) + start
-    counts, alive, bij = _funnel(alive, env["stages"], dec["f"], counts)
+    counts, alive, bij = _funnel(alive, env["stages"], env["dec"]["f"], counts)
 
     def pairs(sel):
-        l2 = _unpack_coeffs(ctx, dec["coeffs"](sel))
-        return [(l1_coeffs, tuple(row)) for row in l2.tolist()]
+        return [(l1_coeffs, tuple(row)) for row in env["dec"]["coeffs"](sel).tolist()]
 
     return _block_result(counts, range(first, end), alive, bij, pairs)
 

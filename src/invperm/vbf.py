@@ -56,7 +56,7 @@ class TruthTable:
     """A function F: GF(2^n) -> GF(2^n) as a length-2^n value table."""
 
     def __init__(self, ctx: FieldContext, values):
-        vals = np.asarray(values, dtype=np.int64)
+        vals = np.array(values, dtype=np.int64)  # a copy: the caller's array stays writable
         if vals.shape != (ctx.order,):
             raise ValueError(f"need exactly {ctx.order} values")
         if vals.min() < 0 or vals.max() > ctx.mask:

@@ -1,7 +1,11 @@
 """CLI contract: subcommands, JSON schema, digests, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -208,6 +212,21 @@ def test_bad_input_exits_one_with_message(capsys, argv, message):
     assert code == 1
     assert doc is None
     assert message in err
+
+
+def test_negative_modulus_exits_one():
+    # int("-0x25", 16) is -37, a negative modulus; a degree check that let
+    # it through would loop forever in trial division, so the CLI runs in
+    # a child process with a timeout, where such a regression fails
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "invperm.cli", "field-info", "--field", "5:-0x25"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "modulus -0x25 does not have degree 5" in proc.stderr
 
 
 def test_reducible_modulus_exits_one(capsys):

@@ -1,7 +1,11 @@
 """Field construction and arithmetic checks for GF(2^n)."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +55,33 @@ def test_make_field_all_ones_quartic_is_irreducible():
     # so the irreducibility oracle accepts it
     assert is_irreducible(0b11111)
     assert make_field(4, 0b11111).modulus == 0b11111
+
+
+def test_irreducible_counts():
+    # the number of irreducible binary polynomials of degree n = 1..10
+    counts = [sum(1 for _ in irreducible_polys(n)) for n in range(1, 11)]
+    assert counts == [2, 1, 2, 3, 6, 9, 18, 30, 56, 99]
+
+
+def test_negative_modulus_is_rejected():
+    # a negative int is no polynomial and is rejected; trial division on
+    # one never ends, so the checks run in a child process with a timeout,
+    # where a regression fails instead of hanging the suite
+    code = (
+        "from invperm.gf2n import is_irreducible, make_field\n"
+        "assert is_irreducible(-37) is False\n"
+        "try:\n"
+        "    make_field(5, -37)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "modulus -0x25 does not have degree 5\n"
 
 
 def test_make_field_rejects_reducible():

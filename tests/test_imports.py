@@ -1,5 +1,6 @@
-"""Source hygiene: every module of the package uses each name it imports
-and reads no private name of another module."""
+"""Source hygiene: every module of the package uses each name it imports,
+reads no private name of another module and reads each private name it
+defines."""
 
 import ast
 from pathlib import Path
@@ -96,3 +97,51 @@ def test_foreign_private_check_flags_reach_ins():
         "    return args._argv, self._x, cls._y, l1.__class__\n"
     )
     assert foreign_privates(source) == [(2, "_helper"), (5, "_same_ctx")]
+
+
+def orphaned_privates(source: str) -> list:
+    """(line, name) of each module-level private function, class or
+    assigned name that the module never reads, as a name or as an
+    attribute."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return sorted((line, name) for name, line in defined.items() if _private(name) and name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_orphaned_private_names(path):
+    assert orphaned_privates(path.read_text()) == []
+
+
+def test_orphaned_private_check_flags_unread_helpers():
+    source = (
+        "import numpy as np\n"
+        "_CACHE = {}\n"
+        "_A, _B = 1, 2\n"
+        "__version__ = '1'\n"
+        "def _words(rows):\n"
+        "    return rows\n"
+        "def _all_in(rows):\n"
+        "    return rows\n"
+        "class _Helper:\n"
+        "    def _method(self):\n"
+        "        return _A\n"
+        "def public(x):\n"
+        "    return _all_in(x), np._helper_attr, x._Helper\n"
+    )
+    assert orphaned_privates(source) == [(2, "_CACHE"), (3, "_B"), (5, "_words")]

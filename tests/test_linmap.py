@@ -255,6 +255,45 @@ def test_subfield_translate_detection():
     assert Subspace(ctx, [1, g]).is_subfield_translate() is None
 
 
+def _subfield_translate_by_search(space):
+    """Oracle of Subspace.is_subfield_translate: every nonzero member is
+    tried as the scale, smallest first."""
+    ctx, k = space.ctx, space.dim
+    if k < 1 or ctx.n % k != 0:
+        return None
+    span = space.elements()
+    for s in span[1:]:
+        if frozenset(ctx.mul(ctx.inv0(s), x) for x in span) == ctx.subfield_elements(k):
+            return (s, k)
+    return None
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_subfield_translate_matches_search(n):
+    # random subspaces of every dimension and scaled subfields a * F_{2^k}
+    # (every k | n), at the default and the alternate modulus
+    rng = random.Random(n)
+    moduli = dict.fromkeys([None, alternate_modulus(n)])
+    translates = 0
+    for modulus in moduli:
+        ctx = make_field(n, modulus)
+        spaces = [
+            Subspace(ctx, [rng.randrange(ctx.order) for _ in range(dim)])
+            for dim in range(n + 1)
+            for _ in range(12)
+        ]
+        for k in (k for k in range(1, n + 1) if n % k == 0):
+            sub = sorted(ctx.subfield_elements(k))
+            for _ in range(12):
+                a = rng.randrange(1, ctx.order)
+                spaces.append(Subspace(ctx, [ctx.mul(a, x) for x in sub]))
+        for space in spaces:
+            want = _subfield_translate_by_search(space)
+            assert space.is_subfield_translate() == want
+            translates += want is not None
+    assert translates >= 12 * len(moduli)
+
+
 def test_kernels_intersect_trivially():
     ctx = make_field(5)
     rng = random.Random(61)

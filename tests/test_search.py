@@ -349,9 +349,9 @@ def _assert_same_rows(got, want):
 
 
 def test_span_map_words_match_byte_oracle():
-    # rows of every byte width 1..40 decode through machine words to the
-    # values, dtype and shape of the byte-wise decode; 19 images make two
-    # full 8-bit chunks and a partial one
+    # rows of every byte width 1..40 decode to the values, dtype and shape
+    # of the oracle's decode; 19 images make two full 8-bit chunks and a
+    # partial one
     rng = np.random.default_rng(0)
     ms = np.concatenate([[0, (1 << 19) - 1], rng.integers(0, 1 << 19, 200)]).astype(np.int64)
     for width in range(1, 41):
@@ -363,8 +363,8 @@ def test_span_map_words_match_byte_oracle():
 
 
 def test_span_map_scalar_word_rows():
-    # packed uint64 words (scalar origin, one word per image), as the
-    # fixed-L1 "coeffs" decoder and the pair-batch words use them
+    # packed uint64 words (scalar origin, one word per image) decode in
+    # their own dtype
     rng = np.random.default_rng(1)
     words = rng.integers(0, 1 << 63, 12, dtype=np.uint64)
     fast, oracle = search._SpanMap(words[0], words[1:]), _ByteSpanMap(words[0], words[1:])
@@ -549,11 +549,10 @@ def test_linear_decoder_matches_multiplication(kind, n, alternate):
     origin, basis, dec = env["origin"], env["basis"], env["dec"]
     l1s_tab = l1.adjoint().table()
     kernel_pts = [b for b in range(1, ctx.order) if l1s_tab[b] == 0]
-    # under value_one, L2*(1) = 1 on the whole coset: the kernel row is the
-    # constant 1 and its stage gets no join, as does the empty kernel row
-    # of an injective L1*
-    joins = dict(env["joins"])
-    assert (joins["kernel-intersection"] is not None) == (bool(kernel_pts) and kind != "normalized")
+    # every prefix stage is a join: the kernel stage, then the probe from n = 4
+    joins = [name for name, _ in env["joins"]]
+    assert joins == ["kernel-intersection"] + [None] * (n >= 4)
+    assert bool(kernel_pts) == (kind != "identity")  # L1* = x is injective
     assert ("probe" in dec) == (n >= 4)
     top = (1 << len(basis)) - 1
     rng = np.random.default_rng(n)
@@ -563,7 +562,8 @@ def test_linear_decoder_matches_multiplication(kind, n, alternate):
         # raw enumeration is the coset with the standard basis
         assert np.array_equal(coeffs, search._unpack_coeffs(ctx, ms))
     l2_coeffs = [LinearizedPoly(ctx, tuple(row)).adjoint().coeffs for row in coeffs.tolist()]
-    assert search._unpack_coeffs(ctx, dec["coeffs"](ms)).tolist() == [list(c) for c in l2_coeffs]
+    assert dec["coeffs"](ms).dtype == np.uint8
+    assert dec["coeffs"](ms).tolist() == [list(c) for c in l2_coeffs]
     l2s = _tables_from_coeffs(ctx, coeffs)
     r = ctx.mul_vec(l1s_tab[None, :], l2s)
     assert np.array_equal(dec["r"](ms), r)
@@ -573,8 +573,8 @@ def test_linear_decoder_matches_multiplication(kind, n, alternate):
         assert all(0 < b < 16 for b in search._PROBE)
         assert np.array_equal(dec["probe"](ms), r[:, search._PROBE])
     assert np.array_equal(dec["kernel"](ms), l2s[:, kernel_pts])
-    if joins["kernel-intersection"] is None:
-        assert not kernel_pts or (l2s[:, kernel_pts] != 0).all()
+    if kind == "normalized":  # the kernel row is L2*(1) = 1 on the whole coset
+        assert (l2s[:, kernel_pts] == 1).all()
     l2 = _tables_from_coeffs(ctx, np.array(l2_coeffs, dtype=np.int64))
     l1_on_inv = l1.table()[ctx.inv_table]
     assert np.array_equal(dec["f"](ms), l1_on_inv[None, :] ^ l2)
@@ -603,7 +603,7 @@ def test_nonzero_stage_drops_zero_l2(kind, n, blocks, alternate):
         start = b * search.BLOCK
         res = search._fixed_l1_block((*key, start))
         every = np.arange(start, min(start + search.BLOCK, size), dtype=np.int64)
-        zero = every[env["dec"]["coeffs"](every) == 0]
+        zero = every[~env["dec"]["coeffs"](every).any(axis=1)]
         assert res["counts"]["nonzero"] == every.size - zero.size
         assert zero.tolist() == ([0] if kind == "identity" and b == 0 else [])
         reported = [l2 for _, l2 in res["audit"] + res["witnesses"]]
@@ -630,9 +630,8 @@ def test_span_join_matches_row_lookup(kind, n, modulus):
     ctx = make_field(n, modulus)
     env = search._fixed_l1_env(n, modulus, FIXED_L1[kind](ctx), kind == "normalized")
     dec, size = env["dec"], 1 << len(env["basis"])
-    joins = [(name, join) for name, join in env["joins"] if join is not None]
-    joined = ["kernel-intersection"] if kind == "unnormalized" else []
-    assert [name for name, _ in joins] == (joined + [None] if n >= 4 else joined)
+    joins = env["joins"]
+    assert [name for name, _ in joins] == ["kernel-intersection"] + [None] * (n >= 4)
     trq = (ctx.trace_table == 0) & (qform_table(ctx) == 0)
     kz = kloosterman_all(ctx) == 0
     # the unnamed joined stage is the probe
@@ -647,21 +646,21 @@ def test_span_join_matches_row_lookup(kind, n, modulus):
         start = b * search.BLOCK
         every = np.arange(start, min(start + search.BLOCK, size), dtype=np.int64)
         for name, (rows, join) in stages.items():
-            want = search._all_in(tables[name], rows(every))
+            # np.take(...).all() accepts the zero-width kernel rows of identity
+            want = np.take(tables[name], rows(every)).all(axis=1)
             _assert_same_rows(join(start)[: every.size], want)
 
 
 @pytest.mark.parametrize("alternate", [False, True])
-def test_constant_kernel_stage_is_dropped(alternate):
-    # normalized: L2*(1) = 1 on the coset, so the kernel row is constant,
-    # nonzero, and no join is built; its count is the nonzero count
+def test_constant_kernel_stage_passes_every_candidate(alternate):
+    # normalized: L2*(1) = 1 on the coset, so the kernel row is the
+    # constant 1 and its join passes every candidate; its count is the
+    # nonzero count
     for n in (5, 6, 7, 8):
         modulus = alternate_modulus(n) if alternate else None
         ctx = make_field(n, modulus)
         env = search._fixed_l1_env(n, modulus, FIXED_L1["normalized"](ctx), True)
-        joins = dict(env["joins"])
-        assert joins["kernel-intersection"] is None and not env["dec"]["kernel"].images.any()
-        assert joins[None] is not None  # the probe
+        assert [name for name, _ in env["joins"]] == ["kernel-intersection", None]  # then the probe
         counts = search._fixed_l1_block((n, modulus, FIXED_L1["normalized"](ctx), True, 0))["counts"]
         block = min(search.BLOCK, 1 << len(env["basis"]))
         assert counts["kernel-intersection"] == counts["nonzero"] == block
@@ -671,21 +670,19 @@ def test_constant_kernel_stage_is_dropped(alternate):
         ctx = make_field(n, modulus)
         key = (n, modulus, FIXED_L1["unnormalized"](ctx), False)
         env = search._fixed_l1_env(*key)
-        assert dict(env["joins"])["kernel-intersection"] is not None
         counts = search._fixed_l1_block((*key, 0))["counts"]
         assert 0 < counts["kernel-intersection"] < counts["nonzero"]
         # the stage rejects exactly the rows with L2*(1) = 0
         every = np.arange(min(search.BLOCK, 1 << len(env["basis"])), dtype=np.int64)
         assert counts["kernel-intersection"] == np.count_nonzero(env["dec"]["kernel"](every))
     # identity: L1* = x is injective, so the kernel row has no entry and
-    # no join is built; every nonzero candidate passes (index 0 is L2 = 0)
+    # every nonzero candidate passes (index 0 is L2 = 0)
     for n in (3, 4, 5, 6):
         modulus = alternate_modulus(n) if alternate else None
         ctx = make_field(n, modulus)
         key = (n, modulus, FIXED_L1["identity"](ctx), False)
         env = search._fixed_l1_env(*key)
-        assert dict(env["joins"])["kernel-intersection"] is None
-        assert env["dec"]["kernel"].origin.shape == (0,)
+        assert env["dec"]["kernel"](np.arange(3)).shape == (3, 0)
         counts = search._fixed_l1_block((*key, 0))["counts"]
         block = min(search.BLOCK, 1 << len(env["basis"]))
         assert counts["kernel-intersection"] == counts["nonzero"] == block - 1

@@ -82,6 +82,17 @@ def test_walsh_single_value_against_literal_sum():
         assert w[b][a] == lit
 
 
+def test_truth_table_copies_its_values():
+    # the table freezes its own copy, never the caller's array
+    ctx = make_field(5)
+    a = np.arange(32)
+    table = TruthTable(ctx, a)
+    a[0] = 1
+    assert table.values[0] == 0
+    with pytest.raises(ValueError, match="read-only"):
+        table.values[0] = 1
+
+
 def test_walsh_spectrum_affine_invariance():
     ctx = make_field(5)
     rng = random.Random(123)
