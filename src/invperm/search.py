@@ -26,14 +26,16 @@ coefficients, table and adjoint table (its map row, _map_rows) are
 GF(2)-linear in the map, so maps decode as XORs of precomputed map rows
 through a _SpanMap, with no field multiplications.
 
+Bijectivity is a one-hot OR (_permutes).
+
 full_search and verify_proposition2 read batches of (L1, L2) pairs: all
 nonzero pairs at n <= 3, canonical orbit representatives at n = 4, or
-random rows.  Each map is decoded from an n^2-bit word, its packed
-coefficients or matrix; a batch keeps the two map-row arrays and slices
-them at _row_cuts; R = L1* L2* is a product-table lookup.  The
-other two drivers call one fixed-L1 search.  A block of it is the key
-(n, modulus, L1, value_one, start); each process builds the state of a
-key once (_fixed_l1_env): a coset of L2* coefficient vectors (the
+random rows.  A canonical [M1 | M2] decodes one stacked row at a time
+(canonical_batches), the others from packed coefficient words; R is a
+flat product-table lookup.  The other two drivers call one fixed-L1
+search.  A block of it is the key (n, modulus, L1, value_one, start);
+each process builds the state of a key once (_fixed_l1_env): a coset of
+L2* coefficient vectors (the
 trace presolve's equations are in L2*'s bits) and its decoders.  The
 adjoint is GF(2)-linear, so L2's map row and R are affine in L2* too;
 they decode from the map rows of L2 at the coset's origin and basis
@@ -93,6 +95,7 @@ __all__ = [
 
 BLOCK = 1 << 16
 AUDIT_CAP = 256
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -244,21 +247,38 @@ def _funnel(alive: np.ndarray, stages: list, f, counts: dict):
     by entry (_all_in).  A named stage records its survivors in counts;
     an unnamed one (the 8-point probe) records nothing.  f decodes the
     table of F = L1(x^-1) + L2(x), and "bijective" counts the survivors
-    whose F permutes.  Once no candidate is left no decoder is called,
+    whose F permutes.  A decoder sees at most _CHUNK candidates a call.
+    Once no candidate is left no decoder is called,
     but every named count is still recorded.  Returns counts, the
     survivors of the stages and their bijectivity mask.
     """
     for name, rows, table in stages:
-        if alive.size:
-            alive = alive[_all_in(table, rows(alive))]
+        alive = alive[_chunked(lambda m: _all_in(table, rows(m)), alive)]
         if name:
             counts[name] = int(alive.size)
-    bij = np.zeros(0, dtype=bool)
-    if alive.size:
-        tab = np.sort(f(alive), axis=1)
-        bij = (tab == np.arange(tab.shape[1])).all(axis=1)
+    bij = _chunked(lambda m: _permutes(f(m)), alive)
     counts["bijective"] = int(bij.sum())
     return counts, alive, bij
+
+
+def _chunked(mask, alive: np.ndarray) -> np.ndarray:
+    """mask of alive, _CHUNK at a time: np.take widens indices to intp."""
+    parts = [mask(alive[lo : lo + _CHUNK]) for lo in range(0, alive.size, _CHUNK)]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
+
+
+def _permutes(tab: np.ndarray) -> np.ndarray:
+    """Rows of q values below q whose OR of 1 << v covers all q bits, in
+    32-bit words (q / 32 of them above q = 32): the permutations."""
+    b, q = tab.shape
+    one = np.uint32(1)
+    if q <= 32:
+        words = np.bitwise_or.reduce(np.left_shift(one, tab, dtype=np.uint32), axis=1)
+        return words == np.uint32((1 << q) - 1)
+    words = np.zeros((b, q // 32), dtype=np.uint32)
+    bits = np.left_shift(one, tab & 31, dtype=np.uint32)
+    np.bitwise_or.at(words, (np.arange(b)[:, None], tab >> 5), bits)
+    return (words == np.uint32(0xFFFFFFFF)).all(axis=1)
 
 
 def _block_result(counts: dict, ms, alive: np.ndarray, bij: np.ndarray, pairs) -> dict:
@@ -288,14 +308,14 @@ def _report(ctx: FieldContext, results, t0: float, **fields) -> SearchReport:
         witnesses.extend(res["witnesses"])
         audit.extend(res["audit"][: AUDIT_CAP - len(audit)])
 
-    def maps(pair):
-        return [LinearizedPoly(ctx, c) for c in pair]
-
-    violations = sum(build_F(*maps(pair)).is_permutation() for pair in audit)
+    violations = sum(
+        build_F(*(LinearizedPoly(ctx, c) for c in pair)).is_permutation() for pair in audit
+    )
+    texts = (tuple(",".join(f"{c:x}" for c in m) for m in pair) for pair in witnesses)
     return SearchReport(
         field_spec=ctx.spec,
         stages=tuple(counts.items()),
-        witnesses=tuple(sorted(tuple(m.to_text() for m in maps(p)) for p in witnesses)),
+        witnesses=tuple(sorted(texts)),
         elapsed_s=time.perf_counter() - t0,
         audit_sampled=len(audit),
         audit_violations=violations,
@@ -431,8 +451,13 @@ class _SpanJoin:
         bits = np.zeros((lo.shape[1], table.size, 256), dtype=bool)
         bits[:, :, : len(lo)] = hits.transpose(2, 0, 1)  # (b, v, l)
         self.in_table = np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
+        self.everything = None
+        if not lo.shape[1]:  # no positions (injective L1*): one mask passes all
+            self.everything = self(0)
 
     def __call__(self, start: int) -> np.ndarray:
+        if self.everything is not None:
+            return self.everything
         hi = np.zeros(self.in_table.shape[0], dtype=np.uint8)
         for k, tab in enumerate(self.spans[1:], 2):
             hi ^= tab[(start >> (8 * k)) & 0xFF]
@@ -591,49 +616,41 @@ def canonical_batches(ctx: FieldContext):
     carry their "stacked" n x 2n matrices (L1's matrix in the low n
     columns).
 
-    The representatives are the rows of _rref_rows, built per pivot
-    pattern as a span table.  Each n x n half, packed into an n^2-bit
-    word (row i at bit n*i), decodes through one _word_decoder over the
-    maps of the n^2 one-bit matrices.
+    The representatives are the rows of _rref_rows.  Map rows are linear
+    in the matrix, so a batch's [L1 | L2] map rows are the XOR over i of
+    tables[i][stacked row i], the span table of row i's 2n one-bit maps.
     """
     n = ctx.n
-    units = [[1 << j if r == i else 0 for r in range(n)] for i in range(n) for j in range(n)]
-    decode = _word_decoder(ctx, [LinearizedPoly.from_matrix(ctx, m) for m in units])
+    one_bit = [[1 << j if r == i else 0 for r in range(n)] for i in range(n) for j in range(n)]
+    units = _map_rows(ctx, [LinearizedPoly.from_matrix(ctx, m) for m in one_bit]).reshape(n, n, -1)
+    zeros = np.zeros_like(units[0])
+    tables = [span_table(np.block([[u, zeros], [zeros, u]])) for u in units]
+    width = units.shape[2]
     rref = _rref_rows(n)
     for lo in range(0, len(rref), BLOCK):
         stacked = rref[lo : lo + BLOCK]
-        w1, w2 = (_pack(n, half) for half in (stacked & ctx.mask, stacked >> n))
-        yield dict(_pair_batch(decode(w1), decode(w2), w1, w2), stacked=stacked)
+        rows = np.take(tables[0], stacked[:, 0], axis=0)
+        bits = stacked[:, 0].copy()  # OR of the stacked rows: a half is 0 where its bits are
+        for i in range(1, n):
+            rows ^= np.take(tables[i], stacked[:, i], axis=0)
+            bits |= stacked[:, i]
+        nonzero = ((bits & ctx.mask) != 0) & ((bits >> n) != 0)
+        yield dict(l1=rows[:, :width], l2=rows[:, width:], nonzero=nonzero, stacked=stacked)
 
 
 # -- pair batches ----------------------------------------------------------------
 #
 # A pair batch holds, per row, the map rows (_map_rows) l1 and l2 of the
 # maps L1, L2 and a nonzero mask; _row_cuts gives the columns where a map
-# row's table and adjoint table begin.  Each map is named by an n^2-bit word: its
-# packed coefficients (all nonzero maps at n <= 3, random rows) or matrix
-# (canonical representatives at n = 4).  Map rows are GF(2)-linear in the
-# word, so a batch decodes, as a fixed-L1 coset does, through one _SpanMap
-# over the rows of the n^2 unit maps.
-
-
-def _word_decoder(ctx: FieldContext, units) -> _SpanMap:
-    """Map rows of the maps named by words: bit k of a word adds units[k]."""
-    rows = _map_rows(ctx, units)
-    return _SpanMap(np.zeros_like(rows[0]), rows)
+# row's table and adjoint table begin.  All nonzero maps at n <= 3 and
+# random rows decode from packed coefficient words through _coeff_decoder.
 
 
 def _coeff_decoder(ctx: FieldContext) -> _SpanMap:
-    """_word_decoder of packed coefficient words (bit t of c_i at n*i + t)."""
+    """_SpanMap of packed coefficient words (bit t of c_i at n*i + t)."""
     n = ctx.n
-    units = [LinearizedPoly.frobenius(ctx, i, 1 << t) for i, t in np.ndindex(n, n)]
-    return _word_decoder(ctx, units)
-
-
-def _pair_batch(l1_rows: np.ndarray, l2_rows: np.ndarray, w1, w2) -> dict:
-    """Pair batch of the maps with map rows l1_rows (L1) and l2_rows (L2),
-    decoded from the words w1 and w2: a map is zero exactly when its word is."""
-    return dict(l1=l1_rows, l2=l2_rows, nonzero=(w1 != 0) & (w2 != 0))
+    units = _map_rows(ctx, [LinearizedPoly.frobenius(ctx, i, 1 << t) for i, t in np.ndindex(n, n)])
+    return _SpanMap(np.zeros_like(units[0]), units)
 
 
 def all_pair_batches(ctx: FieldContext) -> Iterator[dict]:
@@ -644,8 +661,9 @@ def all_pair_batches(ctx: FieldContext) -> Iterator[dict]:
     """
     words = np.arange(1, 1 << (ctx.n * ctx.n), dtype=np.int64)
     every = _coeff_decoder(ctx)(words)
-    for w, row in zip(words, every):
-        yield _pair_batch(np.broadcast_to(row, every.shape), every, w, words)
+    nonzero = np.ones(len(words), dtype=bool)
+    for row in every:
+        yield dict(l1=np.broadcast_to(row, every.shape), l2=every, nonzero=nonzero)
 
 
 def random_pair_batches(ctx: FieldContext, samples: int, seed: int) -> Iterator[dict]:
@@ -656,24 +674,31 @@ def random_pair_batches(ctx: FieldContext, samples: int, seed: int) -> Iterator[
         b = min(1 << 14, samples - start)
         c1 = rng.integers(0, ctx.order, (b, ctx.n), dtype=np.int64)
         c2 = rng.integers(0, ctx.order, (b, ctx.n), dtype=np.int64)
-        w1, w2 = _pack(ctx.n, c1), _pack(ctx.n, c2)
-        yield _pair_batch(decode(w1), decode(w2), w1, w2)
+        nonzero = c1.any(axis=1) & c2.any(axis=1)
+        yield dict(l1=decode(_pack(ctx.n, c1)), l2=decode(_pack(ctx.n, c2)), nonzero=nonzero)
 
 
 def _pair_decoder(ctx: FieldContext, batch: dict, mod16: bool):
-    """The funnel's (stages, f) over the row indices of a pair batch;
-    R is the one product-table lookup."""
-    mt = ctx.mul_table
+    """The funnel's (stages, f) over the row indices of a pair batch; the
+    adjoint tables are made contiguous once, for fast np.take."""
+    n = ctx.n
+    mt = ctx.mul_table.astype(np.uint8).ravel()
     l1, l2 = batch["l1"], batch["l2"]
     tab, adj = _row_cuts(ctx)
+    s1, s2 = (np.ascontiguousarray(m[:, adj:]) for m in (l1, l2))
+    either = s1[:, 1:] | s2[:, 1:]  # 0 exactly where b != 0 lies in both kernels
 
-    def product(pts):
-        return lambda i: mt[l1[i, adj:][:, pts], l2[i, adj:][:, pts]]
+    def product(x, y):
+        def r(i):
+            idx = np.take(x, i, axis=0).astype(np.intp)
+            idx <<= n
+            idx |= np.take(y, i, axis=0)
+            return np.take(mt, idx)
 
-    def kernel(i):  # zero exactly where b != 0 lies in both adjoint kernels
-        return l1[i, adj + 1 :] | l2[i, adj + 1 :]
+        return r
 
-    stages = _criterion_stages(ctx, kernel, product(_PROBE), product(slice(None)), mod16)
+    probe = product(s1[:, _PROBE], s2[:, _PROBE]) if mod16 else None
+    stages = _criterion_stages(ctx, partial(np.take, either, axis=0), probe, product(s1, s2), mod16)
     return stages, lambda i: l1[i, tab:adj][:, ctx.inv_table] ^ l2[i, tab:adj]
 
 
@@ -696,6 +721,7 @@ def criterion_mismatches(ctx: FieldContext, batches) -> Iterator[tuple]:
         stages, f = _pair_decoder(ctx, batch, mod16=False)
         _, crit, _ = _funnel(rows, stages, f, {})
         _, _, bij = _funnel(rows, [], f, {})
+        del stages, f  # not held while the next batch decodes
         yield rows.size, _batch_pairs(ctx, batch, rows[np.isin(rows, crit) != bij])
 
 

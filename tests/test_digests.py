@@ -24,9 +24,11 @@ DIGESTS = {
     "search full 2": "12ce87a29e6850b35c4da4bfef5d20b66a81824101172c0d4cdfaa8da41cf926",
     "search full 3": "1c0e90bc6f8254d466b92ee2c35cca44f10a5c07c79cdb6b408944cd089d516a",
     "search full 4": "4b2b051f63fe38f003ec584450eb56419986155be45133047020eec995bfec73",
+    "search full 4:0x19": "a0d0411a0d95c73d8cc24742e83d260ae458e193300cfa8271b725bbda23f8c6",
     "verify proposition2 2": "4b132a1c31dcc5385e0b9a602510dba988fed39287d367d5cff0815abec6b530",
     "verify proposition2 3": "f1649736cf9581e47bd6ecb3c9bfb321e4e73ef0bafd5a07c1390594c33dcb93",
     "verify proposition2 4": "7ea69d4d96970d5a22ca7d159544d3cf741a87e9e875bc0b69748b00ccf71681",
+    "verify proposition2 4:0x19": "bf1ebdac20ff7523c1024544766fc2c0979c3d2fd4a682fceeb9560bd25d7be9",
     "verify proposition2 5": "de59c0472fb6edefdb2a8f6a2e2fa77c73cd99e5b5ad225a111176f52d0f436f",
     "verify proposition2 6": "512a7aac0c75042e257d6208acc03f7ae01525cd83f65cf384315fe2716c323f",
     "kloosterman census 15:0x8003": "2bd2da507828e951ba65900f2e7e88e8d797cb1f5406a9ce1dc1ef40d64ee1db",

@@ -389,6 +389,46 @@ def test_all_in_matches_row_all():
             _assert_same_rows(search._all_in(table, r), want)
 
 
+@pytest.mark.parametrize("q", [4, 8, 16, 32, 64, 128, 256])
+def test_permutes_matches_sorted_rows(q):
+    # the one-hot OR equals sorted(row) == list(range(q)) on permutations,
+    # on rows with exactly one value repeated (and so one missing), and on
+    # constant rows, for one 32-bit word (q <= 32) and for q / 32 words
+    rng = np.random.default_rng(q)
+    perms = np.array([rng.permutation(q) for _ in range(60)])
+    repeated = perms.copy()
+    for row in repeated:
+        a, b = rng.choice(q, 2, replace=False)
+        row[a] = row[b]
+    constant = np.repeat(rng.integers(0, q, (20, 1)), q, axis=1)
+    constant[:2] = [[0], [q - 1]]
+    rows = np.concatenate([perms, repeated, constant]).astype(np.uint8)
+    want = [sorted(row) == list(range(q)) for row in rows.tolist()]
+    assert want == [True] * 60 + [False] * 80
+    assert search._permutes(rows).tolist() == want
+    assert search._permutes(rows[:0]).shape == (0,)
+
+
+def test_criterion_mismatches_canonical_n4():
+    # the exact criterion and bijectivity agree on every nonzero canonical
+    # pair at n = 4; the batches check 308,860 of the 308,993
+    # representatives (the rest have a zero half)
+    ctx = make_field(4)
+    results = list(search.criterion_mismatches(ctx, search.canonical_batches(ctx)))
+    assert sum(checked for checked, _ in results) == 308860
+    assert [bad for _, bad in results] == [[]] * 5
+
+
+def test_funnel_chunks_do_not_change_results(full4_report, monkeypatch):
+    # the funnel hands its decoders a few candidates at a time; chunks of
+    # 1000, which split every canonical batch unevenly, give the same
+    # report but for its wall time
+    monkeypatch.setattr(search, "_CHUNK", 1000)
+    got, want = (r.to_json_dict() for r in (search.full_search(4), full4_report))
+    del got["elapsed_ms"], want["elapsed_ms"]
+    assert got == want
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_tables_from_coeffs_match_maps(n):
     ctx = make_field(n)
@@ -683,6 +723,10 @@ def test_constant_kernel_stage_passes_every_candidate(alternate):
         key = (n, modulus, FIXED_L1["identity"](ctx), False)
         env = search._fixed_l1_env(*key)
         assert env["dec"]["kernel"](np.arange(3)).shape == (3, 0)
+        # its join is one all-true mask, the same for every block
+        name, join = env["joins"][0]
+        assert name == "kernel-intersection" and join(0) is join(search.BLOCK)
+        assert join(0).all()
         counts = search._fixed_l1_block((*key, 0))["counts"]
         block = min(search.BLOCK, 1 << len(env["basis"]))
         assert counts["kernel-intersection"] == counts["nonzero"] == block - 1
