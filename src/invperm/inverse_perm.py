@@ -45,6 +45,7 @@ __all__ = [
     "ConditionReport",
     "verify_conditions",
     "x8_coefficient_parity",
+    "x8_tuples",
     "x8_parity_via_interpolation",
     "normalize_pair",
 ]

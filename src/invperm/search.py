@@ -34,20 +34,16 @@ random rows.  A canonical [M1 | M2] decodes one stacked row at a time
 (canonical_batches), the others from packed coefficient words; R is a
 flat product-table lookup.  The other two drivers call one fixed-L1
 search.  A block of it is the key (n, modulus, L1, value_one, start);
-each process builds the state of a key once (_fixed_l1_env): a coset of
-L2* coefficient vectors (the
-trace presolve's equations are in L2*'s bits) and its decoders.  The
-adjoint is GF(2)-linear, so L2's map row and R are affine in L2* too;
-they decode from the map rows of L2 at the coset's origin and basis
-vectors.  A block's indices share all bytes but the low two, so each
-of its prefix stages is a join over those two bytes (_SpanJoin): per
-high byte, an AND of precomputed 256-bit masks of the low bytes, with
-no row decoded per candidate.  Only the survivors, 0 per block at
-identity n = 5 and about 600 at normalized n = 7, run the rest of the
-stage list, and a block with none decodes nothing.  L2 = 0 is in the
-coset only when the system is homogeneous, and then it is index 0, so
-the nonzero stage drops that index and L2's coefficients are decoded
-only for the witnesses and the audit rows.
+each process builds the state of a key once (_fixed_l1_env): the coset
+of L2* that the GF(2) solve returns as packed words, origin first, and
+its decoders.  L2's map row and R are affine in L2*, so they decode from
+the map rows of L2 at the coset's words.  A block's indices share all
+bytes but the low two, so each of its prefix stages is a join over
+those two bytes (_SpanJoin): per high byte, an AND of precomputed
+256-bit masks of the low bytes, with no row decoded per candidate.
+Only the survivors, 0 per block at identity n = 5 and about 600 at
+normalized n = 7, run the rest of the stage list, and a block with none
+decodes nothing.
 
 Blocks are deterministic and merged in block order, so witness lists
 and counts are identical for any worker count.  Every driver ends a
@@ -151,12 +147,6 @@ def _pack(n: int, digits: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(digits.astype(np.uint64) << shifts, axis=-1)
 
 
-def _unpack_coeffs(ctx: FieldContext, packed: np.ndarray) -> np.ndarray:
-    """(B, n) coefficient rows from packed base-2^n words (c_i at bit n*i)."""
-    shifts = np.arange(0, ctx.n * ctx.n, ctx.n, dtype=packed.dtype)
-    return ((packed[:, None] >> shifts) & ctx.mask).astype(np.int64)
-
-
 def _words(rows: np.ndarray) -> np.ndarray:
     """2-D rows viewed as the widest unsigned words (8, 4, 2 or 1 bytes)
     whose size divides the row's byte length."""
@@ -204,17 +194,6 @@ def _trace_rows(ctx: FieldContext, l1star_tab: np.ndarray) -> List[int]:
     """
     weights = ctx.mul_vec(l1star_tab, ctx.pow2k_table)
     return _pack(ctx.n, ctx.trace_dual_table[weights].T).tolist()
-
-
-def _solve_coset(ctx, rows: List[int], rhs: int):
-    """Particular solution and nullspace basis of rows = rhs in the n^2
-    coefficient bits, as coefficient tuples."""
-    sol = gf2mat.solve(rows, ctx.n * ctx.n, rhs)
-    if sol is None:
-        raise AssertionError("the constraint system cannot be infeasible")
-    words = np.array([sol, *gf2mat.nullspace(rows, ctx.n * ctx.n)], dtype=np.uint64)
-    origin, *basis = map(tuple, _unpack_coeffs(ctx, words).tolist())
-    return origin, tuple(basis)
 
 
 # -- the filter funnel -----------------------------------------------------------
@@ -354,15 +333,16 @@ def _fixed_l1_env(
 ) -> dict:
     """Per-process state of a fixed-L1 search: tables, coset and decoders.
 
-    The coset origin + span(basis) of L2* coefficient vectors solves one
-    GF(2) system in the coefficient bits (bit i*n + t is bit t of c_i):
-    the trace half of the mod-16 condition when n >= 6, where the spaces
-    are too large to touch candidate by candidate, and L2*(1) = 1 when
-    value_one.  With neither, it is the raw digit space.  Bit k of a
-    candidate index selects basis[k].  The system is homogeneous exactly
-    when gf2mat.solve returns origin 0; then index 0 is L2* = 0 and
-    "first", the first index of a nonzero candidate, is 1.  Otherwise no
-    index is L2* = 0 and "first" is 0.
+    "coset" is the solution set of one GF(2) system in L2*'s coefficient
+    bits, as gf2mat.solve and gf2mat.nullspace return it: packed words
+    (bit t of c_i at n*i + t), the origin first, then the basis.  The
+    system is the trace half of the mod-16 condition when n >= 6, where
+    the spaces are too large to touch candidate by candidate, and
+    L2*(1) = 1 when value_one; with neither, the coset is the raw digit
+    space.  Candidate index m is the origin XOR the basis words at the
+    set bits of m.  The system is homogeneous exactly when the origin is
+    0; then index 0 is L2* = 0 and the nonzero candidates start at 1,
+    otherwise no index is L2* = 0.
 
     The adjoint is GF(2)-linear, so the map rows of L2 = (L2*)* are
     affine in the index too; "dec" decodes them, as byte rows, through
@@ -388,10 +368,15 @@ def _fixed_l1_env(
     if value_one:  # L2*(1) = sum_i c_i = 1: bit t of the sum is [t = 0]
         rhs = 1 << len(rows)
         rows += [sum(1 << (i * n + t) for i in range(n)) for t in range(n)]
-    origin, basis = _solve_coset(ctx, rows, rhs)
-    if len(basis) > 30:
-        raise AssertionError(f"presolve left an infeasible space 2^{len(basis)}")
-    l2_maps = [LinearizedPoly(ctx, c).adjoint() for c in (origin, *basis)]
+    origin = gf2mat.solve(rows, n * n, rhs)
+    if origin is None:
+        raise AssertionError("the constraint system cannot be infeasible")
+    coset = [origin, *gf2mat.nullspace(rows, n * n)]
+    if len(coset) > 31:
+        raise AssertionError(f"presolve left an infeasible space 2^{len(coset) - 1}")
+    l2_maps = [
+        LinearizedPoly(ctx, [(w >> (n * i)) & ctx.mask for i in range(n)]).adjoint() for w in coset
+    ]
     coeffs, f, l2s = np.split(_map_rows(ctx, l2_maps), _row_cuts(ctx), axis=1)
     r = ctx.mul_vec(l1s_tab, l2s).astype(np.uint8)
     f[0] ^= l1.table()[ctx.inv_table].astype(np.uint8)
@@ -402,9 +387,9 @@ def _fixed_l1_env(
     stages = _criterion_stages(ctx, dec["kernel"], dec.get("probe"), dec["r"], n >= 4)
     split = next(i for i, (_, rows, _) in enumerate(stages) if rows is dec["r"])
     return {
-        "origin": origin, "basis": basis, "dec": dec,
+        "coset": coset, "dec": dec,
         "joins": [(name, _SpanJoin(rows, table)) for name, rows, table in stages[:split]],
-        "stages": stages[split:], "first": int(not any(origin)),
+        "stages": stages[split:],
     }
 
 
@@ -477,8 +462,9 @@ def _fixed_l1_block(args) -> dict:
     run the env's stage list."""
     n, modulus, l1_coeffs, value_one, start = args
     env = _fixed_l1_env(n, modulus, l1_coeffs, value_one)
-    first = max(start, env["first"])
-    end = max(first, min(start + BLOCK, 1 << len(env["basis"])))  # empty past the space
+    origin, *basis = env["coset"]
+    first = max(start, int(origin == 0))
+    end = max(first, min(start + BLOCK, 1 << len(basis)))  # empty past the space
     keep = np.ones(end - start, dtype=bool)
     keep[: first - start] = False
     counts = {"nonzero": end - first}
@@ -505,7 +491,7 @@ def _run_fixed_l1(
     ctx = l1.ctx
     n = ctx.n
     key = (n, ctx.modulus, l1.coeffs, value_one)
-    dim = len(_fixed_l1_env(*key)["basis"])
+    dim = len(_fixed_l1_env(*key)["coset"]) - 1
     if n >= 6:
         free = n * n - n * value_one
         notes += (f"trace condition presolved: 2^{dim} of 2^{free} candidates satisfy it",)
@@ -575,8 +561,9 @@ def canonical_pair_count(n: int) -> int:
     return sum(gaussian_binomial(2 * n, r) for r in range(n + 1))
 
 
+@lru_cache(maxsize=None)
 def _rref_rows(n: int) -> np.ndarray:
-    """Every reduced-row-echelon n x 2n matrix, as (N, n) row ints.
+    """Every reduced-row-echelon n x 2n matrix, as read-only (N, n) row ints.
 
     Ordered by rank 0..n, then pivot sets in combinations order, then the
     free bits as a counter (bit t for the t-th free position, row-major).
@@ -598,7 +585,9 @@ def _rref_rows(n: int) -> np.ndarray:
             template = np.zeros(n, dtype=np.int64)
             template[:r] = [1 << p for p in pivots]
             parts.append(template ^ span_table(units))
-    return np.concatenate(parts)
+    rows = np.concatenate(parts)
+    rows.setflags(write=False)
+    return rows
 
 
 def canonical_key(l1: LinearizedPoly, l2: LinearizedPoly) -> Tuple[int, ...]:

@@ -44,7 +44,11 @@ from .search import (
 )
 from .vbf import TruthTable
 
-__all__ = ["VerifyResult", "CLAIMS", "run_claim", "invariants_suite"]
+__all__ = [
+    "VerifyResult", "CLAIMS", "run_claim", "invariants_suite",
+    "verify_theorem3", "verify_proposition2", "verify_lemma2",
+    "verify_lemma4", "verify_prop3", "verify_theorem8",
+]
 
 MAX_VIOLATIONS = 16
 

@@ -145,3 +145,54 @@ def test_orphaned_private_check_flags_unread_helpers():
         "    return _all_in(x), np._helper_attr, x._Helper\n"
     )
     assert orphaned_privates(source) == [(2, "_CACHE"), (3, "_B"), (5, "_words")]
+
+
+def all_mismatches(source: str) -> list:
+    """Names that break the module's __all__ (empty without one): each
+    public top-level function or class left out, marked "unlisted", and
+    each listed name the module never binds, marked "undefined"."""
+    tree = ast.parse(source)
+    listed, public, bound = None, set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            if not node.name.startswith("_"):
+                public.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names = {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+                bound |= names
+                if "__all__" in names:
+                    listed = ast.literal_eval(node.value)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+    if listed is None:
+        return []
+    return sorted(
+        [("unlisted", name) for name in public - set(listed)]
+        + [("undefined", name) for name in set(listed) - bound]
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_lists_public_names(path):
+    assert all_mismatches(path.read_text()) == []
+
+
+def test_all_check_flags_unlisted_and_undefined_names():
+    source = (
+        "from .x import exported\n"
+        "__all__ = ['exported', 'Listed', 'CONSTANT', 'gone']\n"
+        "CONSTANT = 1\n"
+        "class Listed:\n"
+        "    def method(self):\n"
+        "        pass\n"
+        "def forgotten():\n"
+        "    def inner():\n"
+        "        pass\n"
+        "def _private():\n"
+        "    pass\n"
+    )
+    assert all_mismatches(source) == [("undefined", "gone"), ("unlisted", "forgotten")]
+    assert all_mismatches("def public():\n    pass\n") == []

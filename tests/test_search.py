@@ -153,6 +153,14 @@ def test_rref_rows_match_oracle(n):
     assert np.array_equal(rows, oracle_rows(n))
 
 
+def test_rref_rows_built_once_and_read_only():
+    # every canonical pass at one n reads the same array, so none may write it
+    rows = search._rref_rows(3)
+    assert search._rref_rows(3) is rows
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 1
+
+
 @pytest.mark.parametrize("alternate", [False, True])
 def test_canonical_batch_boundaries_n4(alternate):
     ctx = make_field(4, alternate_modulus(4) if alternate else None)
@@ -506,10 +514,11 @@ def test_trace_presolve_is_exact():
     # half of the necessary condition (checked exhaustively at n = 4)
     ctx = make_field(4)
     l1s_tab = LinearizedPoly.identity(ctx).adjoint().table()
-    origin, basis = search._solve_coset(ctx, search._trace_rows(ctx, l1s_tab), 0)
-    coset = _coset_rows(origin, basis, range(1 << len(basis)))
-    coset_set = {tuple(int(v) for v in row) for row in coset}
-    every = search._unpack_coeffs(ctx, np.arange(1 << 16, dtype=np.int64))
+    rows = search._trace_rows(ctx, l1s_tab)
+    coset = [gf2mat.solve(rows, 16, 0), *gf2mat.nullspace(rows, 16)]
+    coset_rows = _coset_rows(4, coset, range(1 << (len(coset) - 1)))
+    coset_set = {tuple(row) for row in coset_rows.tolist()}
+    every = _unpack(4, range(1 << 16))
     r = ctx.mul_vec(np.arange(ctx.order), _tables_from_coeffs(ctx, every))
     brute = {tuple(row) for row in every[~ctx.trace_table[r].any(axis=1)].tolist()}
     assert coset_set == brute
@@ -557,16 +566,61 @@ FIXED_L1 = {
 FIXED_L1["unnormalized"] = FIXED_L1["normalized"]
 
 
-def _coset_rows(origin, basis, ms):
-    """Coefficient rows origin ^ basis[k] over the set bits k of each m."""
-    rows = []
+def _unpack(n, words):
+    """(B, n) coefficient rows of packed words (bit t of c_i at n*i + t)."""
+    words = np.array(list(words), dtype=np.uint64)
+    shifts = np.arange(0, n * n, n, dtype=np.uint64)
+    return ((words[:, None] >> shifts) & np.uint64((1 << n) - 1)).astype(np.int64)
+
+
+def _coset_rows(n, coset, ms):
+    """Coefficient rows of coset indices: the origin word coset[0] XOR the
+    basis word coset[1 + k] over the set bits k of each m, unpacked."""
+    origin, *basis = coset
+    words = []
     for m in ms:
-        row = list(origin)
+        word = origin
         for k, vec in enumerate(basis):
             if (int(m) >> k) & 1:
-                row = [a ^ b for a, b in zip(row, vec)]
-        rows.append(row)
-    return np.array(rows, dtype=np.int64)
+                word ^= vec
+        words.append(word)
+    return _unpack(n, words)
+
+
+def _coset_size(env):
+    return 1 << (len(env["coset"]) - 1)
+
+
+@pytest.mark.parametrize("alternate", [False, True])
+@pytest.mark.parametrize("kind", ["identity", "normalized"])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_fixed_l1_coset_solves_its_system(kind, n, alternate):
+    # the env's coset words, origin first, are the whole solution set of
+    # the presolve's system in L2*'s coefficient bits: the origin solves
+    # rows = rhs, each basis word rows = 0, and the basis words are
+    # independent and as many as the system's nullity
+    modulus = alternate_modulus(n) if alternate else None
+    ctx = make_field(n, modulus)
+    l1_coeffs = FIXED_L1[kind](ctx)
+    origin, *basis = search._fixed_l1_env(n, modulus, l1_coeffs, kind == "normalized")["coset"]
+    l1s_tab = LinearizedPoly(ctx, l1_coeffs).adjoint().table()
+    rows = search._trace_rows(ctx, l1s_tab) if n >= 6 else []
+    rhs = 0
+    if kind == "normalized":  # bit t of L2*(1) = sum_i c_i is [t = 0]
+        rhs = 1 << len(rows)
+        rows = rows + [sum(1 << (n * i + t) for i in range(n)) for t in range(n)]
+    assert all(0 <= w < 1 << (n * n) for w in [origin, *basis])
+    assert gf2mat.mat_vec(rows, origin) == rhs
+    assert all(gf2mat.mat_vec(rows, w) == 0 for w in basis)
+    assert gf2mat.rank(basis, n * n) == len(basis) == n * n - gf2mat.rank(rows, n * n)
+    # and by evaluation: Tr(L1*(a) L2*(a)) = 0 at every a (n >= 6), and
+    # L2*(1) is 1 at the origin and 0 on the basis (normalized)
+    for k, w in enumerate([origin, *basis]):
+        l2s = LinearizedPoly(ctx, _unpack(n, [w])[0].tolist()).table()
+        if n >= 6:
+            assert not ctx.trace_table[ctx.mul_vec(l1s_tab, l2s)].any()
+        if kind == "normalized":
+            assert l2s[1] == (k == 0)
 
 
 @pytest.mark.parametrize("alternate", [False, True])
@@ -586,7 +640,7 @@ def test_linear_decoder_matches_multiplication(kind, n, alternate):
     # value_one positional, as the search blocks pass it, so the lru_cache
     # entry is shared with them
     env = search._fixed_l1_env(n, modulus, l1.coeffs, kind == "normalized")
-    origin, basis, dec = env["origin"], env["basis"], env["dec"]
+    coset, dec = env["coset"], env["dec"]
     l1s_tab = l1.adjoint().table()
     kernel_pts = [b for b in range(1, ctx.order) if l1s_tab[b] == 0]
     # every prefix stage is a join: the kernel stage, then the probe from n = 4
@@ -594,13 +648,13 @@ def test_linear_decoder_matches_multiplication(kind, n, alternate):
     assert joins == ["kernel-intersection"] + [None] * (n >= 4)
     assert bool(kernel_pts) == (kind != "identity")  # L1* = x is injective
     assert ("probe" in dec) == (n >= 4)
-    top = (1 << len(basis)) - 1
+    top = _coset_size(env) - 1
     rng = np.random.default_rng(n)
     ms = np.concatenate([[0, top], rng.integers(0, top + 1, 300)]).astype(np.int64)
-    coeffs = _coset_rows(origin, basis, ms)
+    coeffs = _coset_rows(n, coset, ms)
     if kind != "normalized":
         # raw enumeration is the coset with the standard basis
-        assert np.array_equal(coeffs, search._unpack_coeffs(ctx, ms))
+        assert np.array_equal(coeffs, _unpack(n, ms))
     l2_coeffs = [LinearizedPoly(ctx, tuple(row)).adjoint().coeffs for row in coeffs.tolist()]
     assert dec["coeffs"](ms).dtype == np.uint8
     assert dec["coeffs"](ms).tolist() == [list(c) for c in l2_coeffs]
@@ -638,7 +692,7 @@ def test_nonzero_stage_drops_zero_l2(kind, n, blocks, alternate):
     ctx = make_field(n, modulus)
     key = (n, modulus, FIXED_L1[kind](ctx), kind == "normalized")
     env = search._fixed_l1_env(*key)
-    size = 1 << len(env["basis"])
+    size = _coset_size(env)
     for b in blocks or range(-(-size // search.BLOCK)):
         start = b * search.BLOCK
         res = search._fixed_l1_block((*key, start))
@@ -669,7 +723,7 @@ def test_span_join_matches_row_lookup(kind, n, modulus):
     # Tr = Q = 0 and K = 0 tables, which have up to 2^n bytes per row
     ctx = make_field(n, modulus)
     env = search._fixed_l1_env(n, modulus, FIXED_L1[kind](ctx), kind == "normalized")
-    dec, size = env["dec"], 1 << len(env["basis"])
+    dec, size = env["dec"], _coset_size(env)
     joins = env["joins"]
     assert [name for name, _ in joins] == ["kernel-intersection"] + [None] * (n >= 4)
     trq = (ctx.trace_table == 0) & (qform_table(ctx) == 0)
@@ -702,7 +756,7 @@ def test_constant_kernel_stage_passes_every_candidate(alternate):
         env = search._fixed_l1_env(n, modulus, FIXED_L1["normalized"](ctx), True)
         assert [name for name, _ in env["joins"]] == ["kernel-intersection", None]  # then the probe
         counts = search._fixed_l1_block((n, modulus, FIXED_L1["normalized"](ctx), True, 0))["counts"]
-        block = min(search.BLOCK, 1 << len(env["basis"]))
+        block = min(search.BLOCK, _coset_size(env))
         assert counts["kernel-intersection"] == counts["nonzero"] == block
     # with L2*(1) free the same L1 keeps its kernel stage, and it rejects
     for n in (4, 5):
@@ -713,7 +767,7 @@ def test_constant_kernel_stage_passes_every_candidate(alternate):
         counts = search._fixed_l1_block((*key, 0))["counts"]
         assert 0 < counts["kernel-intersection"] < counts["nonzero"]
         # the stage rejects exactly the rows with L2*(1) = 0
-        every = np.arange(min(search.BLOCK, 1 << len(env["basis"])), dtype=np.int64)
+        every = np.arange(min(search.BLOCK, _coset_size(env)), dtype=np.int64)
         assert counts["kernel-intersection"] == np.count_nonzero(env["dec"]["kernel"](every))
     # identity: L1* = x is injective, so the kernel row has no entry and
     # every nonzero candidate passes (index 0 is L2 = 0)
@@ -728,7 +782,7 @@ def test_constant_kernel_stage_passes_every_candidate(alternate):
         assert name == "kernel-intersection" and join(0) is join(search.BLOCK)
         assert join(0).all()
         counts = search._fixed_l1_block((*key, 0))["counts"]
-        block = min(search.BLOCK, 1 << len(env["basis"]))
+        block = min(search.BLOCK, _coset_size(env))
         assert counts["kernel-intersection"] == counts["nonzero"] == block - 1
 
 
@@ -776,7 +830,7 @@ def test_theorem8_candidates_fail_mod16_in_normalized_coset(n, forced):
     # at the mod-16 stage
     ctx = make_field(n)
     env = search._fixed_l1_env(n, None, FIXED_L1["normalized"](ctx), True)
-    origin, basis = env["origin"], env["basis"]
+    origin, *basis = env["coset"]
     candidates = [recurrence_coeffs(ctx, c0) for c0 in range(ctx.order)]
     hits = [l2s.coeffs for l2s in candidates if l2s(1) == 1]
     assert len(hits) == forced
@@ -784,15 +838,13 @@ def test_theorem8_candidates_fail_mod16_in_normalized_coset(n, forced):
     def pack(vec):
         return sum(c << (n * i) for i, c in enumerate(vec))
 
-    # index bit k selects basis[k]: solve the n^2 coefficient-bit equations
-    rows = [
-        sum(((pack(vec) >> p) & 1) << k for k, vec in enumerate(basis)) for p in range(n * n)
-    ]
+    # index bit k selects basis word k: solve the n^2 coefficient-bit equations
+    rows = [sum(((w >> p) & 1) << k for k, w in enumerate(basis)) for p in range(n * n)]
     ms = []
     for coeffs in hits:
-        m = gf2mat.solve(rows, len(basis), pack(coeffs) ^ pack(origin))
+        m = gf2mat.solve(rows, len(basis), pack(coeffs) ^ origin)
         assert m is not None  # the candidate lies in the coset
-        assert _coset_rows(origin, basis, [m]).tolist() == [list(coeffs)]
+        assert _coset_rows(n, env["coset"], [m]).tolist() == [list(coeffs)]
         ms.append(m)
     ms = np.sort(np.array(ms, dtype=np.int64))
     dec = env["dec"]
