@@ -30,9 +30,13 @@ Bijectivity is a one-hot OR (_permutes).
 
 full_search and verify_proposition2 read batches of (L1, L2) pairs: all
 nonzero pairs at n <= 3, canonical orbit representatives at n = 4, or
-random rows.  A canonical [M1 | M2] decodes one stacked row at a time
-(canonical_batches), the others from packed coefficient words; R is a
-flat product-table lookup.  The other two drivers call one fixed-L1
+random rows.  A batch names its maps by two int64 words per row, each a
+map in a basis of n^2 unit maps: packed coefficients, or the matrix
+units of a canonical [M1 | M2].  Each stage decodes from the words only
+the part of the maps that it reads (_part_decoders): adjoint tables for
+the kernel row and R, 8 adjoint columns for the probe, value tables for
+F's survivors, coefficients for the reported rows.  R is a flat
+product-table lookup.  The other two drivers call one fixed-L1
 search.  A block of it is the key (n, modulus, L1, value_one, start);
 each process builds the state of a key once (_fixed_l1_env): the coset
 of L2* that the GF(2) solve returns as packed words, origin first, and
@@ -47,10 +51,12 @@ decodes nothing.
 
 Blocks are deterministic and merged in block order, so witness lists
 and counts are identical for any worker count.  Every driver ends a
-block with _block_result: the stage counts, the witnesses and the audit
-rows, the last two as (L1, L2) coefficient-tuple pairs.  The audit rule
-takes the first 8 candidates of each block that the funnel rejected,
-up to 256 in all, and re-checks them with build_F(...).is_permutation().
+block with _block_results: the stage counts and, per run of candidates,
+the witnesses and the audit rows, the last two as (L1, L2)
+coefficient-tuple pairs.  A run is a fixed-L1 block, a canonical batch
+or, at n <= 3, the pairs of one L1 (a batch holds many).  The audit rule
+takes the first 8 candidates of each run that the funnel rejected, up to
+256 in all, and re-checks them with build_F(...).is_permutation().
 build_F evaluates F from the two maps themselves, so it is an oracle
 independent of the decoders.  Candidates the presolve skips fail a
 necessary condition and are never sampled (ROADMAP.md, item 4, plans an
@@ -64,7 +70,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -143,8 +149,10 @@ class SearchReport:
 
 def _pack(n: int, digits: np.ndarray) -> np.ndarray:
     """uint64 base-2^n words of digit rows (last axis): digit i at bit n*i."""
-    shifts = np.arange(0, n * digits.shape[-1], n, dtype=np.uint64)
-    return np.bitwise_or.reduce(digits.astype(np.uint64) << shifts, axis=-1)
+    out = np.zeros(digits.shape[:-1], dtype=np.uint64)
+    for i in range(digits.shape[-1]):
+        out |= digits[..., i].astype(np.uint64) << np.uint64(n * i)
+    return out
 
 
 def _words(rows: np.ndarray) -> np.ndarray:
@@ -206,8 +214,9 @@ _PROBE = list(range(1, 9))
 
 def _criterion_stages(ctx: FieldContext, kernel, probe, r, mod16: bool) -> list:
     """The criterion's ordered stage list (name, rows, table) over a
-    source's row decoders: kernel (adjoint values at nonzero points),
-    probe (R at _PROBE, read only with mod16) and r (R everywhere)."""
+    source's row decoders: kernel (adjoint values, all nonzero exactly
+    when the adjoint kernels meet trivially), probe (R at _PROBE, read
+    only with mod16) and r (R everywhere)."""
     stages = [("kernel-intersection", kernel, np.arange(ctx.order) != 0)]
     if mod16:  # a few points first, then the full mod-16 condition
         d16 = divisible_by_16(ctx, np.arange(ctx.order))
@@ -260,21 +269,33 @@ def _permutes(tab: np.ndarray) -> np.ndarray:
     return (words == np.uint32(0xFFFFFFFF)).all(axis=1)
 
 
-def _block_result(counts: dict, ms, alive: np.ndarray, bij: np.ndarray, pairs) -> dict:
-    """One block's outcome: the funnel's stage counts, its witnesses and,
-    by the audit rule, the first 8 candidates of ms it rejected.
+def _block_results(counts: dict, runs: list, alive: np.ndarray, bij: np.ndarray, pairs) -> list:
+    """One block's outcome, one dict per run of its candidates: the run's
+    witnesses and, by the audit rule, the first 8 candidates of the run
+    that the funnel rejected.  The block's stage counts go with its first
+    run, and every other run's counts are empty.
 
-    ms, the block's candidates, is sorted (an array or a range) and the
-    witnesses are a subset of it, so the audit rows lie in its first
-    8 + (witness count) entries.  pairs maps candidate indices to
-    (L1, L2) coefficient-tuple pairs.
+    runs split the block's sorted candidates into consecutive sorted runs
+    (arrays or ranges).  A run's witnesses are a subset of it, so its
+    audit rows lie in its first 8 + (witness count) entries and no run is
+    scanned whole.  pairs maps candidate indices to (L1, L2)
+    coefficient-tuple pairs; it decodes the whole block's rows at once.
     """
     kept = alive[bij]
-    head = np.asarray(ms[: 8 + kept.size], dtype=np.int64)
-    # kept is sorted: an entry of head is rejected when none of kept equals it
-    rejected = np.searchsorted(kept, head) == np.searchsorted(kept, head, "right")
-    rows = pairs(np.concatenate([kept, head[rejected][:8]]))  # one decode for both
-    return {"counts": counts, "witnesses": rows[: kept.size], "audit": rows[kept.size :]}
+    mine = np.split(kept, np.searchsorted(kept, [run[0] for run in runs[1:]]))
+    picks = []
+    for run, wit in zip(runs, mine):
+        head = np.asarray(run[: 8 + wit.size], dtype=np.int64)
+        # wit is sorted: an entry of head is rejected when none of wit equals it
+        rejected = np.searchsorted(wit, head) == np.searchsorted(wit, head, "right")
+        picks += [wit, head[rejected][:8]]
+    rows = iter(pairs(np.concatenate(picks)))
+    results = [
+        {"counts": {}, "witnesses": list(islice(rows, w.size)), "audit": list(islice(rows, a.size))}
+        for w, a in zip(picks[::2], picks[1::2])
+    ]
+    results[0]["counts"] = counts
+    return results
 
 
 def _report(ctx: FieldContext, results, t0: float, **fields) -> SearchReport:
@@ -302,26 +323,29 @@ def _report(ctx: FieldContext, results, t0: float, **fields) -> SearchReport:
     )
 
 
+def _collect(results, partitions: int, progress=None) -> list:
+    """The block results of an iterable, in order, one progress record
+    each."""
+    out = []
+    for i, res in enumerate(results):
+        out.append(res)
+        if progress:
+            progress({"partition": i + 1, "partitions": partitions})
+    return out
+
+
 def _dispatch(fn, blocks, partitions: int, workers: int = 1, progress=None) -> list:
     """fn over blocks in order, in this process or on a pool of at most
     one worker per block (a pool starts all its processes at once).  The
     pool takes blocks in chunks of about partitions / (4 workers), so a
     run makes a few round trips per worker rather than one per block;
-    results still arrive in block order, one progress record each."""
-
-    def collect(mapped):
-        results = []
-        for i, res in enumerate(mapped):
-            results.append(res)
-            if progress:
-                progress({"partition": i + 1, "partitions": partitions})
-        return results
-
+    results still arrive in block order (_collect)."""
     if workers <= 1 or partitions <= 1:
-        return collect(map(fn, blocks))
+        return _collect(map(fn, blocks), partitions, progress)
     workers = min(workers, partitions)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return collect(pool.map(fn, blocks, chunksize=max(1, partitions // (4 * workers))))
+        chunks = max(1, partitions // (4 * workers))
+        return _collect(pool.map(fn, blocks, chunksize=chunks), partitions, progress)
 
 
 # -- fixed-L1 searches -----------------------------------------------------------
@@ -478,7 +502,7 @@ def _fixed_l1_block(args) -> dict:
     def pairs(sel):
         return [(l1_coeffs, tuple(row)) for row in env["dec"]["coeffs"](sel).tolist()]
 
-    return _block_result(counts, range(first, end), alive, bij, pairs)
+    return _block_results(counts, [range(first, end)], alive, bij, pairs)[0]
 
 
 def _run_fixed_l1(
@@ -601,100 +625,125 @@ def canonical_key(l1: LinearizedPoly, l2: LinearizedPoly) -> Tuple[int, ...]:
 
 
 def canonical_batches(ctx: FieldContext):
-    """Canonical representatives as pair batches of BLOCK rows that also
-    carry their "stacked" n x 2n matrices (L1's matrix in the low n
-    columns).
+    """Canonical representatives as pair batches of BLOCK rows in the
+    "matrix" basis that also carry their "stacked" n x 2n matrices (L1's
+    matrix in the low n columns).
 
-    The representatives are the rows of _rref_rows.  Map rows are linear
-    in the matrix, so a batch's [L1 | L2] map rows are the XOR over i of
-    tables[i][stacked row i], the span table of row i's 2n one-bit maps.
+    The representatives are the rows of _rref_rows.  Bit j of w1 at
+    n*i + j is bit j of stacked row i, and that of w2 is bit n + j, so a
+    half of the stacked matrix is 0 exactly when its word is.
     """
     n = ctx.n
-    one_bit = [[1 << j if r == i else 0 for r in range(n)] for i in range(n) for j in range(n)]
-    units = _map_rows(ctx, [LinearizedPoly.from_matrix(ctx, m) for m in one_bit]).reshape(n, n, -1)
-    zeros = np.zeros_like(units[0])
-    tables = [span_table(np.block([[u, zeros], [zeros, u]])) for u in units]
-    width = units.shape[2]
     rref = _rref_rows(n)
     for lo in range(0, len(rref), BLOCK):
         stacked = rref[lo : lo + BLOCK]
-        rows = np.take(tables[0], stacked[:, 0], axis=0)
-        bits = stacked[:, 0].copy()  # OR of the stacked rows: a half is 0 where its bits are
-        for i in range(1, n):
-            rows ^= np.take(tables[i], stacked[:, i], axis=0)
-            bits |= stacked[:, i]
-        nonzero = ((bits & ctx.mask) != 0) & ((bits >> n) != 0)
-        yield dict(l1=rows[:, :width], l2=rows[:, width:], nonzero=nonzero, stacked=stacked)
+        w1, w2 = (_pack(n, half).view(np.int64) for half in (stacked & ctx.mask, stacked >> n))
+        yield dict(basis="matrix", w1=w1, w2=w2, nonzero=(w1 != 0) & (w2 != 0), stacked=stacked)
 
 
 # -- pair batches ----------------------------------------------------------------
 #
-# A pair batch holds, per row, the map rows (_map_rows) l1 and l2 of the
-# maps L1, L2 and a nonzero mask; _row_cuts gives the columns where a map
-# row's table and adjoint table begin.  All nonzero maps at n <= 3 and
-# random rows decode from packed coefficient words through _coeff_decoder.
+# A pair batch holds, per row, int64 words w1 and w2 that name the maps L1
+# and L2, and a nonzero mask.  A word names a map in the batch's "basis" of
+# n^2 unit maps (_part_decoders): packed coefficients ("coeffs") for all
+# pairs and random rows, matrix units ("matrix") for canonical rows.  The
+# funnel's stages decode from the words only the parts that they read.
 
 
-def _coeff_decoder(ctx: FieldContext) -> _SpanMap:
-    """_SpanMap of packed coefficient words (bit t of c_i at n*i + t)."""
+@lru_cache(maxsize=None)
+def _part_decoders(ctx: FieldContext, basis: str) -> dict:
+    """_SpanMaps from the words of a basis to the parts of the maps they name.
+
+    Bit n*i + t of a "coeffs" word is the map 2^t x^(2^i), so the word is
+    the packed coefficient vector; bit n*i + j of a "matrix" word is the
+    map whose matrix has the one bit j in row i.  Every part of a map is
+    GF(2)-linear in it: "coeffs", "table", "adjoint" (the adjoint's
+    table) and, from n = 4, "probe" (the adjoint's table at _PROBE).
+    """
     n = ctx.n
-    units = _map_rows(ctx, [LinearizedPoly.frobenius(ctx, i, 1 << t) for i, t in np.ndindex(n, n)])
-    return _SpanMap(np.zeros_like(units[0]), units)
+    if basis == "coeffs":
+        units = [LinearizedPoly.frobenius(ctx, i, 1 << t) for i, t in np.ndindex(n, n)]
+    else:
+        rows = [[1 << j if r == i else 0 for r in range(n)] for i, j in np.ndindex(n, n)]
+        units = [LinearizedPoly.from_matrix(ctx, m) for m in rows]
+    coeffs, table, adjoint = np.split(_map_rows(ctx, units), _row_cuts(ctx), axis=1)
+    parts = {"coeffs": coeffs, "table": table, "adjoint": adjoint}
+    if ctx.order > len(_PROBE):
+        parts["probe"] = adjoint[:, _PROBE]
+    return {name: _SpanMap(np.zeros_like(part[0]), part) for name, part in parts.items()}
 
 
 def all_pair_batches(ctx: FieldContext) -> Iterator[dict]:
-    """Every pair of nonzero maps (n <= 3), one batch per L1.
+    """Every pair of nonzero maps (n <= 3) in the "coeffs" basis.
 
-    The rows of all maps are decoded once; each batch pairs one L1, as a
-    broadcast view, with every L2.
+    The pairs of one L1 with every L2, in word order, are a run of
+    2^(n^2) - 1 consecutive rows; a batch holds the runs of
+    BLOCK // (2^(n^2) - 1) consecutive L1s (at least one).
     """
     words = np.arange(1, 1 << (ctx.n * ctx.n), dtype=np.int64)
-    every = _coeff_decoder(ctx)(words)
-    nonzero = np.ones(len(words), dtype=bool)
-    for row in every:
-        yield dict(l1=np.broadcast_to(row, every.shape), l2=every, nonzero=nonzero)
+    per = max(1, BLOCK // words.size)
+    for lo in range(0, words.size, per):
+        l1 = words[lo : lo + per]
+        yield dict(
+            basis="coeffs", w1=np.repeat(l1, words.size), w2=np.tile(words, l1.size),
+            nonzero=np.ones(l1.size * words.size, dtype=bool),
+        )
 
 
 def random_pair_batches(ctx: FieldContext, samples: int, seed: int) -> Iterator[dict]:
-    """Seeded random coefficient pairs, in batches of 2^14 rows."""
+    """Seeded random coefficient pairs in the "coeffs" basis, in batches
+    of 2^14 rows."""
+    if ctx.n > 8:
+        raise ValueError(f"a packed word holds n^2 <= 64 bits, so n <= 8; got n={ctx.n}")
     rng = np.random.default_rng(seed)
-    decode = _coeff_decoder(ctx)
     for start in range(0, samples, 1 << 14):
         b = min(1 << 14, samples - start)
         c1 = rng.integers(0, ctx.order, (b, ctx.n), dtype=np.int64)
         c2 = rng.integers(0, ctx.order, (b, ctx.n), dtype=np.int64)
-        nonzero = c1.any(axis=1) & c2.any(axis=1)
-        yield dict(l1=decode(_pack(ctx.n, c1)), l2=decode(_pack(ctx.n, c2)), nonzero=nonzero)
+        w1, w2 = (_pack(ctx.n, c).view(np.int64) for c in (c1, c2))
+        yield dict(basis="coeffs", w1=w1, w2=w2, nonzero=c1.any(axis=1) & c2.any(axis=1))
 
 
 def _pair_decoder(ctx: FieldContext, batch: dict, mod16: bool):
-    """The funnel's (stages, f) over the row indices of a pair batch; the
-    adjoint tables are made contiguous once, for fast np.take."""
+    """The funnel's (stages, f) over the row indices of a pair batch.
+
+    Each decoder reads the words of its rows and decodes only the part
+    that it needs, through the _part_decoders of the batch's basis: the
+    adjoint tables for the kernel row and R, the probe columns for the
+    probe, the value tables for F.  The kernel row is the OR of the two
+    adjoint tables, 0 exactly where b lies in both kernels, with column
+    0 (b = 0) set; R is one lookup in the flat product table.
+    """
     n = ctx.n
+    dec = _part_decoders(ctx, batch["basis"])
     mt = ctx.mul_table.astype(np.uint8).ravel()
-    l1, l2 = batch["l1"], batch["l2"]
-    tab, adj = _row_cuts(ctx)
-    s1, s2 = (np.ascontiguousarray(m[:, adj:]) for m in (l1, l2))
-    either = s1[:, 1:] | s2[:, 1:]  # 0 exactly where b != 0 lies in both kernels
+
+    def both(part, join):
+        decode = dec[part]
+        return lambda i: join(decode(np.take(batch["w1"], i)), decode(np.take(batch["w2"], i)))
+
+    def kernel(x, y):
+        x |= y
+        x[:, 0] = 1
+        return x
 
     def product(x, y):
-        def r(i):
-            idx = np.take(x, i, axis=0).astype(np.intp)
-            idx <<= n
-            idx |= np.take(y, i, axis=0)
-            return np.take(mt, idx)
+        idx = x.astype(np.intp)
+        idx <<= n
+        idx |= y
+        return np.take(mt, idx)
 
-        return r
-
-    probe = product(s1[:, _PROBE], s2[:, _PROBE]) if mod16 else None
-    stages = _criterion_stages(ctx, partial(np.take, either, axis=0), probe, product(s1, s2), mod16)
-    return stages, lambda i: l1[i, tab:adj][:, ctx.inv_table] ^ l2[i, tab:adj]
+    probe = both("probe", product) if mod16 else None
+    stages = _criterion_stages(ctx, both("adjoint", kernel), probe, both("adjoint", product), mod16)
+    return stages, both("table", lambda x, y: x[:, ctx.inv_table] ^ y)
 
 
 def _batch_pairs(ctx: FieldContext, batch: dict, rows: np.ndarray) -> list:
     """(L1, L2) coefficient-tuple pairs of the given rows of a pair batch."""
-    tab, _ = _row_cuts(ctx)
-    return list(zip(*(map(tuple, batch[k][rows, :tab].tolist()) for k in ("l1", "l2"))))
+    if not rows.size:
+        return []
+    decode = _part_decoders(ctx, batch["basis"])["coeffs"]
+    return list(zip(*(map(tuple, decode(batch[w][rows]).tolist()) for w in ("w1", "w2"))))
 
 
 def criterion_mismatches(ctx: FieldContext, batches) -> Iterator[tuple]:
@@ -739,12 +788,14 @@ def full_search(
         mode, block, notes = "canonical", BLOCK, ("one representative per left-composition orbit",)
 
     def run(batch):
+        # the audit rule's runs: one per L1 at n <= 3, the whole batch at n = 4
         rows = np.flatnonzero(batch["nonzero"])
         stages, f = _pair_decoder(ctx, batch, n >= 4)
         counts, alive, bij = _funnel(rows, stages, f, {"nonzero": int(rows.size)})
-        return _block_result(counts, rows, alive, bij, partial(_batch_pairs, ctx, batch))
+        runs = [rows[lo : lo + block] for lo in range(0, rows.size, block)]
+        return _block_results(counts, runs, alive, bij, partial(_batch_pairs, ctx, batch))
 
-    results = _dispatch(run, batches, partitions, progress=progress)
+    results = _collect(chain.from_iterable(map(run, batches)), partitions, progress)
     return _report(
         ctx, results, t0, mode=mode, space=((1 << (n * n)) - 1) ** 2,
         examined=examined, workers=1, partitions=partitions, block_size=block, notes=notes,

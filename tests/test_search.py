@@ -236,27 +236,27 @@ def _batch_sources():
 
 @pytest.mark.parametrize("source,n,alternate", _batch_sources())
 def test_canonical_batches_match_maps(source, n, alternate):
-    # the rows of every batch source hold the coefficients, tables and
-    # adjoint tables of the maps they name.  Canonical rows name stacked
-    # halves [M1 | M2]: every row at n = 2, 3 and the first batch at n = 4.
-    # All-pairs batch k pairs the packed coefficient word k + 1 with every
-    # word from 1 up: every batch at n = 2, the first and last at n = 3.
-    # Random rows are the seeded coefficient stream: its first 200 rows.
+    # the words w1, w2 of every batch source decode, through the part
+    # decoders of the batch's basis, to the coefficients, tables and
+    # adjoint tables of the maps they name.  Canonical words name stacked
+    # halves [M1 | M2]: every row at n = 2, 3 and the first batch at
+    # n = 4.  All-pairs rows pair each nonzero packed coefficient word, in
+    # order, with every word from 1 up: every batch at n = 2, 3, one batch
+    # at n = 2 and four at n = 3.  Random rows are the seeded coefficient
+    # stream: its first 200 rows.
     ctx = make_field(n, alternate_modulus(n) if alternate else None)
     maps = {}
 
     def expect(key):
         if key not in maps:
-            l = (
-                LinearizedPoly.from_matrix(ctx, list(key))
-                if source == "canonical"
-                else LinearizedPoly(ctx, key)
-            )
+            if source == "canonical":
+                l = LinearizedPoly.from_matrix(ctx, list(key))
+            elif source == "all-pairs":  # key is the packed coefficient word
+                l = LinearizedPoly(ctx, tuple((key >> (n * i)) & ctx.mask for i in range(n)))
+            else:
+                l = LinearizedPoly(ctx, key)
             maps[key] = (l.coeffs, l.table(), l.adjoint().table())
         return maps[key]
-
-    def word(w):
-        return tuple((w >> (n * i)) & ctx.mask for i in range(n))
 
     def halves(stacked):
         return tuple(r & ctx.mask for r in stacked), tuple(r >> n for r in stacked)
@@ -269,11 +269,12 @@ def test_canonical_batches_match_maps(source, n, alternate):
             for batch in (batches if n < 4 else [next(batches)])
         ]
     elif source == "all-pairs":
-        named = [
-            (batch, [(word(k + 1), word(w)) for w in range(1, nmaps + 1)])
-            for k, batch in enumerate(search.all_pair_batches(ctx))
-            if n == 2 or k in (0, nmaps - 1)
-        ]
+        named, l1 = [], 1
+        for batch in search.all_pair_batches(ctx):
+            runs = len(batch["w1"]) // nmaps
+            named.append((batch, [(k, w) for k in range(l1, l1 + runs) for w in range(1, nmaps + 1)]))
+            l1 += runs
+        assert len(named) == {2: 1, 3: 4}[n] and l1 == nmaps + 1
     else:
         rng = np.random.default_rng(0)
         c1, c2 = (rng.integers(0, ctx.order, (200, n), dtype=np.int64) for _ in range(2))
@@ -286,32 +287,37 @@ def test_canonical_batches_match_maps(source, n, alternate):
             )
         ]
     rows = zero_rows = 0
-    tab, adj = n, n + ctx.order  # a map row is [coefficients | table | adjoint table]
     for batch, pairs in named:
-        assert len(pairs) == len(batch["l1"])
-        for i, keys in enumerate(pairs):
-            for key, m in zip(keys, ("l1", "l2")):
-                coeffs, table, adjoint = expect(key)
-                assert tuple(batch[m][i, :tab].tolist()) == coeffs
-                assert np.array_equal(batch[m][i, tab:adj], table)
-                assert np.array_equal(batch[m][i, adj:], adjoint)
-            both = all(any(expect(key)[0]) for key in keys)  # both maps nonzero
-            assert bool(batch["nonzero"][i]) == both
-            zero_rows += not both
-            rows += 1
+        assert len(pairs) == len(batch["w1"]) == len(batch["w2"]) == len(batch["nonzero"])
+        assert batch["w1"].dtype == batch["w2"].dtype == np.int64
+        dec = search._part_decoders(ctx, batch["basis"])
+        both = np.ones(len(pairs), dtype=bool)  # both maps nonzero
+        for h, w in enumerate(("w1", "w2")):
+            keys = [pair[h] for pair in pairs]
+            index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+            at = np.array([index[key] for key in keys])
+            oracle = [expect(key) for key in index]
+            for p, part in enumerate(("coeffs", "table", "adjoint")):
+                want = np.array([o[p] for o in oracle])[at]
+                assert np.array_equal(dec[part](batch[w]), want)
+            both &= np.array([any(o[0]) for o in oracle])[at]
+        assert np.array_equal(batch["nonzero"], both)
+        zero_rows += int(np.count_nonzero(~both))
+        rows += len(pairs)
     if source == "canonical":
         # rank-deficient representatives with a zero half
         assert zero_rows > 0
     expected = {
         "canonical": search.canonical_pair_count(n) if n < 4 else search.BLOCK,
-        "all-pairs": (nmaps if n == 2 else 2) * nmaps,
+        "all-pairs": nmaps * nmaps,
         "random": 200,
     }
     assert rows == expected[source]
 
 
 def test_map_rows_reject_wide_fields():
-    # field elements above n = 8 do not fit the uint8 map rows
+    # field elements above n = 8 do not fit the uint8 map rows, and the
+    # n^2 bits of a map do not fit a packed word
     ctx = make_field(9)
     with pytest.raises(ValueError, match="n <= 8"):
         search._map_rows(ctx, [LinearizedPoly.identity(ctx)])
@@ -321,17 +327,28 @@ def test_map_rows_reject_wide_fields():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_coeff_decoder_rows_match_oracle(n):
-    # a packed coefficient word decodes to the map row [coefficients |
-    # table | adjoint table]; the tables are the product-table oracle's
+    # in both bases a word decodes to the coefficients, table and adjoint
+    # table of the map it names: its packed coefficients (bit t of c_i at
+    # n*i + t) or its matrix (bit j of row i at n*i + j); the tables are
+    # the product-table oracle's, probe the adjoint table at _PROBE from
+    # n = 4
     ctx = make_field(n)
-    coeffs = np.random.default_rng(n).integers(0, ctx.order, (40, n))
-    coeffs[0], coeffs[1] = 0, ctx.mask
-    adjoint = np.array([LinearizedPoly(ctx, tuple(c)).adjoint().coeffs for c in coeffs.tolist()])
-    rows = search._coeff_decoder(ctx)(search._pack(n, coeffs))
-    assert rows.dtype == np.uint8
-    assert np.array_equal(rows[:, :n], coeffs)
-    assert np.array_equal(rows[:, n : n + ctx.order], _tables_from_coeffs(ctx, coeffs))
-    assert np.array_equal(rows[:, n + ctx.order :], _tables_from_coeffs(ctx, adjoint))
+    digits = np.random.default_rng(n).integers(0, ctx.order, (40, n))
+    digits[0], digits[1] = 0, ctx.mask
+    words = [sum(d << (n * i) for i, d in enumerate(row)) for row in digits.tolist()]
+    words = np.array(words, dtype=np.uint64).view(np.int64)  # n = 8 sets the sign bit
+    from_matrix = [LinearizedPoly.from_matrix(ctx, d).coeffs for d in digits.tolist()]
+    for basis, coeffs in (("coeffs", digits), ("matrix", np.array(from_matrix))):
+        adjoint = [LinearizedPoly(ctx, tuple(c)).adjoint().coeffs for c in coeffs.tolist()]
+        adjoint_tables = _tables_from_coeffs(ctx, np.array(adjoint))
+        got = {part: decode(words) for part, decode in search._part_decoders(ctx, basis).items()}
+        assert set(got) == {"coeffs", "table", "adjoint"} | ({"probe"} if n >= 4 else set())
+        assert all(rows.dtype == np.uint8 for rows in got.values())
+        assert np.array_equal(got["coeffs"], coeffs)
+        assert np.array_equal(got["table"], _tables_from_coeffs(ctx, coeffs))
+        assert np.array_equal(got["adjoint"], adjoint_tables)
+        if n >= 4:
+            assert np.array_equal(got["probe"], adjoint_tables[:, search._PROBE])
 
 
 class _ByteSpanMap:
@@ -427,14 +444,61 @@ def test_criterion_mismatches_canonical_n4():
     assert [bad for _, bad in results] == [[]] * 5
 
 
-def test_funnel_chunks_do_not_change_results(full4_report, monkeypatch):
+def test_funnel_chunks_do_not_change_results(full3_report, full4_report, monkeypatch):
     # the funnel hands its decoders a few candidates at a time; chunks of
-    # 1000, which split every canonical batch unevenly, give the same
-    # report but for its wall time
+    # 1000, which split every canonical and all-pairs batch unevenly, give
+    # the same report but for its wall time.  So do n = 3 batches of one
+    # L1 each: the audit rule takes the first 8 rejected of each L1's run
+    # however many runs share a batch
+    def same(got, want):
+        got, want = got.to_json_dict(), want.to_json_dict()
+        del got["elapsed_ms"], want["elapsed_ms"]
+        assert got == want
+
     monkeypatch.setattr(search, "_CHUNK", 1000)
-    got, want = (r.to_json_dict() for r in (search.full_search(4), full4_report))
-    del got["elapsed_ms"], want["elapsed_ms"]
-    assert got == want
+    same(search.full_search(4), full4_report)
+    same(search.full_search(3), full3_report)
+    monkeypatch.undo()
+    monkeypatch.setattr(search, "BLOCK", 511)
+    assert [len(b["w1"]) for b in search.all_pair_batches(make_field(3))] == [511] * 511
+    same(search.full_search(3), full3_report)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_kernel_stage_keeps_pairs_of_full_rank(n, full3_report, full4_report):
+    # ker L1* and ker L2* meet trivially exactly when the stacked n x 2n
+    # matrix [M1 | M2] has rank n, so the kernel-intersection stage keeps
+    # exactly the nonzero pairs of rank n: at n = 3 the 63*62*60 rank-3
+    # matrices less the 2*168 with a zero half, at n = 4 the [8, 4]_2
+    # canonical representatives of rank 4 less [I | 0] and [0 | I]
+    ctx = make_field(n)
+    if n == 3:
+        mats = [None] + [
+            LinearizedPoly(ctx, tuple((w >> (n * i)) & ctx.mask for i in range(n))).matrix()
+            for w in range(1, 1 << (n * n))
+        ]
+
+        def stacked(batch):
+            pairs = zip(batch["w1"].tolist(), batch["w2"].tolist())
+            return [[a | (b << n) for a, b in zip(mats[w1], mats[w2])] for w1, w2 in pairs]
+
+        batches, want_total = search.all_pair_batches(ctx), 63 * 62 * 60 - 2 * 168
+    else:
+        stacked = lambda batch: batch["stacked"].tolist()
+        batches, want_total = search.canonical_batches(ctx), search.gaussian_binomial(8, 4) - 2
+    total = 0
+    for batch in batches:
+        rows = np.flatnonzero(batch["nonzero"])
+        (name, kernel, table), *_ = search._pair_decoder(ctx, batch, n >= 4)[0]
+        assert name == "kernel-intersection"
+        got = rows[search._all_in(table, kernel(rows))]
+        mats_of = stacked(batch)
+        want = [i for i in rows.tolist() if gf2mat.rank(mats_of[i], 2 * n) == n]
+        assert got.tolist() == want
+        total += len(want)
+    assert total == want_total
+    report = full3_report if n == 3 else full4_report
+    assert dict(report.stages)["kernel-intersection"] == want_total
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -899,7 +963,7 @@ def test_funnel_decodes_nothing_after_last_survivor(monkeypatch):
     no_mod16 = [name for name in STAGE_NAMES if name != "mod16-necessary"]
     rep = search.full_search(3)
     assert [name for name, _ in rep.stages] == no_mod16
-    assert names[1:] == [no_mod16[1:-1]] * 511
+    assert names[1:] == [no_mod16[1:-1]] * 4  # one decoder per batch of 128 L1s
     ctx = make_field(3)
     next(search.criterion_mismatches(ctx, search.all_pair_batches(ctx)))
     assert names[-1] == no_mod16[1:-1]
