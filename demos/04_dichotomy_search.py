@@ -9,7 +9,7 @@ from invperm.search import full_search, identity_L1_search, normalized_search
 
 def show(rep):
     print(f"mode={rep.mode} field={rep.field_spec} examined={rep.examined}"
-          f" witnesses={rep.witness_count} ({rep.elapsed_s:.2f}s)")
+          f" witnesses={rep.witness_count}")
     for name, survivors in rep.stages:
         print(f"    {name:>20}: {survivors}")
 

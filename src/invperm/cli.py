@@ -8,10 +8,12 @@ Exit codes: 0 when every assertion holds or the search completed with
 the expected outcome, 2 when a verified claim was violated (the loud
 failure channel), 1 for usage or I/O errors.
 
-Every report is wrapped in a manifest carrying the tool version, the
-arguments, a timestamp, and a digest of the canonical result JSON.
-Volatile fields (wall time, worker count) are excluded from the digest,
-so identical logical inputs give identical digests.
+The report is one line of canonical JSON (sorted keys, no spaces): a
+manifest carrying the tool version, the arguments, a timestamp, the
+wall time of the subcommand (elapsed_ms) and the digest, sha256 of the
+canonical JSON of the result.  The result holds no wall time and no
+worker count (--workers is recorded in the manifest's argv), so
+identical logical inputs give identical results and digests.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from .linmap import LinearizedPoly
 from .search import full_search, identity_L1_search, normalized_search
 from .verify import CLAIMS, invariants_suite, run_claim
 
-VOLATILE_KEYS = {"elapsed_ms", "workers"}
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
@@ -55,20 +55,11 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _strip_volatile(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_volatile(v) for k, v in obj.items() if k not in VOLATILE_KEYS}
-    if isinstance(obj, list):
-        return [_strip_volatile(v) for v in obj]
-    return obj
-
-
 def result_digest(result: dict) -> str:
-    payload = canonical_json(_strip_volatile(result)).encode()
-    return "sha256:" + hashlib.sha256(payload).hexdigest()
+    return "sha256:" + hashlib.sha256(canonical_json(result).encode()).hexdigest()
 
 
-def _emit(args, argv, ctx, result: dict, summary: str) -> None:
+def _emit(args, argv, ctx, result: dict, summary: str, elapsed_s: float) -> None:
     envelope = {
         "manifest": {
             "tool": "invperm",
@@ -77,11 +68,13 @@ def _emit(args, argv, ctx, result: dict, summary: str) -> None:
             "argv": list(argv),
             "field": ctx.spec,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            # reports carry no floats; wall time is integer milliseconds
+            "elapsed_ms": int(round(elapsed_s * 1000)),
             "digest": result_digest(result),
         },
         "result": result,
     }
-    print(json.dumps(envelope, sort_keys=True, indent=2))
+    print(canonical_json(envelope))
     print(summary, file=sys.stderr)
 
 
@@ -170,7 +163,7 @@ def cmd_search(args, ctx):
     result["verdict"] = "violated" if violated else "ok"
     summary = (
         f"search {args.mode} on {ctx.spec}: {report.witness_count} witnesses "
-        f"({report.examined} candidates in {report.elapsed_s:.1f}s)"
+        f"({report.examined} candidates)"
     )
     return result, summary, not violated
 
@@ -249,8 +242,9 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         ctx = make_field(*parse_field_spec(args.field))
+        t0 = time.perf_counter()
         result, summary, ok = args.fn(args, ctx)
-        _emit(args, argv, ctx, result, summary)
+        _emit(args, argv, ctx, result, summary, time.perf_counter() - t0)
         return EXIT_OK if ok else EXIT_VIOLATION
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -87,12 +87,12 @@ def alternate_modulus(n: int) -> Optional[int]:
 
 def parse_field_spec(spec: str) -> tuple[int, Optional[int]]:
     """Parse "n" or "n:0xHEX" into (n, modulus or None)."""
-    part, _, hexpart = spec.partition(":")
+    part, colon, hexpart = spec.partition(":")
     try:
         n = int(part)
     except ValueError:
         raise ValueError(f"bad field spec {spec!r}") from None
-    if not hexpart:
+    if not colon:
         return n, None
     try:
         return n, int(hexpart, 16)

@@ -65,7 +65,6 @@ audit that also covers them).
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -102,7 +101,11 @@ _CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Self-contained record of one search run."""
+    """Self-contained record of one search run.
+
+    A pure function of the search and its field: it holds no wall time
+    and no worker count, so runs with any worker count compare equal.
+    The CLI records wall time in the manifest (elapsed_ms)."""
 
     field_spec: str
     mode: str
@@ -110,8 +113,6 @@ class SearchReport:
     examined: int  # candidates actually enumerated
     stages: Tuple[Tuple[str, int], ...]  # (filter name, survivors)
     witnesses: Tuple[Tuple[str, str], ...]  # (l1 coeffs, l2 coeffs) hex texts
-    elapsed_s: float
-    workers: int
     partitions: int
     block_size: int
     audit_sampled: int
@@ -138,9 +139,6 @@ class SearchReport:
                 "violations": self.audit_violations,
             },
             "notes": list(self.notes),
-            # reports carry no floats; wall time is integer milliseconds
-            "elapsed_ms": int(round(self.elapsed_s * 1000)),
-            "workers": self.workers,
         }
 
 
@@ -298,7 +296,7 @@ def _block_results(counts: dict, runs: list, alive: np.ndarray, bij: np.ndarray,
     return results
 
 
-def _report(ctx: FieldContext, results, t0: float, **fields) -> SearchReport:
+def _report(ctx: FieldContext, results, **fields) -> SearchReport:
     """Merge block results in block order and re-check the audit sample."""
     counts: Counter = Counter()
     witnesses: list = []
@@ -316,7 +314,6 @@ def _report(ctx: FieldContext, results, t0: float, **fields) -> SearchReport:
         field_spec=ctx.spec,
         stages=tuple(counts.items()),
         witnesses=tuple(sorted(texts)),
-        elapsed_s=time.perf_counter() - t0,
         audit_sampled=len(audit),
         audit_violations=violations,
         **fields,
@@ -511,7 +508,6 @@ def _run_fixed_l1(
     """Search every L2 with L1 fixed, over the coset _fixed_l1_env solves."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1; got {workers}")
-    t0 = time.perf_counter()
     ctx = l1.ctx
     n = ctx.n
     key = (n, ctx.modulus, l1.coeffs, value_one)
@@ -522,8 +518,8 @@ def _run_fixed_l1(
     blocks = [(*key, start) for start in range(0, 1 << dim, BLOCK)]
     results = _dispatch(_fixed_l1_block, blocks, len(blocks), workers, progress)
     return _report(
-        ctx, results, t0, examined=1 << dim, workers=workers, partitions=len(blocks),
-        block_size=BLOCK, notes=notes, **fields,
+        ctx, results, examined=1 << dim, partitions=len(blocks), block_size=BLOCK,
+        notes=notes, **fields,
     )
 
 
@@ -777,7 +773,6 @@ def full_search(
         )
     if workers != 1:
         raise ValueError(f"full search runs in one process; got workers={workers}")
-    t0 = time.perf_counter()
     ctx = make_field(n, modulus)
     if n <= 3:
         batches, partitions = all_pair_batches(ctx), (1 << (n * n)) - 1
@@ -797,6 +792,6 @@ def full_search(
 
     results = _collect(chain.from_iterable(map(run, batches)), partitions, progress)
     return _report(
-        ctx, results, t0, mode=mode, space=((1 << (n * n)) - 1) ** 2,
-        examined=examined, workers=1, partitions=partitions, block_size=block, notes=notes,
+        ctx, results, mode=mode, space=((1 << (n * n)) - 1) ** 2, examined=examined,
+        partitions=partitions, block_size=block, notes=notes,
     )

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, JSON schema, digests, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -119,6 +120,35 @@ def test_search_workers_flag_same_digest(capsys):
         capsys, "search", "identity-l1", "--field", "4", "--workers", "2"
     )
     assert doc1["manifest"]["digest"] == doc2["manifest"]["digest"]
+    assert doc1["result"] == doc2["result"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["field-info", "--field", "5"],
+        ["kloosterman", "census", "--field", "6"],
+        ["verify", "prop3", "--field", "5"],
+        ["search", "identity-l1", "--field", "4", "--workers", "2"],
+        ["invariants", "--field", "4"],
+        ["check-pair", "--field", "4", "--l1", "1,0,0,0", "--l2", "0,1,0,1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_report_is_one_canonical_line_with_digest_of_result(capsys, argv):
+    # the printed report is the canonical JSON of the envelope, and the
+    # digest hashes the printed result as is: wall time lives in the
+    # manifest and no worker count appears anywhere in the result
+    assert cli.run(argv) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert out == cli.canonical_json(doc) + "\n"
+    payload = cli.canonical_json(doc["result"])
+    assert doc["manifest"]["digest"] == "sha256:" + hashlib.sha256(payload.encode()).hexdigest()
+    elapsed = doc["manifest"]["elapsed_ms"]
+    assert type(elapsed) is int and elapsed >= 0
+    assert '"elapsed_ms":' not in payload and '"workers":' not in payload
+    jsonschema.validate(doc, SCHEMA)
 
 
 def test_digest_is_stable_across_runs(capsys):
@@ -205,6 +235,7 @@ def test_check_pair_wrong_coefficient_count_exits_one(capsys, l1):
         (["check-pair", "--field", "5", "--l1", "20,0,0,0,0", "--l2", "1,0,0,0,0"],
          "element 32 out of range for GF(2^5)"),
         (["verify", "theorem8", "--field", "4"], "applies for n >= 5"),
+        (["field-info", "--field", "5:"], "bad modulus in field spec '5:'"),
     ],
 )
 def test_bad_input_exits_one_with_message(capsys, argv, message):

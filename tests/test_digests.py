@@ -33,13 +33,29 @@ DIGESTS = {
     "verify proposition2 6": "512a7aac0c75042e257d6208acc03f7ae01525cd83f65cf384315fe2716c323f",
     "kloosterman census 15:0x8003": "2bd2da507828e951ba65900f2e7e88e8d797cb1f5406a9ce1dc1ef40d64ee1db",
     "kloosterman census 15:0x8011": "aba684c151c6210ae3f2aaf32cc6b55e95aa07b7127015d03abaca1691d5df4b",
+    "kloosterman census 6": "8fd20a6fa3100f2205b6a341e5f4dc358691b18059922f7961b94e5b412118e7",
+    "field-info 5": "dd46a955b763152ec7d16d67c61fbb3c708c9c3bd23ba79f4520bc88c1d4ea8f",
+    "verify theorem3 8": "f2c097b6c14bc45322b85bfd70b4c5d20e402bc111c3d86e9d3d1284cc5d625e",
+    "verify lemma2 4": "39df1cdfe98752a4412f0908dc15740f905acc4909cd8805e4a1bc51f1474039",
+    "verify lemma4 5": "406a4da22ae51993f1c15baf8fa593aa47096b476729322df596fd4751f1ffef",
+    "verify prop3 5": "fa47446d7127bf5042b08bd50109b28ae1ef26f4bdb8e86f540916fd5f7fd258",
+    "verify theorem8 5": "4b690793435b40e4e50f08a1778ad8e706bc816775c4487e0105b62a42e1e90a",
+    "invariants 4": "6afeffe237139af69dcde22e8696133414202e55c156207f74806eef34a627de",
+    "check-pair 4 --l1 1,0,0,0 --l2 0,1,0,1": "4284a009d4b005bafd4116b9e0d354b456c4bbb7a33f1b52523fe3074b709ce6",
 }
+
+
+def _argv(run: str) -> list:
+    """The argv of a pin's name: its field is the first word that starts
+    with a digit, and goes after --field."""
+    words = run.split()
+    i = next(i for i, w in enumerate(words) if w[0].isdigit())
+    return words[:i] + ["--field", words[i]] + words[i + 1 :]
 
 
 @pytest.mark.parametrize("run", sorted(DIGESTS))
 def test_result_digest_pinned(capsys, run):
-    cmd, mode, n = run.split()
-    assert cli.run([cmd, mode, "--field", n]) == 0
+    assert cli.run(_argv(run)) == 0
     doc = json.loads(capsys.readouterr().out)
     assert cli.result_digest(doc["result"]) == "sha256:" + DIGESTS[run]
     assert doc["manifest"]["digest"] == "sha256:" + DIGESTS[run]

@@ -9,7 +9,7 @@ from itertools import combinations, islice
 import numpy as np
 import pytest
 
-from invperm import cli, gf2mat, search
+from invperm import gf2mat, search
 from invperm.gf2n import FieldContext, alternate_modulus, make_field, span_table
 from invperm.inverse_perm import build_F, perm_criterion_kloosterman, recurrence_coeffs
 from invperm.kloosterman import kloosterman_all, qform_table
@@ -447,21 +447,16 @@ def test_criterion_mismatches_canonical_n4():
 def test_funnel_chunks_do_not_change_results(full3_report, full4_report, monkeypatch):
     # the funnel hands its decoders a few candidates at a time; chunks of
     # 1000, which split every canonical and all-pairs batch unevenly, give
-    # the same report but for its wall time.  So do n = 3 batches of one
+    # the same report.  So do n = 3 batches of one
     # L1 each: the audit rule takes the first 8 rejected of each L1's run
     # however many runs share a batch
-    def same(got, want):
-        got, want = got.to_json_dict(), want.to_json_dict()
-        del got["elapsed_ms"], want["elapsed_ms"]
-        assert got == want
-
     monkeypatch.setattr(search, "_CHUNK", 1000)
-    same(search.full_search(4), full4_report)
-    same(search.full_search(3), full3_report)
+    assert search.full_search(4) == full4_report
+    assert search.full_search(3) == full3_report
     monkeypatch.undo()
     monkeypatch.setattr(search, "BLOCK", 511)
     assert [len(b["w1"]) for b in search.all_pair_batches(make_field(3))] == [511] * 511
-    same(search.full_search(3), full3_report)
+    assert search.full_search(3) == full3_report
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -588,23 +583,17 @@ def test_trace_presolve_is_exact():
     assert coset_set == brute
 
 
-def _assert_same_report(a, b):
-    assert a.witnesses == b.witnesses
-    assert a.stages == b.stages
-    assert cli.result_digest(a.to_json_dict()) == cli.result_digest(b.to_json_dict())
-
-
 def test_worker_determinism():
     a = search.identity_L1_search(4, workers=1)
     b = search.identity_L1_search(4, workers=3)
-    _assert_same_report(a, b)
+    assert a == b
 
 
 def test_worker_determinism_coset_path():
     # the value-one coset, split over a pool
     a = search.normalized_search(5, workers=1)
     b = search.normalized_search(5, workers=2)
-    _assert_same_report(a, b)
+    assert a == b
 
 
 def test_worker_determinism_presolved_path(monkeypatch):
@@ -615,7 +604,7 @@ def test_worker_determinism_presolved_path(monkeypatch):
     spawn = partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
     monkeypatch.setattr(search, "ProcessPoolExecutor", spawn)
     b = search.normalized_search(7, workers=2)
-    _assert_same_report(a, b)
+    assert a == b
 
 
 # coefficient tuples of the two fixed L1s that the searches use, and of
@@ -873,7 +862,7 @@ def test_dispatch_caps_pool_at_partitions(monkeypatch):
     monkeypatch.setattr(search, "ProcessPoolExecutor", Recorder)
     rep = search.normalized_search(5, workers=10**6)
     assert rep.partitions == 16
-    _assert_same_report(rep, search.normalized_search(5, workers=1))
+    assert rep == search.normalized_search(5, workers=1)
     search.normalized_search(5, workers=2)
     assert calls == [16, 1, 2, 2]
 
@@ -883,7 +872,7 @@ def test_worker_determinism_chunked_dispatch(identity5_report):
     # one worker, and one progress record per block, in block order
     records = []
     rep = search.identity_L1_search(5, workers=2, progress=records.append)
-    _assert_same_report(rep, identity5_report)
+    assert rep == identity5_report
     assert records == [{"partition": i, "partitions": 512} for i in range(1, 513)]
 
 
