@@ -22,7 +22,7 @@ _criterion_stages, makes every source's list from its row decoders.
 The mod-16 stage is preceded by an unnamed probe stage that reads R at
 the 8 _PROBE points, 8 bytes per candidate.  The stages before the
 full mod-16 one, kernel and probe, are the funnel's prefix.  A map's
-coefficients, table and adjoint table (its map row, _map_rows) are
+coefficients, table and adjoint table (its map rows, _map_rows) are
 GF(2)-linear in the map, so maps decode as XORs of precomputed map rows
 through a _SpanMap, with no field multiplications.
 
@@ -30,18 +30,18 @@ Bijectivity is a one-hot OR (_permutes).
 
 full_search and verify_proposition2 read batches of (L1, L2) pairs: all
 nonzero pairs at n <= 3, canonical orbit representatives at n = 4, or
-random rows.  A batch names its maps by two int64 words per row, each a
-map in a basis of n^2 unit maps: packed coefficients, or the matrix
-units of a canonical [M1 | M2].  Each stage decodes from the words only
-the part of the maps that it reads (_part_decoders): adjoint tables for
-the kernel row and R, 8 adjoint columns for the probe, value tables for
-F's survivors, coefficients for the reported rows.  R is a flat
-product-table lookup.  The other two drivers call one fixed-L1
-search.  A block of it is the key (n, modulus, L1, value_one, start);
-each process builds the state of a key once (_fixed_l1_env): the coset
-of L2* that the GF(2) solve returns as packed words, origin first, and
-its decoders.  L2's map row and R are affine in L2*, so they decode from
-the map rows of L2 at the coset's words.  A block's indices share all
+random rows.  A batch names its maps by two int64 words per row, each
+a map's packed coefficients (bit t of c_i at n*i + t); the canonical
+representatives are built as such words (_rref_words).  Each stage
+decodes from the words only the part of the maps that it reads
+(_part_decoders): adjoint tables for the kernel row and R, 8 adjoint
+columns for the probe, value tables for F's survivors, coefficients for
+the reported rows.  R is a flat product-table lookup.  The other two
+drivers call one fixed-L1 search.  A block of it is the key (n, modulus,
+L1, value_one, start); each process builds the state of a key once
+(_fixed_l1_env): the coset of L2* that the GF(2) solve returns as packed
+words, origin first, and its decoders.  L2's map rows and R are affine
+in L2*, so they decode from the map rows of L2 at the coset's words.  A block's indices share all
 bytes but the low two, so each of its prefix stages is a join over
 those two bytes (_SpanJoin): per high byte, an AND of precomputed
 256-bit masks of the low bytes, with no row decoded per candidate.
@@ -174,18 +174,14 @@ def _all_in(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return acc == np.ones(words.itemsize, np.uint8).view(words.dtype)[0]
 
 
-def _map_rows(ctx: FieldContext, maps) -> np.ndarray:
-    """uint8 rows [coefficients | table | adjoint table] of maps, each part
-    GF(2)-linear in the map: the row of a sum of maps is the XOR of theirs."""
+def _map_rows(ctx: FieldContext, maps: list) -> Tuple[np.ndarray, ...]:
+    """uint8 rows of the maps' coefficients, tables and adjoint tables,
+    each GF(2)-linear in the map: the row of a sum of maps is the XOR of
+    theirs."""
     if ctx.n > 8:
         raise ValueError(f"map rows hold field elements as bytes, so n <= 8; got n={ctx.n}")
-    rows = [np.concatenate([m.coeffs, m.table(), m.adjoint().table()]) for m in maps]
-    return np.array(rows, dtype=np.uint8)
-
-
-def _row_cuts(ctx: FieldContext) -> Tuple[int, int]:
-    """Columns of a map row where its table and its adjoint table begin."""
-    return ctx.n, ctx.n + ctx.order
+    parts = ([m.coeffs for m in maps], [m.table() for m in maps], [m.adjoint().table() for m in maps])
+    return tuple(np.array(part, dtype=np.uint8) for part in parts)
 
 
 # -- linear presolve of the trace condition ------------------------------------
@@ -398,7 +394,7 @@ def _fixed_l1_env(
     l2_maps = [
         LinearizedPoly(ctx, [(w >> (n * i)) & ctx.mask for i in range(n)]).adjoint() for w in coset
     ]
-    coeffs, f, l2s = np.split(_map_rows(ctx, l2_maps), _row_cuts(ctx), axis=1)
+    coeffs, f, l2s = _map_rows(ctx, l2_maps)
     r = ctx.mul_vec(l1s_tab, l2s).astype(np.uint8)
     f[0] ^= l1.table()[ctx.inv_table].astype(np.uint8)
     tabs = {"coeffs": coeffs, "kernel": l2s[:, 1:][:, l1s_tab[1:] == 0], "r": r, "f": f}
@@ -582,30 +578,36 @@ def canonical_pair_count(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _rref_rows(n: int) -> np.ndarray:
-    """Every reduced-row-echelon n x 2n matrix, as read-only (N, n) row ints.
+def _rref_words(ctx: FieldContext) -> np.ndarray:
+    """Every reduced-row-echelon n x 2n matrix [M1 | M2], as the read-only
+    (2, N) int64 packed coefficient words of the maps (L1, L2) whose
+    matrices are M1 and M2.
 
     Ordered by rank 0..n, then pivot sets in combinations order, then the
     free bits as a counter (bit t for the t-th free position, row-major).
-    The rows of one pivot pattern are its pivot bits XOR the span of the
-    unit images of its free positions: span index = free-bit counter.
+    Coefficients are GF(2)-linear in the matrix, so the words of one pivot
+    pattern are its pivot units' words XOR the span of its free units'
+    words: span index = free-bit counter.  Unit k * 2n + c is the stacked
+    matrix with the one bit c in row k (L1's matrix for c < n).
     """
-    width, parts = 2 * n, []
+    n, width = ctx.n, 2 * ctx.n
+    mats = [[1 << j if i == k else 0 for i in range(n)] for k, j in np.ndindex(n, n)]
+    words = _pack(n, np.array([LinearizedPoly.from_matrix(ctx, m).coeffs for m in mats]))
+    units = np.zeros((n, width, 2), dtype=np.int64)
+    units[:, :n, 0] = units[:, n:, 1] = words.view(np.int64).reshape(n, n)
+    units = units.reshape(n * width, 2)
+    parts = []
     for r in range(n + 1):
         for pivots in combinations(range(width), r):
+            pivot = [k * width + p for k, p in enumerate(pivots)]
             free = [
-                (k, c)
+                k * width + c
                 for k in range(r)
                 for c in range(pivots[k] + 1, width)
                 if c not in pivots
             ]
-            units = np.zeros((len(free), n), dtype=np.int64)
-            for t, (k, c) in enumerate(free):
-                units[t, k] = 1 << c
-            template = np.zeros(n, dtype=np.int64)
-            template[:r] = [1 << p for p in pivots]
-            parts.append(template ^ span_table(units))
-    rows = np.concatenate(parts)
+            parts.append(np.bitwise_xor.reduce(units[pivot]) ^ span_table(units[free]))
+    rows = np.ascontiguousarray(np.concatenate(parts).T)
     rows.setflags(write=False)
     return rows
 
@@ -621,48 +623,36 @@ def canonical_key(l1: LinearizedPoly, l2: LinearizedPoly) -> Tuple[int, ...]:
 
 
 def canonical_batches(ctx: FieldContext):
-    """Canonical representatives as pair batches of BLOCK rows in the
-    "matrix" basis that also carry their "stacked" n x 2n matrices (L1's
-    matrix in the low n columns).
-
-    The representatives are the rows of _rref_rows.  Bit j of w1 at
-    n*i + j is bit j of stacked row i, and that of w2 is bit n + j, so a
-    half of the stacked matrix is 0 exactly when its word is.
-    """
-    n = ctx.n
-    rref = _rref_rows(n)
-    for lo in range(0, len(rref), BLOCK):
-        stacked = rref[lo : lo + BLOCK]
-        w1, w2 = (_pack(n, half).view(np.int64) for half in (stacked & ctx.mask, stacked >> n))
-        yield dict(basis="matrix", w1=w1, w2=w2, nonzero=(w1 != 0) & (w2 != 0), stacked=stacked)
+    """Canonical representatives, the words of _rref_words in order, as
+    pair batches of BLOCK rows; "stacked" is the batch's (B, 2) view of
+    its (w1, w2) rows.  A half of the stacked matrix is 0 exactly when
+    its word is."""
+    words = _rref_words(ctx)
+    for lo in range(0, words.shape[1], BLOCK):
+        w1, w2 = stacked = words[:, lo : lo + BLOCK]
+        yield dict(w1=w1, w2=w2, nonzero=(w1 != 0) & (w2 != 0), stacked=stacked.T)
 
 
 # -- pair batches ----------------------------------------------------------------
 #
 # A pair batch holds, per row, int64 words w1 and w2 that name the maps L1
-# and L2, and a nonzero mask.  A word names a map in the batch's "basis" of
-# n^2 unit maps (_part_decoders): packed coefficients ("coeffs") for all
-# pairs and random rows, matrix units ("matrix") for canonical rows.  The
-# funnel's stages decode from the words only the parts that they read.
+# and L2 by their packed coefficients, and a nonzero mask.  The funnel's
+# stages decode from the words only the parts that they read
+# (_part_decoders).
 
 
 @lru_cache(maxsize=None)
-def _part_decoders(ctx: FieldContext, basis: str) -> dict:
-    """_SpanMaps from the words of a basis to the parts of the maps they name.
+def _part_decoders(ctx: FieldContext) -> dict:
+    """_SpanMaps from packed coefficient words to the parts of the maps
+    they name.
 
-    Bit n*i + t of a "coeffs" word is the map 2^t x^(2^i), so the word is
-    the packed coefficient vector; bit n*i + j of a "matrix" word is the
-    map whose matrix has the one bit j in row i.  Every part of a map is
+    Bit n*i + t of a word is the map 2^t x^(2^i).  Every part of a map is
     GF(2)-linear in it: "coeffs", "table", "adjoint" (the adjoint's
     table) and, from n = 4, "probe" (the adjoint's table at _PROBE).
     """
     n = ctx.n
-    if basis == "coeffs":
-        units = [LinearizedPoly.frobenius(ctx, i, 1 << t) for i, t in np.ndindex(n, n)]
-    else:
-        rows = [[1 << j if r == i else 0 for r in range(n)] for i, j in np.ndindex(n, n)]
-        units = [LinearizedPoly.from_matrix(ctx, m) for m in rows]
-    coeffs, table, adjoint = np.split(_map_rows(ctx, units), _row_cuts(ctx), axis=1)
+    units = [LinearizedPoly.frobenius(ctx, i, 1 << t) for i, t in np.ndindex(n, n)]
+    coeffs, table, adjoint = _map_rows(ctx, units)
     parts = {"coeffs": coeffs, "table": table, "adjoint": adjoint}
     if ctx.order > len(_PROBE):
         parts["probe"] = adjoint[:, _PROBE]
@@ -670,7 +660,7 @@ def _part_decoders(ctx: FieldContext, basis: str) -> dict:
 
 
 def all_pair_batches(ctx: FieldContext) -> Iterator[dict]:
-    """Every pair of nonzero maps (n <= 3) in the "coeffs" basis.
+    """Every pair of nonzero maps (n <= 3).
 
     The pairs of one L1 with every L2, in word order, are a run of
     2^(n^2) - 1 consecutive rows; a batch holds the runs of
@@ -681,14 +671,13 @@ def all_pair_batches(ctx: FieldContext) -> Iterator[dict]:
     for lo in range(0, words.size, per):
         l1 = words[lo : lo + per]
         yield dict(
-            basis="coeffs", w1=np.repeat(l1, words.size), w2=np.tile(words, l1.size),
+            w1=np.repeat(l1, words.size), w2=np.tile(words, l1.size),
             nonzero=np.ones(l1.size * words.size, dtype=bool),
         )
 
 
 def random_pair_batches(ctx: FieldContext, samples: int, seed: int) -> Iterator[dict]:
-    """Seeded random coefficient pairs in the "coeffs" basis, in batches
-    of 2^14 rows."""
+    """Seeded random coefficient pairs in batches of 2^14 rows."""
     if ctx.n > 8:
         raise ValueError(f"a packed word holds n^2 <= 64 bits, so n <= 8; got n={ctx.n}")
     rng = np.random.default_rng(seed)
@@ -697,21 +686,21 @@ def random_pair_batches(ctx: FieldContext, samples: int, seed: int) -> Iterator[
         c1 = rng.integers(0, ctx.order, (b, ctx.n), dtype=np.int64)
         c2 = rng.integers(0, ctx.order, (b, ctx.n), dtype=np.int64)
         w1, w2 = (_pack(ctx.n, c).view(np.int64) for c in (c1, c2))
-        yield dict(basis="coeffs", w1=w1, w2=w2, nonzero=c1.any(axis=1) & c2.any(axis=1))
+        yield dict(w1=w1, w2=w2, nonzero=c1.any(axis=1) & c2.any(axis=1))
 
 
 def _pair_decoder(ctx: FieldContext, batch: dict, mod16: bool):
     """The funnel's (stages, f) over the row indices of a pair batch.
 
     Each decoder reads the words of its rows and decodes only the part
-    that it needs, through the _part_decoders of the batch's basis: the
-    adjoint tables for the kernel row and R, the probe columns for the
-    probe, the value tables for F.  The kernel row is the OR of the two
-    adjoint tables, 0 exactly where b lies in both kernels, with column
-    0 (b = 0) set; R is one lookup in the flat product table.
+    that it needs, through _part_decoders: the adjoint tables for the
+    kernel row and R, the probe columns for the probe, the value tables
+    for F.  The kernel row is the OR of the two adjoint tables, 0 exactly
+    where b lies in both kernels, with column 0 (b = 0) set; R is one
+    lookup in the flat product table.
     """
     n = ctx.n
-    dec = _part_decoders(ctx, batch["basis"])
+    dec = _part_decoders(ctx)
     mt = ctx.mul_table.astype(np.uint8).ravel()
 
     def both(part, join):
@@ -738,7 +727,7 @@ def _batch_pairs(ctx: FieldContext, batch: dict, rows: np.ndarray) -> list:
     """(L1, L2) coefficient-tuple pairs of the given rows of a pair batch."""
     if not rows.size:
         return []
-    decode = _part_decoders(ctx, batch["basis"])["coeffs"]
+    decode = _part_decoders(ctx)["coeffs"]
     return list(zip(*(map(tuple, decode(batch[w][rows]).tolist()) for w in ("w1", "w2"))))
 
 

@@ -184,6 +184,10 @@ def test_pow2k(n):
         assert x == a  # Frobenius has order dividing n
     with pytest.raises(ValueError):
         ctx.pow2k(1, n)
+    with pytest.raises(ValueError, match="negative exponent"):
+        ctx.pow(2, -1)
+    with pytest.raises(ValueError, match="e >= 1"):
+        ctx.pow_vec([1, 2], 0)
 
 
 def test_hyperplane_sizes_and_intersections():

@@ -386,6 +386,8 @@ def test_x8_parity_odd_n(n):
 def test_x8_parity_requires_n5():
     with pytest.raises(ValueError, match="n >= 5"):
         x8_coefficient_parity(4)
+    with pytest.raises(ValueError, match="even n"):
+        x8_parity_via_interpolation(make_field(6), 0)
 
 
 @pytest.mark.parametrize("n", [5, 7])

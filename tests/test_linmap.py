@@ -196,6 +196,7 @@ def test_subspace_canonical_equality_and_membership():
         mixed = [vecs[0] ^ vecs[1], vecs[1], vecs[2] ^ vecs[0]] + vecs
         s2 = Subspace(ctx, mixed)
         assert s1 == s2
+        assert hash(s1) == hash(s2)
         span = s1.elements()
         assert len(span) == len(s1)
         for x in span:
@@ -362,3 +363,7 @@ def test_context_mismatch_raises():
     b = make_field(5)
     with pytest.raises(ValueError, match="context mismatch"):
         LinearizedPoly.identity(a).compose(LinearizedPoly.identity(b))
+    with pytest.raises(ValueError, match="context mismatch"):
+        LinearizedPoly.identity(a).apply_to_subspace(Subspace.trivial(b))
+    with pytest.raises(ValueError, match="context mismatch"):
+        Subspace.trivial(a).intersection(Subspace.trivial(b))

@@ -144,55 +144,84 @@ def canonical_pairs(n, modulus=None):
         )
 
 
+def stacked_rows(ctx, w1, w2):
+    """The stacked n x 2n matrices [M1 | M2] (row ints) of the maps named
+    by packed coefficient words, read by evaluation as LinearizedPoly.matrix
+    reads them: bit j of row i is bit i of L(2^j), with L(2^j) from the
+    product-table oracle _tables_from_coeffs, not from from_matrix."""
+    n = ctx.n
+    words, at = np.unique(np.stack([w1, w2]), return_inverse=True)
+    coeffs = (words[:, None] >> (n * np.arange(n))) & ctx.mask
+    images = _tables_from_coeffs(ctx, coeffs)[:, 1 << np.arange(n)]  # (maps, j)
+    bits = (images[:, None, :] >> np.arange(n)[:, None]) & 1  # (maps, i, j)
+    mats = (bits << np.arange(n)).sum(axis=2)
+    m1, m2 = mats[at.reshape(2, -1)]
+    return m1 | (m2 << n)
+
+
+def fields(n):
+    """GF(2^n) at the default modulus and, where n has one, the alternate."""
+    return [make_field(n, m) for m in dict.fromkeys([None, alternate_modulus(n)])]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_rref_rows_match_oracle(n):
     # row for row: batch boundaries, and with them the audit picks,
     # depend on the order
-    rows = search._rref_rows(n)
-    assert rows.dtype == np.int64
-    assert np.array_equal(rows, oracle_rows(n))
+    for ctx in fields(n):
+        words = search._rref_words(ctx)
+        assert words.dtype == np.int64 and words.shape == (2, search.canonical_pair_count(n))
+        assert np.array_equal(stacked_rows(ctx, *words), oracle_rows(n))
 
 
 def test_rref_rows_built_once_and_read_only():
-    # every canonical pass at one n reads the same array, so none may write it
-    rows = search._rref_rows(3)
-    assert search._rref_rows(3) is rows
-    with pytest.raises(ValueError, match="read-only"):
-        rows[0, 0] = 1
+    # every canonical pass in one field reads the same array, so none may
+    # write it; each field has its own
+    words = [search._rref_words(ctx) for ctx in fields(3)]
+    for ctx, w in zip(fields(3), words):
+        assert search._rref_words(ctx) is w
+        with pytest.raises(ValueError, match="read-only"):
+            w[0, 0] = 1
+    assert not np.array_equal(*words)
 
 
 @pytest.mark.parametrize("alternate", [False, True])
 def test_canonical_batch_boundaries_n4(alternate):
     ctx = make_field(4, alternate_modulus(4) if alternate else None)
-    stacked = [batch["stacked"] for batch in search.canonical_batches(ctx)]
-    assert [len(s) for s in stacked] == [search.BLOCK] * 4 + [46849]
-    assert np.array_equal(np.concatenate(stacked), oracle_rows(4))
+    batches = list(search.canonical_batches(ctx))
+    assert [len(b["stacked"]) for b in batches] == [search.BLOCK] * 4 + [46849]
+    for b in batches:
+        assert np.array_equal(b["stacked"], np.stack([b["w1"], b["w2"]], axis=1))
+    w1, w2 = (np.concatenate([b[w] for b in batches]) for w in ("w1", "w2"))
+    assert np.array_equal(stacked_rows(ctx, w1, w2), oracle_rows(4))
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_rref_enumeration_count_and_orbit_stabilizer(n):
-    count = 0
-    total = 0
-    for rows in search._rref_rows(n).tolist():
-        count += 1
-        r = gf2mat.rank(rows, 2 * n)
-        orbit = 1
-        for i in range(r):
-            orbit *= (1 << n) - (1 << i)
-        total += orbit
-    assert count == search.canonical_pair_count(n)
-    # orbit sizes over all representatives add up to the full pair space
-    assert total == 1 << (2 * n * n)
+    for ctx in fields(n):
+        count = 0
+        total = 0
+        for rows in stacked_rows(ctx, *search._rref_words(ctx)).tolist():
+            count += 1
+            r = gf2mat.rank(rows, 2 * n)
+            orbit = 1
+            for i in range(r):
+                orbit *= (1 << n) - (1 << i)
+            total += orbit
+        assert count == search.canonical_pair_count(n)
+        # orbit sizes over all representatives add up to the full pair space
+        assert total == 1 << (2 * n * n)
 
 
 def test_rref_enumeration_yields_distinct_rrefs():
-    seen = set()
-    for rows in search._rref_rows(2).tolist():
-        key = tuple(rows)
-        assert key not in seen
-        seen.add(key)
-        red, _ = gf2mat.rref(list(rows), 4)
-        assert list(rows)[: len(red)] == red  # already reduced
+    for ctx in fields(2) + fields(3):
+        seen = set()
+        for rows in stacked_rows(ctx, *search._rref_words(ctx)).tolist():
+            key = tuple(rows)
+            assert key not in seen
+            seen.add(key)
+            red, _ = gf2mat.rref(list(rows), 2 * ctx.n)
+            assert list(rows)[: len(red)] == red  # already reduced
 
 
 def test_canonical_key_invariance():
@@ -236,11 +265,12 @@ def _batch_sources():
 
 @pytest.mark.parametrize("source,n,alternate", _batch_sources())
 def test_canonical_batches_match_maps(source, n, alternate):
-    # the words w1, w2 of every batch source decode, through the part
-    # decoders of the batch's basis, to the coefficients, tables and
-    # adjoint tables of the maps they name.  Canonical words name stacked
-    # halves [M1 | M2]: every row at n = 2, 3 and the first batch at
-    # n = 4.  All-pairs rows pair each nonzero packed coefficient word, in
+    # the packed coefficient words w1, w2 of every batch source decode,
+    # through the part decoders, to the coefficients, tables and adjoint
+    # tables of the maps they name.  Canonical words name the halves
+    # [M1 | M2] of the oracle's rref matrices, read from the words by
+    # evaluation (stacked_rows) and as maps through from_matrix: every row
+    # at n = 2, 3 and the first batch at n = 4.  All-pairs rows pair each nonzero packed coefficient word, in
     # order, with every word from 1 up: every batch at n = 2, 3, one batch
     # at n = 2 and four at n = 3.  Random rows are the seeded coefficient
     # stream: its first 200 rows.
@@ -263,11 +293,12 @@ def test_canonical_batches_match_maps(source, n, alternate):
 
     nmaps = (1 << (n * n)) - 1
     if source == "canonical":
-        batches = search.canonical_batches(ctx)
-        named = [
-            (batch, [halves(s) for s in batch["stacked"].tolist()])
-            for batch in (batches if n < 4 else [next(batches)])
-        ]
+        batches, named, lo = search.canonical_batches(ctx), [], 0
+        for batch in batches if n < 4 else [next(batches)]:
+            want = oracle_rows(n)[lo : lo + len(batch["w1"])]
+            assert np.array_equal(stacked_rows(ctx, batch["w1"], batch["w2"]), want)
+            named.append((batch, [halves(s) for s in want.tolist()]))
+            lo += len(want)
     elif source == "all-pairs":
         named, l1 = [], 1
         for batch in search.all_pair_batches(ctx):
@@ -290,7 +321,7 @@ def test_canonical_batches_match_maps(source, n, alternate):
     for batch, pairs in named:
         assert len(pairs) == len(batch["w1"]) == len(batch["w2"]) == len(batch["nonzero"])
         assert batch["w1"].dtype == batch["w2"].dtype == np.int64
-        dec = search._part_decoders(ctx, batch["basis"])
+        dec = search._part_decoders(ctx)
         both = np.ones(len(pairs), dtype=bool)  # both maps nonzero
         for h, w in enumerate(("w1", "w2")):
             keys = [pair[h] for pair in pairs]
@@ -327,28 +358,25 @@ def test_map_rows_reject_wide_fields():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_coeff_decoder_rows_match_oracle(n):
-    # in both bases a word decodes to the coefficients, table and adjoint
-    # table of the map it names: its packed coefficients (bit t of c_i at
-    # n*i + t) or its matrix (bit j of row i at n*i + j); the tables are
-    # the product-table oracle's, probe the adjoint table at _PROBE from
-    # n = 4
+    # a word decodes to the coefficients, table and adjoint table of the
+    # map it names, its packed coefficients (bit t of c_i at n*i + t); the
+    # tables are the product-table oracle's, probe the adjoint table at
+    # _PROBE from n = 4
     ctx = make_field(n)
-    digits = np.random.default_rng(n).integers(0, ctx.order, (40, n))
-    digits[0], digits[1] = 0, ctx.mask
-    words = [sum(d << (n * i) for i, d in enumerate(row)) for row in digits.tolist()]
+    coeffs = np.random.default_rng(n).integers(0, ctx.order, (40, n))
+    coeffs[0], coeffs[1] = 0, ctx.mask
+    words = [sum(d << (n * i) for i, d in enumerate(row)) for row in coeffs.tolist()]
     words = np.array(words, dtype=np.uint64).view(np.int64)  # n = 8 sets the sign bit
-    from_matrix = [LinearizedPoly.from_matrix(ctx, d).coeffs for d in digits.tolist()]
-    for basis, coeffs in (("coeffs", digits), ("matrix", np.array(from_matrix))):
-        adjoint = [LinearizedPoly(ctx, tuple(c)).adjoint().coeffs for c in coeffs.tolist()]
-        adjoint_tables = _tables_from_coeffs(ctx, np.array(adjoint))
-        got = {part: decode(words) for part, decode in search._part_decoders(ctx, basis).items()}
-        assert set(got) == {"coeffs", "table", "adjoint"} | ({"probe"} if n >= 4 else set())
-        assert all(rows.dtype == np.uint8 for rows in got.values())
-        assert np.array_equal(got["coeffs"], coeffs)
-        assert np.array_equal(got["table"], _tables_from_coeffs(ctx, coeffs))
-        assert np.array_equal(got["adjoint"], adjoint_tables)
-        if n >= 4:
-            assert np.array_equal(got["probe"], adjoint_tables[:, search._PROBE])
+    adjoint = [LinearizedPoly(ctx, tuple(c)).adjoint().coeffs for c in coeffs.tolist()]
+    adjoint_tables = _tables_from_coeffs(ctx, np.array(adjoint))
+    got = {part: decode(words) for part, decode in search._part_decoders(ctx).items()}
+    assert set(got) == {"coeffs", "table", "adjoint"} | ({"probe"} if n >= 4 else set())
+    assert all(rows.dtype == np.uint8 for rows in got.values())
+    assert np.array_equal(got["coeffs"], coeffs)
+    assert np.array_equal(got["table"], _tables_from_coeffs(ctx, coeffs))
+    assert np.array_equal(got["adjoint"], adjoint_tables)
+    if n >= 4:
+        assert np.array_equal(got["probe"], adjoint_tables[:, search._PROBE])
 
 
 class _ByteSpanMap:
@@ -479,7 +507,7 @@ def test_kernel_stage_keeps_pairs_of_full_rank(n, full3_report, full4_report):
 
         batches, want_total = search.all_pair_batches(ctx), 63 * 62 * 60 - 2 * 168
     else:
-        stacked = lambda batch: batch["stacked"].tolist()
+        stacked = lambda batch: stacked_rows(ctx, batch["w1"], batch["w2"]).tolist()
         batches, want_total = search.canonical_batches(ctx), search.gaussian_binomial(8, 4) - 2
     total = 0
     for batch in batches:

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from invperm.gf2n import default_modulus
+from invperm.search import canonical_pair_count
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,8 +48,9 @@ def test_traced_child_passes_every_step(workload, tmp_path):
     assert layers["search.audit_calls"] > 0
     spans = json.loads(spans_path.read_text())["summary"]
     if workload == "full-n3n4":
-        # the canonical pass of full n = 4 and of verify proposition2
-        assert layers["search.canonical_candidates"] > 0
+        # one row per representative in the canonical pass of full n = 4
+        # and in that of verify proposition2
+        assert layers["search.canonical_candidates"] == 2 * canonical_pair_count(4) == 617986
     else:
         # two workers: the search's process pool was wrapped and opened
         assert spans["dispatch.pool"]["calls"] == 1

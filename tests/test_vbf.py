@@ -173,6 +173,23 @@ def test_ccz_rejects_non_invertible():
     bad = AffineMapProduct(ctx, [0] * 6)
     with pytest.raises(ValueError, match="invertible"):
         check_ccz_witness(f, f, bad)
+    with pytest.raises(ValueError, match="2n x 2n"):
+        AffineMapProduct(ctx, [0] * 5)
+    with pytest.raises(ValueError, match="context mismatch"):
+        check_ccz_witness(f, TruthTable.identity(make_field(4)), AffineMapProduct.identity(ctx))
+    ident, zero = AffineMap.identity(ctx), AffineMap.zero(ctx)
+    with pytest.raises(ValueError, match="inner map must be bijective"):
+        ea_to_ccz(ident, zero, zero)
+
+
+def test_ea_witness_rejects_bad_input():
+    ctx = make_field(3)
+    f = TruthTable.identity(ctx)
+    ident, zero = AffineMap.identity(ctx), AffineMap.zero(ctx)
+    with pytest.raises(ValueError, match="context mismatch"):
+        check_ea_witness(f, TruthTable.identity(make_field(4)), ident, ident, zero)
+    with pytest.raises(ValueError, match="must be bijective"):
+        check_ea_witness(f, f, zero, ident, zero)
 
 
 def test_ea_witness_and_induced_ccz():
@@ -210,6 +227,8 @@ def test_power_ccz_equivalent():
     assert power_ccz_equivalent(2**5 - 2, 2**5 - 2, 5)
     # Gold exponent 3 vs the inverse exponent on GF(32): inequivalent
     assert not power_ccz_equivalent(3, 2**5 - 2, 5)
+    with pytest.raises(ValueError, match="exponents must lie"):
+        power_ccz_equivalent(0, 1, 3)
     # oracle: direct scan over both congruences
     def brute(k, l, n):
         group = (1 << n) - 1
@@ -235,6 +254,7 @@ def test_truth_table_file_roundtrip(tmp_path):
     g = TruthTable.load(p)
     assert g.ctx is ctx
     assert g == f
+    assert hash(g) == hash(f)
     assert p.read_text().splitlines()[0] == "5:0x29"
 
 
@@ -254,3 +274,7 @@ def test_truth_table_validation():
         TruthTable(ctx, [0] * 7)
     with pytest.raises(ValueError, match="range"):
         TruthTable(ctx, [9] * 8)
+    with pytest.raises(ValueError, match="exponent must be >= 1"):
+        TruthTable.from_exponent(ctx, 0)
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        TruthTable.identity(ctx).walsh_matrix("bogus")
