@@ -13,9 +13,13 @@ exact literal sum, independent of the fast-transform path.  The literal
 sums of a whole candidate array come from one batched pass
 (kloosterman_sums): with x = g^i the sum for a != 0 is
 1 + sum_{i < q-1} (-1)^(Tr(g^-i) + Tr(g^(log a + i))), so each is q
-minus twice the popcount of the packed bits Tr(g^-i) XORed with a window
-of the periodic sequence Tr(g^j) that starts at log a.  Every term of
-every sum is still evaluated, from field tables and integers only.
+minus twice the popcount of the packed bits Tr(g^-i) XORed with the
+window of the periodic sequence Tr(g^j) that starts at log a.  Every
+window is one contiguous row of W = ceil((q-1)/64) words, read from the
+sequence packed once at each of the 64 bit offsets.  Every term of every
+sum is still evaluated, from field tables and integers only.  The Q
+table is built by doubling along Q's polarization, from Q at the n
+basis points.
 """
 
 from __future__ import annotations
@@ -65,9 +69,11 @@ def kloosterman_sums(ctx: FieldContext, avals) -> np.ndarray:
 
     Term i of the sum for a = g^s is Tr(g^-i) + Tr(g^(s + i)); the bits
     Tr(g^-i) are packed once, and the periodic sequence T[j] = Tr(g^j)
-    is packed at each of the 64 bit offsets, so the q - 1 terms of one
-    sum are a slice of W = ceil((q - 1)/64) words.  K_n(a) is q minus
-    twice the popcount of their XOR (the x = 0 term is +1).  For a = 0
+    is packed at each of the 64 bit offsets.  The bits T[s .. s + q - 2]
+    are then one window row of W = ceil((q - 1)/64) contiguous words:
+    row s >> 6 of offset s & 63, a strided view of the packed sequence.
+    K_n(a) is q minus twice the popcount of the window XOR the Tr(g^-i)
+    words, past bit q - 2 masked off (the x = 0 term is +1).  For a = 0
     the window is all zeros.  Agrees with kloosterman_sum term by term;
     the result is 1-D, in the order of the flattened avals.
     """
@@ -86,13 +92,15 @@ def kloosterman_sums(ctx: FieldContext, avals) -> np.ndarray:
     shift = np.arange(64, dtype=np.uint64)[:, None]
     # shifted[r][k] holds bits 64k + r .. 64k + r + 63 of the sequence
     shifted = (per[None, :-1] >> shift) | ((per[None, 1:] << np.uint64(1)) << (np.uint64(63) - shift))
+    # windows[r, k] is the contiguous row shifted[r, k : k + words], a view:
+    # the window of the sequence that starts at bit 64k + r
+    windows = np.lib.stride_tricks.sliding_window_view(shifted, words, axis=1)
     last = np.uint64((1 << (m - 64 * (words - 1))) - 1)
-    span = np.arange(words)
     out = np.empty(avals.size, dtype=np.int64)
     for lo in range(0, avals.size, _SUMS_BLOCK):
         a = avals[lo : lo + _SUMS_BLOCK]
         s = ctx.log_table[a]
-        block = shifted[(s & 63)[:, None], (s >> 6)[:, None] + span]
+        block = windows[s & 63, s >> 6]
         block[a == 0] = 0
         block ^= u_words
         block[:, -1] &= last
@@ -118,19 +126,26 @@ def kloosterman_all(ctx: FieldContext) -> np.ndarray:
 
 
 def qform_table(ctx: FieldContext) -> np.ndarray:
-    """Q(x) for every x, by the defining double sum in prefix form (cached):
-    sum_{i<j} y_i y_j = sum_j y_j (y_0 + ... + y_{j-1}) with y_i = x^(2^i)."""
+    """Q(x) for every x (cached).  At the basis points 2^k, Q is the
+    defining double sum in prefix form: sum_{i<j} y_i y_j =
+    sum_j y_j (y_0 + ... + y_{j-1}) with y_i = x^(2^i).  The table then
+    doubles along the polarization, as span_table does: for x < 2^k,
+    Q(x + 2^k) = Q(x) + Q(2^k) + Tr(x)Tr(2^k) + Tr(x 2^k)."""
     tab = _QFORM_CACHE.get(ctx)
     if tab is None:
-        pw = ctx.pow2k_table
-        acc = np.zeros(ctx.order, dtype=np.int64)
-        prefix = pw[0].copy()
-        for j in range(1, ctx.n):
-            acc ^= ctx.mul_vec(pw[j], prefix)
-            prefix ^= pw[j]
-        if not bool(np.all(acc <= 1)):
+        tr = ctx.trace_table
+        y = prefix = 1 << np.arange(ctx.n)
+        basis = np.zeros(ctx.n, dtype=np.int64)
+        for _ in range(1, ctx.n):
+            y = ctx.sqr_table[y]
+            basis ^= ctx.mul_vec(y, prefix)
+            prefix = prefix ^ y
+        if not bool(np.all(basis <= 1)):
             raise AssertionError("quadratic form left the prime field")
-        tab = acc.astype(np.uint8)
+        tab = np.zeros(ctx.order, dtype=np.uint8)
+        for k, qk in enumerate(basis.tolist()):
+            b = 1 << k
+            tab[b : 2 * b] = tab[:b] ^ qk ^ (tr[:b] & tr[b]) ^ tr[ctx.mul_vec(b, np.arange(b))]
         tab.setflags(write=False)
         _QFORM_CACHE[ctx] = tab
     return tab

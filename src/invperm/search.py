@@ -305,11 +305,13 @@ def _report(ctx: FieldContext, results, **fields) -> SearchReport:
     violations = sum(
         build_F(*(LinearizedPoly(ctx, c) for c in pair)).is_permutation() for pair in audit
     )
-    texts = (tuple(",".join(f"{c:x}" for c in m) for m in pair) for pair in witnesses)
+    # a map recurs in many witnesses, so each distinct one is formatted once
+    maps = {m for pair in witnesses for m in pair}
+    text = {m: ",".join(f"{c:x}" for c in m) for m in maps}
     return SearchReport(
         field_spec=ctx.spec,
         stages=tuple(counts.items()),
-        witnesses=tuple(sorted(texts)),
+        witnesses=tuple(sorted((text[l1], text[l2]) for l1, l2 in witnesses)),
         audit_sampled=len(audit),
         audit_violations=violations,
         **fields,

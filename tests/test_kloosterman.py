@@ -203,6 +203,24 @@ def test_batched_sums_match_scalar_sums(n):
     assert ks.tolist() == [kloosterman_sum(ctx, a) for a in ctx.elements()]
 
 
+@pytest.mark.parametrize("n", [6, 7, 12])
+def test_batched_sums_block_edges(n):
+    # windows of one partial word (n = 6), two words (n = 7) and 64 words,
+    # the last partial (n = 12).  One shuffled array over several blocks
+    # holds 0 in two different blocks, every element whose log is 63 mod 64
+    # (a window that starts at the last bit offset of a word) and g^(q-2),
+    # whose window starts at the last term of the sequence.
+    ctx = make_field(n)
+    block = kloosterman._SUMS_BLOCK
+    rng = np.random.default_rng(n)
+    edges = ctx.exp_table[np.append(np.arange(63, ctx.order - 2, 64), ctx.order - 2)]
+    avals = rng.permutation(np.concatenate([edges, rng.integers(1, ctx.order, size=2 * block)]))
+    avals = np.insert(avals, [1, block], 0)
+    assert avals.size > block
+    assert len({i // block for i in np.flatnonzero(avals == 0)}) == 2
+    assert kloosterman_sums(ctx, avals).tolist() == [kloosterman_sum(ctx, int(a)) for a in avals]
+
+
 @pytest.mark.parametrize("n,modulus", BOTH_MODULI)
 def test_batched_sums_match_transform(n, modulus):
     ctx = make_field(n, modulus)
