@@ -26,7 +26,7 @@ import numpy as np
 
 from .gf2n import FieldContext, span_table
 from .kloosterman import divisible_by_16, kloosterman_all, qform_table
-from .linmap import LinearizedPoly, bijective_factor, kernels_intersect_trivially
+from .linmap import LinearizedPoly, kernels_intersect_trivially
 from .vbf import TruthTable
 
 __all__ = [
@@ -35,9 +35,7 @@ __all__ = [
     "necessary_mod16",
     "image_set_Ma",
     "ma_hyperplane_form",
-    "prop3_identity_holds",
     "quad_solvable",
-    "hyperplane_cover",
     "hyperplane_union_size",
     "PairReport",
     "kernel_structure_check",
@@ -47,7 +45,6 @@ __all__ = [
     "x8_coefficient_parity",
     "x8_tuples",
     "x8_parity_via_interpolation",
-    "normalize_pair",
 ]
 
 # words per row array in one block of hyperplane_union_size (512 KB)
@@ -108,10 +105,6 @@ def ma_hyperplane_form(ctx: FieldContext, a: int) -> frozenset:
     return frozenset(inverted | {a_inv})
 
 
-def prop3_identity_holds(ctx: FieldContext, a: int) -> bool:
-    return image_set_Ma(ctx, a) == ma_hyperplane_form(ctx, a)
-
-
 def quad_solvable(ctx: FieldContext, a, b, c):
     """Solvability of a x^2 + b x + c = 0 with b != 0: Tr(ac / b^2) = 0.
     A bool for elements, a bool array for arrays (broadcast together).
@@ -152,21 +145,6 @@ def hyperplane_union_size(ctx: FieldContext, a, b, c):
         sizes[lo : lo + step] = q - np.bitwise_count(ra & rb & rc).sum(axis=1, dtype=np.int64)
     sizes = sizes.reshape(np.shape(a))
     return int(sizes) if sizes.ndim == 0 else sizes
-
-
-def hyperplane_cover(ctx: FieldContext, a, b, c):
-    """Do the hyperplanes of a, b, c cover the whole field?  A bool for
-    elements, a bool array for equal-shape arrays.
-
-    Holds exactly when a + b = c (for distinct nonzero arguments).
-    """
-    a, b, c = (np.asarray(v) for v in (a, b, c))
-    valid = (a != b) & (b != c) & (a != c)
-    for v in (a, b, c):
-        valid &= (0 < v) & (v < ctx.order)
-    if not valid.all():
-        raise ValueError("arguments must be three distinct nonzero elements")
-    return hyperplane_union_size(ctx, a, b, c) == ctx.order
 
 
 # -- pair structure report ---------------------------------------------------
@@ -389,42 +367,3 @@ def x8_parity_via_interpolation(ctx: FieldContext, c0: int) -> int:
     bits = qform_table(ctx)[ctx.mul_vec(u, l2s.table())]
     table = TruthTable(ctx, bits.astype(np.int64))
     return int(table.interpolate()[8])
-
-
-# -- normalization ------------------------------------------------------------
-
-
-def normalize_pair(
-    l1: LinearizedPoly, l2: LinearizedPoly, twist: bool = False
-) -> Tuple[LinearizedPoly, LinearizedPoly]:
-    """Rewrite a pair with |ker L1| = 2 so that L1(x) = x^2 + x.
-
-    The rewrite composes with bijective linear maps only, so the result
-    is a permutation exactly when the input is.  With twist=True the
-    output uses L1(x) = x^(2^(n-1)) + x instead (the form whose adjoint
-    is x^2 + x).
-    """
-    l1.check_same_ctx(l2)
-    ctx = l1.ctx
-    ker = l1.kernel()
-    if ker.dim != 1:
-        raise ValueError("normalization requires a kernel of size exactly 2")
-    kappa = [e for e in ker.elements() if e][0]
-    # l1 = B o M with M(x) = x^2 + kappa x sharing the kernel {0, kappa}
-    m = LinearizedPoly(ctx, (kappa, 1) + (0,) * (ctx.n - 2))
-    # bijective_factor(l1, m) is B^-1: it picks the same input basis as
-    # bijective_factor(m, l1) and swaps the two completions
-    l2p = bijective_factor(l1, m).compose(l2)
-    # scale: multiply by kappa^-2 and substitute x -> x / kappa
-    ka_inv = ctx.inv0(kappa)
-    ka_inv2 = ctx.sqr(ka_inv)
-    l1n = LinearizedPoly(ctx, (1, 1) + (0,) * (ctx.n - 2))
-    l2n = LinearizedPoly.scalar(ctx, ka_inv2).compose(l2p).compose(
-        LinearizedPoly.scalar(ctx, ka_inv)
-    )
-    if twist:
-        frob = LinearizedPoly.frobenius(ctx, ctx.n - 1)
-        l1n = l1n.compose(frob)
-        l2n = l2n.compose(frob)
-    return l1n, l2n
-

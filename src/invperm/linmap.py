@@ -20,7 +20,7 @@ import numpy as np
 from . import gf2mat
 from .gf2n import FieldContext, span_table
 
-__all__ = ["LinearizedPoly", "Subspace", "bijective_factor", "kernels_intersect_trivially"]
+__all__ = ["LinearizedPoly", "Subspace", "kernels_intersect_trivially"]
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,6 @@ class LinearizedPoly:
         coeffs = [0] * ctx.n
         coeffs[k % ctx.n] = c
         return cls(ctx, tuple(coeffs))
-
-    @classmethod
-    def scalar(cls, ctx: FieldContext, c: int) -> "LinearizedPoly":
-        """Multiplication by the constant c."""
-        return cls(ctx, (c,) + (0,) * (ctx.n - 1))
 
     @classmethod
     def random(cls, ctx: FieldContext, rng) -> "LinearizedPoly":
@@ -230,38 +225,3 @@ def kernels_intersect_trivially(l1: LinearizedPoly, l2: LinearizedPoly) -> bool:
     l1.check_same_ctx(l2)
     n = l1.ctx.n
     return gf2mat.rank(l1.matrix() + l2.matrix(), n) == n
-
-
-def bijective_factor(l: LinearizedPoly, lp: LinearizedPoly) -> LinearizedPoly:
-    """A bijective B with lp = B ∘ l; requires ker(l) == ker(lp)."""
-    l.check_same_ctx(lp)
-    ctx = l.ctx
-    n = ctx.n
-    if l.kernel() != lp.kernel():
-        raise ValueError("kernels differ; no exact factorization exists")
-    u_cols: List[int] = []
-    v_cols: List[int] = []
-    # independent image pairs (l(x), lp(x)) over a spanning set of inputs
-    for j in range(n):
-        u = l(1 << j)
-        if gf2mat.rank([*u_cols, u], n) > len(u_cols):
-            u_cols.append(u)
-            v_cols.append(lp(1 << j))
-    # complete both sides to bases of the whole space: B [U|W] = [V|Z]
-    uw = gf2mat.transpose(_extend_to_basis(u_cols, n), n)
-    vz = gf2mat.transpose(_extend_to_basis(v_cols, n), n)
-    uw_inv = gf2mat.inverse(uw, n)
-    if uw_inv is None:
-        raise AssertionError("completion failed to produce a basis")
-    b_rows = gf2mat.matmul(vz, uw_inv)
-    return LinearizedPoly.from_matrix(ctx, b_rows)
-
-
-def _extend_to_basis(cols: List[int], n: int) -> List[int]:
-    """cols, independent vectors of GF(2)^n, followed by the unit vectors
-    that extend them to a basis, lowest first."""
-    out = list(cols)
-    for t in range(n):
-        if gf2mat.rank([*out, 1 << t], n) > len(out):
-            out.append(1 << t)
-    return out

@@ -145,8 +145,11 @@ def verify_lemma2(n: int, modulus: Optional[int] = None) -> VerifyResult:
     """Tr(ac/b^2) = 0 <=> a x^2 + b x + c = 0 has a root (b != 0).
 
     quad_solvable over every (a, b, c), one call per a, against the
-    brute-force root scan as the oracle; intended for n <= 6.
+    brute-force root scan as the oracle.  Each a fills a (q - 1) x q
+    table, so n > 10 is rejected.
     """
+    if n > 10:
+        raise ValueError(f"lemma2 supports n <= 10, where its per-a tables fit; got n={n}")
     ctx = make_field(n, modulus)
     q = ctx.order
     res = VerifyResult("lemma2", ctx.spec, 0)

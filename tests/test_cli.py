@@ -236,6 +236,7 @@ def test_check_pair_wrong_coefficient_count_exits_one(capsys, l1):
          "element 32 out of range for GF(2^5)"),
         (["verify", "theorem8", "--field", "4"], "applies for n >= 5"),
         (["field-info", "--field", "5:"], "bad modulus in field spec '5:'"),
+        (["verify", "lemma2", "--field", "11"], "lemma2 supports n <= 10"),
     ],
 )
 def test_bad_input_exits_one_with_message(capsys, argv, message):

@@ -10,7 +10,6 @@ from invperm.gf2n import alternate_modulus, make_field
 from invperm.linmap import (
     LinearizedPoly,
     Subspace,
-    bijective_factor,
     kernels_intersect_trivially,
 )
 
@@ -304,58 +303,6 @@ def test_kernels_intersect_trivially():
         got = kernels_intersect_trivially(l1, l2)
         brute = l1.kernel().intersection(l2.kernel()).dim == 0
         assert got == brute
-
-
-def test_bijective_factor():
-    ctx = make_field(6)
-    rng = random.Random(71)
-    done = 0
-    while done < 40:
-        l = LinearizedPoly.random(ctx, rng)
-        b = LinearizedPoly.from_matrix(ctx, gf2mat.random_invertible(ctx.n, rng))
-        lp = b.compose(l)
-        assert lp.kernel() == l.kernel()
-        b2 = bijective_factor(l, lp)
-        assert b2.is_bijective()
-        assert b2.compose(l) == lp
-        done += 1
-    # mismatched kernels are rejected
-    k1 = LinearizedPoly(ctx, (1, 1, 0, 0, 0, 0))
-    with pytest.raises(ValueError, match="kernels differ"):
-        bijective_factor(k1, LinearizedPoly.identity(ctx))
-    # each kernel dimension 0..2: l of rank n - kdim is A [C with its last kdim
-    # columns cleared] for invertible A and C
-    for ctx in fields(6):
-        n = ctx.n
-        for kdim in (0, 1, 2):
-            keep = (1 << (n - kdim)) - 1
-            for _ in range(10):
-                a, c, b = (gf2mat.random_invertible(n, rng) for _ in range(3))
-                l = LinearizedPoly.from_matrix(ctx, gf2mat.matmul(a, [r & keep for r in c]))
-                assert l.kernel().dim == kdim
-                lp = LinearizedPoly.from_matrix(ctx, b).compose(l)
-                b2 = bijective_factor(l, lp)
-                assert b2.is_bijective()
-                assert b2.compose(l) == lp
-
-
-def test_swapped_bijective_factor_is_inverse():
-    # bijective_factor(lp, l) picks the same input basis as
-    # bijective_factor(l, lp) and swaps the two completions, so the two
-    # factors compose to the identity both ways
-    rng = random.Random(97)
-    for ctx in fields(8):
-        if ctx.n < 3:
-            continue
-        n, ident = ctx.n, LinearizedPoly.identity(ctx)
-        for kdim in (0, 1, 2):
-            keep = (1 << (n - kdim)) - 1
-            for _ in range(4):
-                a, c, b = (gf2mat.random_invertible(n, rng) for _ in range(3))
-                l = LinearizedPoly.from_matrix(ctx, gf2mat.matmul(a, [r & keep for r in c]))
-                lp = LinearizedPoly.from_matrix(ctx, b).compose(l)
-                fwd, back = bijective_factor(l, lp), bijective_factor(lp, l)
-                assert fwd.compose(back) == ident and back.compose(fwd) == ident
 
 
 def test_context_mismatch_raises():
