@@ -162,10 +162,6 @@ class Subspace:
         self.basis: Tuple[int, ...] = tuple(sorted(red, reverse=True))
         self.dim = len(self.basis)
 
-    @classmethod
-    def trivial(cls, ctx: FieldContext) -> "Subspace":
-        return cls(ctx, ())
-
     def elements(self) -> List[int]:
         """The full span, 2^dim ints in increasing order."""
         return sorted(span_table(np.array(self.basis, dtype=np.int64)).tolist())

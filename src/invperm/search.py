@@ -26,7 +26,7 @@ coefficients, table and adjoint table (its map rows, _map_rows) are
 GF(2)-linear in the map, so maps decode as XORs of precomputed map rows
 through a _SpanMap, with no field multiplications.
 
-Bijectivity is a one-hot OR (_permutes).
+A row of F's table permutes when it hits every value (_permutes).
 
 full_search and verify_proposition2 read batches of (L1, L2) pairs: all
 nonzero pairs at n <= 3, canonical orbit representatives at n = 4, or
@@ -35,14 +35,15 @@ a map's packed coefficients (bit t of c_i at n*i + t); the canonical
 representatives are built as such words (_rref_words).  Each stage
 decodes from the words only the part of the maps that it reads
 (_part_decoders): adjoint tables for the kernel row and R, 8 adjoint
-columns for the probe, value tables for F's survivors, coefficients for
-the reported rows.  R is a flat product-table lookup.  The other two
-drivers call one fixed-L1 search.  A block of it is the key (n, modulus,
-L1, value_one, start); each process builds the state of a key once
-(_fixed_l1_env): the coset of L2* that the GF(2) solve returns as packed
-words, origin first, and its decoders.  L2's map rows and R are affine
-in L2*, so they decode from the map rows of L2 at the coset's words.  A block's indices share all
-bytes but the low two, so each of its prefix stages is a join over
+columns for the probe, value tables for F's survivors; the reported
+rows read coefficients as the words' digits.  R is a flat product-table
+lookup.  The other two drivers call one fixed-L1 search.  A block of it
+is the key (n, modulus, L1, value_one, start); each process builds the
+state of a key once (_fixed_l1_env): the coset of L2* that the GF(2)
+solve returns as packed words, origin first, and its decoders.  L2's
+map rows and R are affine in L2*, so they decode from the map rows of L2
+at the coset's words.  A block's indices share all bytes but the low
+two, so each of its prefix stages is a join over
 those two bytes (_SpanJoin): per high byte, an AND of precomputed
 256-bit masks of the low bytes, with no row decoded per candidate.
 Only the survivors, 0 per block at identity n = 5 and about 600 at
@@ -206,13 +207,15 @@ def _trace_rows(ctx: FieldContext, l1star_tab: np.ndarray) -> List[int]:
 _PROBE = list(range(1, 9))
 
 
-def _criterion_stages(ctx: FieldContext, kernel, probe, r, mod16: bool) -> list:
+def _criterion_stages(ctx: FieldContext, kernel, probe, r) -> list:
     """The criterion's ordered stage list (name, rows, table) over a
     source's row decoders: kernel (adjoint values, all nonzero exactly
-    when the adjoint kernels meet trivially), probe (R at _PROBE, read
-    only with mod16) and r (R everywhere)."""
+    when the adjoint kernels meet trivially), probe (R at _PROBE; None
+    leaves out the mod-16 stages) and r (R everywhere).  The mod-16
+    stages test R on the Tr = Q = 0 table of divisible_by_16, the last
+    stage on K(a) = 0."""
     stages = [("kernel-intersection", kernel, np.arange(ctx.order) != 0)]
-    if mod16:  # a few points first, then the full mod-16 condition
+    if probe is not None:  # a few points first, then the full mod-16 condition
         d16 = divisible_by_16(ctx, np.arange(ctx.order))
         stages += [(None, probe, d16), ("mod16-necessary", r, d16)]
     stages.append(("kloosterman-zero", r, kloosterman_all(ctx) == 0))
@@ -244,23 +247,23 @@ def _funnel(alive: np.ndarray, stages: list, f, counts: dict):
 
 
 def _chunked(mask, alive: np.ndarray) -> np.ndarray:
-    """mask of alive, _CHUNK at a time: np.take widens indices to intp."""
+    """mask of alive, _CHUNK at a time, which bounds the decoders'
+    temporaries (np.take widens indices to intp)."""
     parts = [mask(alive[lo : lo + _CHUNK]) for lo in range(0, alive.size, _CHUNK)]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
 
 
 def _permutes(tab: np.ndarray) -> np.ndarray:
-    """Rows of q values below q whose OR of 1 << v covers all q bits, in
-    32-bit words (q / 32 of them above q = 32): the permutations."""
+    """Rows of q values below q that hit every value: the permutations.
+    Up to q = 32 a row's OR of 1 << v covers all q bits of one 32-bit
+    word; above, a bool row per candidate marks the values seen."""
     b, q = tab.shape
-    one = np.uint32(1)
     if q <= 32:
-        words = np.bitwise_or.reduce(np.left_shift(one, tab, dtype=np.uint32), axis=1)
+        words = np.bitwise_or.reduce(np.left_shift(np.uint32(1), tab, dtype=np.uint32), axis=1)
         return words == np.uint32((1 << q) - 1)
-    words = np.zeros((b, q // 32), dtype=np.uint32)
-    bits = np.left_shift(one, tab & 31, dtype=np.uint32)
-    np.bitwise_or.at(words, (np.arange(b)[:, None], tab >> 5), bits)
-    return (words == np.uint32(0xFFFFFFFF)).all(axis=1)
+    seen = np.zeros((b, q), dtype=bool)
+    seen[np.arange(b)[:, None], tab] = True
+    return seen.all(axis=1)
 
 
 def _block_results(counts: dict, runs: list, alive: np.ndarray, bij: np.ndarray, pairs) -> list:
@@ -329,12 +332,13 @@ def _collect(results, partitions: int, progress=None) -> list:
     return out
 
 
-def _dispatch(fn, blocks, partitions: int, workers: int = 1, progress=None) -> list:
+def _dispatch(fn, blocks: list, workers: int = 1, progress=None) -> list:
     """fn over blocks in order, in this process or on a pool of at most
     one worker per block (a pool starts all its processes at once).  The
-    pool takes blocks in chunks of about partitions / (4 workers), so a
+    pool takes blocks in chunks of about len(blocks) / (4 workers), so a
     run makes a few round trips per worker rather than one per block;
     results still arrive in block order (_collect)."""
+    partitions = len(blocks)
     if workers <= 1 or partitions <= 1:
         return _collect(map(fn, blocks), partitions, progress)
     workers = min(workers, partitions)
@@ -392,7 +396,7 @@ def _fixed_l1_env(
         raise AssertionError("the constraint system cannot be infeasible")
     coset = [origin, *gf2mat.nullspace(rows, n * n)]
     if len(coset) > 31:
-        raise AssertionError(f"presolve left an infeasible space 2^{len(coset) - 1}")
+        raise AssertionError(f"presolve left 2^{len(coset) - 1} candidates, too many to enumerate")
     l2_maps = [
         LinearizedPoly(ctx, [(w >> (n * i)) & ctx.mask for i in range(n)]).adjoint() for w in coset
     ]
@@ -403,7 +407,7 @@ def _fixed_l1_env(
     if n >= 4:
         tabs["probe"] = r[:, _PROBE]
     dec = {name: _SpanMap(tab[0], tab[1:]) for name, tab in tabs.items()}
-    stages = _criterion_stages(ctx, dec["kernel"], dec.get("probe"), dec["r"], n >= 4)
+    stages = _criterion_stages(ctx, dec["kernel"], dec.get("probe"), dec["r"])
     split = next(i for i, (_, rows, _) in enumerate(stages) if rows is dec["r"])
     return {
         "coset": coset, "dec": dec,
@@ -514,7 +518,7 @@ def _run_fixed_l1(
         free = n * n - n * value_one
         notes += (f"trace condition presolved: 2^{dim} of 2^{free} candidates satisfy it",)
     blocks = [(*key, start) for start in range(0, 1 << dim, BLOCK)]
-    results = _dispatch(_fixed_l1_block, blocks, len(blocks), workers, progress)
+    results = _dispatch(_fixed_l1_block, blocks, workers, progress)
     return _report(
         ctx, results, examined=1 << dim, partitions=len(blocks), block_size=BLOCK,
         notes=notes, **fields,
@@ -649,13 +653,15 @@ def _part_decoders(ctx: FieldContext) -> dict:
     they name.
 
     Bit n*i + t of a word is the map 2^t x^(2^i).  Every part of a map is
-    GF(2)-linear in it: "coeffs", "table", "adjoint" (the adjoint's
-    table) and, from n = 4, "probe" (the adjoint's table at _PROBE).
+    GF(2)-linear in it: "table", "adjoint" (the adjoint's table) and,
+    from n = 4, "probe" (the adjoint's table at _PROBE).  The
+    coefficients need no decoder: they are the word's base-2^n digits
+    (_batch_pairs).
     """
     n = ctx.n
     units = [LinearizedPoly.frobenius(ctx, i, 1 << t) for i, t in np.ndindex(n, n)]
-    coeffs, table, adjoint = _map_rows(ctx, units)
-    parts = {"coeffs": coeffs, "table": table, "adjoint": adjoint}
+    _, table, adjoint = _map_rows(ctx, units)
+    parts = {"table": table, "adjoint": adjoint}
     if ctx.order > len(_PROBE):
         parts["probe"] = adjoint[:, _PROBE]
     return {name: _SpanMap(np.zeros_like(part[0]), part) for name, part in parts.items()}
@@ -721,16 +727,16 @@ def _pair_decoder(ctx: FieldContext, batch: dict, mod16: bool):
         return np.take(mt, idx)
 
     probe = both("probe", product) if mod16 else None
-    stages = _criterion_stages(ctx, both("adjoint", kernel), probe, both("adjoint", product), mod16)
+    stages = _criterion_stages(ctx, both("adjoint", kernel), probe, both("adjoint", product))
     return stages, both("table", lambda x, y: x[:, ctx.inv_table] ^ y)
 
 
 def _batch_pairs(ctx: FieldContext, batch: dict, rows: np.ndarray) -> list:
-    """(L1, L2) coefficient-tuple pairs of the given rows of a pair batch."""
-    if not rows.size:
-        return []
-    decode = _part_decoders(ctx)["coeffs"]
-    return list(zip(*(map(tuple, decode(batch[w][rows]).tolist()) for w in ("w1", "w2"))))
+    """(L1, L2) coefficient-tuple pairs of the given rows of a pair batch:
+    a word's coefficients are its base-2^n digits."""
+    shifts = ctx.n * np.arange(ctx.n)
+    digits = ((batch[w][rows, None] >> shifts) & ctx.mask for w in ("w1", "w2"))
+    return list(zip(*(map(tuple, d.tolist()) for d in digits)))
 
 
 def criterion_mismatches(ctx: FieldContext, batches) -> Iterator[tuple]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -68,16 +68,8 @@ class TruthTable:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_callable(cls, ctx: FieldContext, f: Callable[[int], int]) -> "TruthTable":
-        return cls(ctx, [f(x) for x in ctx.elements()])
-
-    @classmethod
     def identity(cls, ctx: FieldContext) -> "TruthTable":
         return cls(ctx, np.arange(ctx.order))
-
-    @classmethod
-    def constant(cls, ctx: FieldContext, c: int) -> "TruthTable":
-        return cls(ctx, np.full(ctx.order, c))
 
     @classmethod
     def inverse_map(cls, ctx: FieldContext) -> "TruthTable":
@@ -154,7 +146,7 @@ class TruthTable:
             return signs @ chars.T
         raise ValueError(f"unknown method {method!r}")
 
-    def walsh_spectrum(self, method: str = "fast") -> Counter:
+    def walsh_spectrum(self) -> Counter:
         """Multiset of |W(a, b)| over all a and all b != 0.
 
         Magnitudes, not signed values: translations in an equivalence
@@ -162,7 +154,7 @@ class TruthTable:
         multiset is invariant.  Signed values are available from
         walsh_matrix.
         """
-        w = np.abs(self.walsh_matrix(method)[1:])
+        w = np.abs(self.walsh_matrix()[1:])
         vals, cnts = np.unique(w, return_counts=True)
         return Counter(dict(zip(map(int, vals), map(int, cnts))))
 
@@ -232,9 +224,6 @@ class AffineMap:
     @property
     def ctx(self) -> FieldContext:
         return self.linear.ctx
-
-    def __call__(self, x: int) -> int:
-        return self.linear(x) ^ self.c
 
     def table(self) -> np.ndarray:
         return self.linear.table() ^ self.c

@@ -319,10 +319,10 @@ def run_claim(name: str, n: int, modulus: Optional[int] = None, **kw) -> VerifyR
 # -- invariant bundle ------------------------------------------------------------
 
 
-def invariants_suite(n: int, modulus: Optional[int] = None, seed: int = 7) -> List[VerifyResult]:
+def invariants_suite(n: int, modulus: Optional[int] = None) -> List[VerifyResult]:
     """Cross-cutting invariants for one field, as verification records."""
     ctx = make_field(n, modulus)
-    rng = random.Random(seed)
+    rng = random.Random(7)  # one fixed draw: the records are reproducible
     out: List[VerifyResult] = []
 
     res = VerifyResult("field-axioms", ctx.spec, 0)

@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 from invperm import cli
+from invperm.gf2n import MAX_N, MIN_N
 
 SCHEMA = json.loads((files("invperm") / "schemas/report.schema.json").read_text())
 
@@ -231,7 +232,8 @@ def test_check_pair_wrong_coefficient_count_exits_one(capsys, l1):
     "argv, message",
     [
         (["field-info", "--field", "5:0xzz"], "bad modulus in field spec '5:0xzz'"),
-        (["field-info", "--field", "17:0x20009"], "n=17 out of range [2, 16]"),
+        (["field-info", "--field", f"{MAX_N + 1}:{(1 << (MAX_N + 1)) | 9:#x}"],
+         f"n={MAX_N + 1} out of range [{MIN_N}, {MAX_N}]"),
         (["check-pair", "--field", "5", "--l1", "20,0,0,0,0", "--l2", "1,0,0,0,0"],
          "element 32 out of range for GF(2^5)"),
         (["verify", "theorem8", "--field", "4"], "applies for n >= 5"),

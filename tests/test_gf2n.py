@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from invperm.gf2n import (
+    MAX_N,
+    MIN_N,
     FieldContext,
     alternate_modulus,
     default_modulus,
@@ -35,7 +37,7 @@ def test_default_moduli_are_smallest_irreducibles():
         assert is_irreducible(m)
         assert not any(is_irreducible(p) for p in range(1 << n, m))
         assert make_field(n).modulus == m
-    for bad in (1, 17):
+    for bad in (MIN_N - 1, MAX_N + 1):
         with pytest.raises(ValueError, match="out of range"):
             default_modulus(bad)
 
@@ -93,9 +95,9 @@ def test_make_field_rejects_reducible():
 
 def test_make_field_rejects_bad_degree_or_range():
     with pytest.raises(ValueError, match="out of range"):
-        make_field(1)
+        make_field(MIN_N - 1)
     with pytest.raises(ValueError, match="out of range"):
-        make_field(17)
+        make_field(MAX_N + 1)
     with pytest.raises(ValueError, match="degree"):
         make_field(4, 0b1011)
 

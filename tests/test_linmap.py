@@ -234,7 +234,7 @@ def test_apply_to_subspace():
         img = l.apply_to_subspace(s)
         brute = sorted({l(x) for x in s.elements()})
         assert img.elements() == brute
-    assert l.apply_to_subspace(Subspace.trivial(ctx)).elements() == [0]
+    assert l.apply_to_subspace(Subspace(ctx, ())).elements() == [0]
 
 
 def test_subfield_translate_detection():
@@ -311,6 +311,6 @@ def test_context_mismatch_raises():
     with pytest.raises(ValueError, match="context mismatch"):
         LinearizedPoly.identity(a).compose(LinearizedPoly.identity(b))
     with pytest.raises(ValueError, match="context mismatch"):
-        LinearizedPoly.identity(a).apply_to_subspace(Subspace.trivial(b))
+        LinearizedPoly.identity(a).apply_to_subspace(Subspace(b, ()))
     with pytest.raises(ValueError, match="context mismatch"):
-        Subspace.trivial(a).intersection(Subspace.trivial(b))
+        Subspace(a, ()).intersection(Subspace(b, ()))

@@ -267,8 +267,9 @@ def _batch_sources():
 @pytest.mark.parametrize("source,n,alternate", _batch_sources())
 def test_canonical_batches_match_maps(source, n, alternate):
     # the packed coefficient words w1, w2 of every batch source decode,
-    # through the part decoders, to the coefficients, tables and adjoint
-    # tables of the maps they name.  Canonical words name the halves
+    # through the part decoders, to the tables and adjoint tables of the
+    # maps they name, and through _batch_pairs to their coefficients.
+    # Canonical words name the halves
     # [M1 | M2] of the oracle's rref matrices, read from the words by
     # evaluation (stacked_rows) and as maps through from_matrix: every row
     # at n = 2, 3 and the first batch at n = 4.  All-pairs rows pair each nonzero packed coefficient word, in
@@ -324,15 +325,18 @@ def test_canonical_batches_match_maps(source, n, alternate):
         assert batch["w1"].dtype == batch["w2"].dtype == np.int64
         dec = search._part_decoders(ctx)
         both = np.ones(len(pairs), dtype=bool)  # both maps nonzero
+        coeffs = []
         for h, w in enumerate(("w1", "w2")):
             keys = [pair[h] for pair in pairs]
             index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
             at = np.array([index[key] for key in keys])
             oracle = [expect(key) for key in index]
-            for p, part in enumerate(("coeffs", "table", "adjoint")):
+            for p, part in enumerate(("table", "adjoint"), 1):
                 want = np.array([o[p] for o in oracle])[at]
                 assert np.array_equal(dec[part](batch[w]), want)
+            coeffs.append([oracle[i][0] for i in at.tolist()])
             both &= np.array([any(o[0]) for o in oracle])[at]
+        assert search._batch_pairs(ctx, batch, np.arange(len(pairs))) == list(zip(*coeffs))
         assert np.array_equal(batch["nonzero"], both)
         zero_rows += int(np.count_nonzero(~both))
         rows += len(pairs)
@@ -359,10 +363,10 @@ def test_map_rows_reject_wide_fields():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_coeff_decoder_rows_match_oracle(n):
-    # a word decodes to the coefficients, table and adjoint table of the
-    # map it names, its packed coefficients (bit t of c_i at n*i + t); the
-    # tables are the product-table oracle's, probe the adjoint table at
-    # _PROBE from n = 4
+    # a word decodes to the table and adjoint table of the map it names,
+    # its packed coefficients (bit t of c_i at n*i + t), and _batch_pairs
+    # reads the coefficients back; the tables are the product-table
+    # oracle's, probe the adjoint table at _PROBE from n = 4
     ctx = make_field(n)
     coeffs = np.random.default_rng(n).integers(0, ctx.order, (40, n))
     coeffs[0], coeffs[1] = 0, ctx.mask
@@ -371,9 +375,12 @@ def test_coeff_decoder_rows_match_oracle(n):
     adjoint = [LinearizedPoly(ctx, tuple(c)).adjoint().coeffs for c in coeffs.tolist()]
     adjoint_tables = _tables_from_coeffs(ctx, np.array(adjoint))
     got = {part: decode(words) for part, decode in search._part_decoders(ctx).items()}
-    assert set(got) == {"coeffs", "table", "adjoint"} | ({"probe"} if n >= 4 else set())
+    assert set(got) == {"table", "adjoint"} | ({"probe"} if n >= 4 else set())
     assert all(rows.dtype == np.uint8 for rows in got.values())
-    assert np.array_equal(got["coeffs"], coeffs)
+    batch = {"w1": words, "w2": words[::-1]}
+    rows = [tuple(c) for c in coeffs.tolist()]
+    assert search._batch_pairs(ctx, batch, np.arange(40)) == list(zip(rows, rows[::-1]))
+    assert search._batch_pairs(ctx, batch, np.arange(0)) == []
     assert np.array_equal(got["table"], _tables_from_coeffs(ctx, coeffs))
     assert np.array_equal(got["adjoint"], adjoint_tables)
     if n >= 4:
@@ -930,7 +937,7 @@ def test_theorem8_candidates_fail_mod16_in_normalized_coset(n, forced):
         ms.append(m)
     ms = np.sort(np.array(ms, dtype=np.int64))
     dec = env["dec"]
-    stages = search._criterion_stages(ctx, dec["kernel"], dec["probe"], dec["r"], True)
+    stages = search._criterion_stages(ctx, dec["kernel"], dec["probe"], dec["r"])
     counts, _, _ = search._funnel(ms, stages, dec["f"], {"nonzero": int(ms.size)})
     assert counts["nonzero"] == forced
     assert counts["mod16-necessary"] == 0

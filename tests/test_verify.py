@@ -292,7 +292,7 @@ class _TableXorOne(verify.LinearizedPoly):
 
 class _NoImage(verify.LinearizedPoly):
     def image(self):
-        return Subspace.trivial(self.ctx)
+        return Subspace(self.ctx, ())
 
 
 class _ZeroWalshRow(verify.TruthTable):
