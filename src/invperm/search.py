@@ -37,25 +37,31 @@ decodes from the words only the part of the maps that it reads
 (_part_decoders): adjoint tables for the kernel row and R, 8 adjoint
 columns for the probe, value tables for F's survivors; the reported
 rows read coefficients as the words' digits.  R is a flat product-table
-lookup.  The other two drivers call one fixed-L1 search.  A block of it
-is the key (n, modulus, L1, value_one, start); each process builds the
-state of a key once (_fixed_l1_env): the coset of L2* that the GF(2)
-solve returns as packed words, origin first, and its decoders.  L2's
-map rows and R are affine in L2*, so they decode from the map rows of L2
-at the coset's words.  A block's indices share all bytes but the low
-two, so each of its prefix stages is a join over
-those two bytes (_SpanJoin): per high byte, an AND of precomputed
-256-bit masks of the low bytes, with no row decoded per candidate.
-Only the survivors, 0 per block at identity n = 5 and about 600 at
-normalized n = 7, run the rest of the stage list, and a block with none
+lookup.  The other two drivers call one fixed-L1 search, whose
+candidates are the indices of a coset of L2* in blocks of BLOCK.  Its
+unit of work is a chunk of consecutive blocks, (lo, hi) under the key
+(n, modulus, L1, value_one); each process builds the state of a key
+once (_fixed_l1_env): the coset that the GF(2) solve returns as packed
+words, origin first, and its decoders.  L2's map rows and R are affine
+in L2*, so they decode from the map rows of L2 at the coset's words.
+A block's indices share all bytes but the low two, so each prefix stage
+is a join over those two bytes (_SpanJoin): per block and high byte, an
+AND of precomputed 256-bit masks of the low bytes, one gather per row
+position for the whole chunk, with no row decoded per candidate.  The
+masks stay packed: stage counts are their popcounts, and survivors are
+unpacked from their nonzero words alone.  Only the survivors (191 of
+2^25 - 1 at identity n = 5, about 600 a block at normalized n = 7) run
+the rest of the stage list, one block at a time, and a block with none
 decodes nothing.
 
-Blocks are deterministic and merged in block order, so witness lists
-and counts are identical for any worker count.  Every driver ends a
-block with _block_results: the stage counts and, per run of candidates,
-the witnesses and the audit rows, the last two as (L1, L2)
-coefficient-tuple pairs.  A run is a fixed-L1 block, a canonical batch
-or, at n <= 3, the pairs of one L1 (a batch holds many).  The audit rule
+Every unit of work is deterministic and the results are merged in
+block order, so witness lists, counts and the audit sample are
+identical for any worker count.  Every driver ends a unit of work (a
+chunk of fixed-L1 blocks, a pair batch) with _block_results: per run of
+its candidates, the stage counts, the witnesses and the audit rows, the
+last two as (L1, L2) coefficient-tuple pairs.  A run is a fixed-L1
+block, a canonical batch or, at n <= 3, the pairs of one L1 (a batch
+holds many); each run is one progress record.  The audit rule
 takes the first 8 candidates of each run that the funnel rejected, up to
 256 in all, and re-checks them with build_F(...).is_permutation().
 build_F evaluates F from the two maps themselves, so it is an oracle
@@ -98,6 +104,7 @@ __all__ = [
 BLOCK = 1 << 16
 AUDIT_CAP = 256
 _CHUNK = 1 << 14
+_CHUNK_BLOCKS = 64
 
 
 @dataclass(frozen=True)
@@ -266,17 +273,17 @@ def _permutes(tab: np.ndarray) -> np.ndarray:
     return seen.all(axis=1)
 
 
-def _block_results(counts: dict, runs: list, alive: np.ndarray, bij: np.ndarray, pairs) -> list:
-    """One block's outcome, one dict per run of its candidates: the run's
-    witnesses and, by the audit rule, the first 8 candidates of the run
-    that the funnel rejected.  The block's stage counts go with its first
-    run, and every other run's counts are empty.
+def _block_results(counts: list, runs: list, alive: np.ndarray, bij: np.ndarray, pairs) -> list:
+    """The outcome of a batch of candidates, one dict per run of them: the
+    run's stage counts (counts[i] for run i), its witnesses and, by the
+    audit rule, the first 8 candidates of the run that the funnel
+    rejected.
 
-    runs split the block's sorted candidates into consecutive sorted runs
+    runs split the batch's sorted candidates into consecutive sorted runs
     (arrays or ranges).  A run's witnesses are a subset of it, so its
     audit rows lie in its first 8 + (witness count) entries and no run is
     scanned whole.  pairs maps candidate indices to (L1, L2)
-    coefficient-tuple pairs; it decodes the whole block's rows at once.
+    coefficient-tuple pairs; it decodes the whole batch's rows at once.
     """
     kept = alive[bij]
     mine = np.split(kept, np.searchsorted(kept, [run[0] for run in runs[1:]]))
@@ -287,12 +294,10 @@ def _block_results(counts: dict, runs: list, alive: np.ndarray, bij: np.ndarray,
         rejected = np.searchsorted(wit, head) == np.searchsorted(wit, head, "right")
         picks += [wit, head[rejected][:8]]
     rows = iter(pairs(np.concatenate(picks)))
-    results = [
-        {"counts": {}, "witnesses": list(islice(rows, w.size)), "audit": list(islice(rows, a.size))}
-        for w, a in zip(picks[::2], picks[1::2])
+    return [
+        {"counts": c, "witnesses": list(islice(rows, w.size)), "audit": list(islice(rows, a.size))}
+        for c, w, a in zip(counts, picks[::2], picks[1::2])
     ]
-    results[0]["counts"] = counts
-    return results
 
 
 def _report(ctx: FieldContext, results, **fields) -> SearchReport:
@@ -332,19 +337,23 @@ def _collect(results, partitions: int, progress=None) -> list:
     return out
 
 
-def _dispatch(fn, blocks: list, workers: int = 1, progress=None) -> list:
-    """fn over blocks in order, in this process or on a pool of at most
-    one worker per block (a pool starts all its processes at once).  The
-    pool takes blocks in chunks of about len(blocks) / (4 workers), so a
-    run makes a few round trips per worker rather than one per block;
-    results still arrive in block order (_collect)."""
-    partitions = len(blocks)
-    if workers <= 1 or partitions <= 1:
-        return _collect(map(fn, blocks), partitions, progress)
+def _dispatch(fn, partitions: int, workers: int = 1, progress=None) -> list:
+    """The per-block results of fn over chunks (lo, hi) of consecutive
+    blocks that tile range(partitions), flattened in block order
+    (_collect).  fn returns one result per block of its chunk.
+
+    In this process a chunk holds _CHUNK_BLOCKS blocks.  A pool holds at
+    most one worker per block (it starts all its processes at once), and
+    its chunks hold about partitions / (4 workers) blocks, at most
+    _CHUNK_BLOCKS, so a run makes a few round trips per worker rather
+    than one per block."""
     workers = min(workers, partitions)
+    size = _CHUNK_BLOCKS if workers <= 1 else min(_CHUNK_BLOCKS, max(1, partitions // (4 * workers)))
+    chunks = [(lo, min(lo + size, partitions)) for lo in range(0, partitions, size)]
+    if workers <= 1:
+        return _collect(chain.from_iterable(map(fn, chunks)), partitions, progress)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = max(1, partitions // (4 * workers))
-        return _collect(pool.map(fn, blocks, chunksize=chunks), partitions, progress)
+        return _collect(chain.from_iterable(pool.map(fn, chunks)), partitions, progress)
 
 
 # -- fixed-L1 searches -----------------------------------------------------------
@@ -377,7 +386,7 @@ def _fixed_l1_env(
 
     The stage list of _criterion_stages splits where the stages on the
     full "r" rows begin.  "joins" holds the stages ahead of it as
-    (name, _SpanJoin), which blocks run in place of the decoders; a
+    (name, _SpanJoin), which chunks run in place of the decoders; a
     stage that cannot reject (the kernel stage under value_one, whose
     row is the constant 1, or the empty kernel row of an injective L1*)
     is a join that passes every candidate.  "stages" is the rest of the
@@ -439,69 +448,89 @@ class _SpanMap:
 
 
 class _SpanJoin:
-    """Funnel stage of a _SpanMap of byte rows over a block: the mask of
-    the indices from start (a multiple of BLOCK) whose row lies in a bool
-    table entry by entry, 256 per row of the second span table (one row
-    when there is none).
+    """Funnel stage of a _SpanMap of byte rows over whole blocks: for the
+    blocks from starts (multiples of BLOCK), the packed masks of the
+    indices whose row lies in a bool table entry by entry.
 
     Index bytes 2 and up are constant in a block, so the row of index
-    start + 256 h + l is lo[l] ^ hi[h]: lo is the first span table (the
-    origin folded in), hi the second XORed with the rows of the higher
-    tables at start's bytes.  in_table[b, v] holds, as 256 bits (four
-    uint64), the l with table[lo[l]_b ^ v]; a block ANDs
-    in_table[b, hi[h]_b] over the row positions b, so bit 256 h + l is
-    index start + 256 h + l.  No row is decoded per candidate.
+    start + 256 h + l is lo[l] ^ hi[h] ^ top: lo is the first span table
+    (the origin folded in), hi the second (one zero row when there is
+    none) and top the XOR of the higher tables' (tops) rows at start's
+    bytes.  in_table[b, v] holds, as 256 bits (four uint64), the l with
+    table[lo[l]_b ^ v]; a block ANDs in_table[b, hi[h]_b ^ top_b] over
+    the row positions b, so bit 256 h + l of its mask is index
+    start + 256 h + l.  One gather per position serves every block, no
+    row is decoded per candidate, and a join over no positions (the
+    empty kernel row of an injective L1*) passes all.
     """
 
     def __init__(self, rows: _SpanMap, table: np.ndarray):
-        lo, *self.spans = rows.spans
+        lo, *rest = rows.spans
+        self.hi, *self.tops = rest or [np.zeros((1, lo.shape[1]), dtype=np.uint8)]
         hits = table[lo[None] ^ np.arange(table.size, dtype=np.uint8)[:, None, None]]
         bits = np.zeros((lo.shape[1], table.size, 256), dtype=bool)
         bits[:, :, : len(lo)] = hits.transpose(2, 0, 1)  # (b, v, l)
         self.in_table = np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
-        self.everything = None
-        if not lo.shape[1]:  # no positions (injective L1*): one mask passes all
-            self.everything = self(0)
 
-    def __call__(self, start: int) -> np.ndarray:
-        if self.everything is not None:
-            return self.everything
-        hi = np.zeros(self.in_table.shape[0], dtype=np.uint8)
-        for k, tab in enumerate(self.spans[1:], 2):
-            hi ^= tab[(start >> (8 * k)) & 0xFF]
-        hi = self.spans[0] ^ hi if self.spans else hi[None]
-        words = self.in_table[np.arange(hi.shape[1]), hi]  # (h, b, 4)
-        mask = np.bitwise_and.reduce(words, axis=1).view(np.uint8)
-        return np.unpackbits(mask, bitorder="little").view(bool)
+    def __call__(self, starts: np.ndarray) -> np.ndarray:
+        """(blocks, 4 * len(hi)) uint64 masks, one row per start."""
+        top = np.zeros((len(starts), self.hi.shape[1]), dtype=np.uint8)
+        for k, tab in enumerate(self.tops, 2):
+            top ^= tab[(starts >> (8 * k)) & 0xFF]
+        masks = np.full((len(starts), len(self.hi), 4), ~np.uint64(0))
+        for b, in_table in enumerate(self.in_table):
+            masks &= np.take(in_table, self.hi[:, b] ^ top[:, b, None], axis=0)
+        return masks.reshape(len(starts), -1)
 
 
-def _fixed_l1_block(args) -> dict:
-    """Run the funnel on the block of BLOCK candidates from start; a pure
-    function of args = (n, modulus, l1_coeffs, value_one, start).
+def _fixed_l1_chunk(key: tuple, chunk: Tuple[int, int]) -> list:
+    """Run the funnel on the blocks lo..hi-1 of chunk = (lo, hi), block b
+    being the BLOCK candidates from b * BLOCK; one result per block, a
+    pure function of key = (n, modulus, l1_coeffs, value_one) and b.
 
-    The indices from "first" are the nonzero stage's.  The env's joins,
-    masks over the block, are ANDed in order, and a named one records
-    the count after it; only their survivors are indices, and they alone
-    run the env's stage list."""
-    n, modulus, l1_coeffs, value_one, start = args
-    env = _fixed_l1_env(n, modulus, l1_coeffs, value_one)
+    A block's live indices, from "first" (1 in block 0 of a homogeneous
+    coset) to the end of the block or of the space, are the nonzero
+    stage's.  The env's joins, packed masks over the chunk's blocks, are
+    ANDed in order, and a named one records each block's popcount after
+    it.  Survivors are unpacked from the nonzero words alone, and only
+    the blocks with survivors run the env's stage list, one block at a
+    time, which keeps the decoders' temporaries at a block's size."""
+    l1_coeffs = key[2]
+    env = _fixed_l1_env(*key)
     origin, *basis = env["coset"]
-    first = max(start, int(origin == 0))
-    end = max(first, min(start + BLOCK, 1 << len(basis)))  # empty past the space
-    keep = np.ones(end - start, dtype=bool)
-    keep[: first - start] = False
-    counts = {"nonzero": end - first}
+    size = 1 << len(basis)
+    starts = np.arange(*chunk, dtype=np.int64) * BLOCK
+    firsts = np.maximum(starts, int(origin == 0))
+    ends = np.minimum(starts + BLOCK, size)
+    counts = [{"nonzero": int(end - first)} for first, end in zip(firsts, ends)]
+    bits = min(BLOCK, size)
+    keep = np.full((starts.size, -(-bits // 64)), ~np.uint64(0))
+    keep[-1, -1] >>= np.uint64(-bits % 64)  # indices past a space of under 64
+    if firsts[0] > starts[0]:  # index 0 is L2* = 0
+        keep[0, 0] &= ~np.uint64(1)
     for name, join in env["joins"]:
-        keep &= join(start)[: keep.size]
+        keep &= join(starts)[:, : keep.shape[1]]
         if name:
-            counts[name] = int(np.count_nonzero(keep))
-    alive = np.flatnonzero(keep) + start
-    counts, alive, bij = _funnel(alive, env["stages"], env["dec"]["f"], counts)
+            for c, passed in zip(counts, np.bitwise_count(keep).sum(axis=1).tolist()):
+                c[name] = passed
+    rest = [name for name, _, _ in env["stages"] if name] + ["bijective"]
+    survivors, bij = [starts[:0]], [np.zeros(0, dtype=bool)]
+    for c, start, mask in zip(counts, starts.tolist(), keep):
+        words = np.flatnonzero(mask)
+        if not words.size:
+            c.update(dict.fromkeys(rest, 0))
+            continue
+        # bit t of word w is index start + 64 w + t
+        at = np.flatnonzero(np.unpackbits(mask[words].view(np.uint8), bitorder="little").view(bool))
+        _, live, ok = _funnel(start + 64 * words[at >> 6] + (at & 63), env["stages"], env["dec"]["f"], c)
+        survivors.append(live)
+        bij.append(ok)
 
     def pairs(sel):
         return [(l1_coeffs, tuple(row)) for row in env["dec"]["coeffs"](sel).tolist()]
 
-    return _block_results(counts, [range(first, end)], alive, bij, pairs)[0]
+    runs = [range(first, end) for first, end in zip(firsts.tolist(), ends.tolist())]
+    return _block_results(counts, runs, np.concatenate(survivors), np.concatenate(bij), pairs)
 
 
 def _run_fixed_l1(
@@ -517,10 +546,10 @@ def _run_fixed_l1(
     if n >= 6:
         free = n * n - n * value_one
         notes += (f"trace condition presolved: 2^{dim} of 2^{free} candidates satisfy it",)
-    blocks = [(*key, start) for start in range(0, 1 << dim, BLOCK)]
-    results = _dispatch(_fixed_l1_block, blocks, workers, progress)
+    partitions = -(-(1 << dim) // BLOCK)
+    results = _dispatch(partial(_fixed_l1_chunk, key), partitions, workers, progress)
     return _report(
-        ctx, results, examined=1 << dim, partitions=len(blocks), block_size=BLOCK,
+        ctx, results, examined=1 << dim, partitions=partitions, block_size=BLOCK,
         notes=notes, **fields,
     )
 
@@ -785,6 +814,7 @@ def full_search(
         stages, f = _pair_decoder(ctx, batch, n >= 4)
         counts, alive, bij = _funnel(rows, stages, f, {"nonzero": int(rows.size)})
         runs = [rows[lo : lo + block] for lo in range(0, rows.size, block)]
+        counts = [counts] + [{} for _ in runs[1:]]  # a batch's counts go with its first run
         return _block_results(counts, runs, alive, bij, partial(_batch_pairs, ctx, batch))
 
     results = _collect(chain.from_iterable(map(run, batches)), partitions, progress)

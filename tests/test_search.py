@@ -680,6 +680,12 @@ def _coset_size(env):
     return 1 << (len(env["coset"]) - 1)
 
 
+def _unpack_mask(mask, size):
+    """The first size bools of a packed uint64 block mask (bit t of word w
+    is offset 64 w + t)."""
+    return np.unpackbits(mask.view(np.uint8), bitorder="little").view(bool)[:size]
+
+
 @pytest.mark.parametrize("alternate", [False, True])
 @pytest.mark.parametrize("kind", ["identity", "normalized"])
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -765,7 +771,8 @@ def test_linear_decoder_matches_multiplication(kind, n, alternate):
 
 def _nonzero_cases():
     # (kind, n, blocks): the whole coset where it is one block, else the
-    # blocks at index 0 and 1
+    # blocks at index 0 and 1 that lie in the space (at n = 6 the
+    # presolved coset is the one block 0)
     cases = [("identity", n, None) for n in (2, 3, 4)]
     cases += [("identity", n, (0, 1)) for n in (5, 6)]
     return cases + [("normalized", n, (0, 1)) for n in (5, 6, 7)]
@@ -776,15 +783,19 @@ def _nonzero_cases():
 def test_nonzero_stage_drops_zero_l2(kind, n, blocks, alternate):
     # a block drops exactly the indices whose L2 coefficients decode to 0:
     # index 0 of the homogeneous (identity) cosets, nothing under value_one;
-    # a dropped index is counted nowhere and never reported
+    # a dropped index is counted nowhere and never reported.  The blocks
+    # run as one chunk.
     modulus = alternate_modulus(n) if alternate else None
     ctx = make_field(n, modulus)
     key = (n, modulus, FIXED_L1[kind](ctx), kind == "normalized")
     env = search._fixed_l1_env(*key)
     size = _coset_size(env)
-    for b in blocks or range(-(-size // search.BLOCK)):
+    partitions = -(-size // search.BLOCK)
+    blocks = [b for b in blocks or range(partitions) if b < partitions]
+    results = search._fixed_l1_chunk(key, (blocks[0], blocks[-1] + 1))
+    assert len(results) == len(blocks)
+    for b, res in zip(blocks, results):
         start = b * search.BLOCK
-        res = search._fixed_l1_block((*key, start))
         every = np.arange(start, min(start + search.BLOCK, size), dtype=np.int64)
         zero = every[~env["dec"]["coeffs"](every).any(axis=1)]
         assert res["counts"]["nonzero"] == every.size - zero.size
@@ -807,9 +818,10 @@ def _join_cases():
 @pytest.mark.parametrize("kind,n,modulus", _join_cases())
 def test_span_join_matches_row_lookup(kind, n, modulus):
     # a block's join mask equals _all_in over the decoded rows of every
-    # index of blocks 0, 1 and last: for the env's prefix stages (kernel,
-    # probe) with their tables, and for the full R rows with the
-    # Tr = Q = 0 and K = 0 tables, which have up to 2^n bytes per row
+    # index of blocks 0, 1 and last, joined together: for the env's prefix
+    # stages (kernel, probe) with their tables, and for the full R rows
+    # with the Tr = Q = 0 and K = 0 tables, which have up to 2^n bytes
+    # per row
     ctx = make_field(n, modulus)
     env = search._fixed_l1_env(n, modulus, FIXED_L1[kind](ctx), kind == "normalized")
     dec, size = env["dec"], _coset_size(env)
@@ -825,13 +837,15 @@ def test_span_join_matches_row_lookup(kind, n, modulus):
         stages[name] = (dec["r"], search._SpanJoin(dec["r"], table))
         tables[name] = table
     last = (size - 1) // search.BLOCK
-    for b in sorted({0, min(1, last), last}):
-        start = b * search.BLOCK
-        every = np.arange(start, min(start + search.BLOCK, size), dtype=np.int64)
-        for name, (rows, join) in stages.items():
+    starts = np.array(sorted({0, min(1, last), last}), dtype=np.int64) * search.BLOCK
+    for name, (rows, join) in stages.items():
+        masks = join(starts)
+        assert masks.dtype == np.uint64 and len(masks) == len(starts)
+        for start, mask in zip(starts.tolist(), masks):
+            every = np.arange(start, min(start + search.BLOCK, size), dtype=np.int64)
             # np.take(...).all() accepts the zero-width kernel rows of identity
             want = np.take(tables[name], rows(every)).all(axis=1)
-            _assert_same_rows(join(start)[: every.size], want)
+            _assert_same_rows(_unpack_mask(mask, every.size), want)
 
 
 @pytest.mark.parametrize("alternate", [False, True])
@@ -844,7 +858,8 @@ def test_constant_kernel_stage_passes_every_candidate(alternate):
         ctx = make_field(n, modulus)
         env = search._fixed_l1_env(n, modulus, FIXED_L1["normalized"](ctx), True)
         assert [name for name, _ in env["joins"]] == ["kernel-intersection", None]  # then the probe
-        counts = search._fixed_l1_block((n, modulus, FIXED_L1["normalized"](ctx), True, 0))["counts"]
+        key = (n, modulus, FIXED_L1["normalized"](ctx), True)
+        counts = search._fixed_l1_chunk(key, (0, 1))[0]["counts"]
         block = min(search.BLOCK, _coset_size(env))
         assert counts["kernel-intersection"] == counts["nonzero"] == block
     # with L2*(1) free the same L1 keeps its kernel stage, and it rejects
@@ -853,7 +868,7 @@ def test_constant_kernel_stage_passes_every_candidate(alternate):
         ctx = make_field(n, modulus)
         key = (n, modulus, FIXED_L1["unnormalized"](ctx), False)
         env = search._fixed_l1_env(*key)
-        counts = search._fixed_l1_block((*key, 0))["counts"]
+        counts = search._fixed_l1_chunk(key, (0, 1))[0]["counts"]
         assert 0 < counts["kernel-intersection"] < counts["nonzero"]
         # the stage rejects exactly the rows with L2*(1) = 0
         every = np.arange(min(search.BLOCK, _coset_size(env)), dtype=np.int64)
@@ -866,19 +881,21 @@ def test_constant_kernel_stage_passes_every_candidate(alternate):
         key = (n, modulus, FIXED_L1["identity"](ctx), False)
         env = search._fixed_l1_env(*key)
         assert env["dec"]["kernel"](np.arange(3)).shape == (3, 0)
-        # its join is one all-true mask, the same for every block
+        # its join is the all-ones mask, for every block
         name, join = env["joins"][0]
-        assert name == "kernel-intersection" and join(0) is join(search.BLOCK)
-        assert join(0).all()
-        counts = search._fixed_l1_block((*key, 0))["counts"]
+        assert name == "kernel-intersection"
+        assert (join(np.array([0, search.BLOCK], dtype=np.int64)) == ~np.uint64(0)).all()
+        counts = search._fixed_l1_chunk(key, (0, 1))[0]["counts"]
         block = min(search.BLOCK, _coset_size(env))
         assert counts["kernel-intersection"] == counts["nonzero"] == block - 1
 
 
 def test_dispatch_caps_pool_at_partitions(monkeypatch):
     # a pool never holds more workers than there are blocks to run, and
-    # takes them in chunks of about partitions / (4 workers); the recorder
-    # starts no process
+    # its tasks are chunks of about partitions / (4 workers) consecutive
+    # blocks, at most _CHUNK_BLOCKS; in process a chunk is _CHUNK_BLOCKS
+    # blocks.  The chunks tile the blocks in order.  The recorder starts
+    # no process
     calls = []
 
     class Recorder:
@@ -891,16 +908,57 @@ def test_dispatch_caps_pool_at_partitions(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, blocks, chunksize):
-            calls.append(chunksize)
-            return map(fn, blocks)
+        def map(self, fn, chunks):
+            chunks = list(chunks)
+            calls.append([hi - lo for lo, hi in chunks])
+            return map(fn, chunks)
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", Recorder)
     rep = search.normalized_search(5, workers=10**6)
     assert rep.partitions == 16
     assert rep == search.normalized_search(5, workers=1)
     search.normalized_search(5, workers=2)
-    assert calls == [16, 1, 2, 2]
+    assert calls == [16, [1] * 16, 2, [2] * 8]
+    cap = search._CHUNK_BLOCKS
+    seen = []
+
+    def blocks(chunk):
+        seen.append(chunk)
+        return list(range(*chunk))
+
+    # 1000 blocks on two workers would be chunks of 125: capped
+    calls.clear()
+    assert search._dispatch(blocks, 1000, workers=2) == list(range(1000))
+    assert calls == [2, [cap] * (1000 // cap) + [1000 % cap]]
+    calls.clear()
+    seen.clear()
+    assert search._dispatch(blocks, 1000) == list(range(1000))
+    assert calls == []  # in process: no pool
+    assert seen == [(lo, min(lo + cap, 1000)) for lo in range(0, 1000, cap)]
+
+
+@pytest.mark.parametrize("alternate", [False, True])
+@pytest.mark.parametrize("kind,n", [("identity", 5), ("normalized", 5), ("normalized", 7)])
+def test_chunk_boundaries_do_not_change_results(kind, n, alternate, monkeypatch):
+    # chunks of 1 block, of 3 blocks and of every block give the same
+    # per-block results (counts, witnesses, audit rows) and the same report
+    modulus = alternate_modulus(n) if alternate else None
+    search_fn = search.identity_L1_search if kind == "identity" else search.normalized_search
+    merged = []
+    report = search._report
+
+    def spy(ctx, results, **fields):
+        merged.append(results)
+        return report(ctx, results, **fields)
+
+    monkeypatch.setattr(search, "_report", spy)
+    reports = []
+    for size in (1, 3, 1 << 12):
+        monkeypatch.setattr(search, "_CHUNK_BLOCKS", size)
+        reports.append(search_fn(n, modulus))
+    assert len(merged[0]) == reports[0].partitions > 3
+    assert merged[0] == merged[1] == merged[2]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_worker_determinism_chunked_dispatch(identity5_report):
@@ -973,10 +1031,10 @@ def test_funnel_decodes_nothing_after_last_survivor(monkeypatch):
         return [(name, spy(rows), table) for name, rows, table in stages], spy(f)
 
     monkeypatch.setattr(search, "_pair_decoder", spied_pair_decoder)
-    for n, kind, blocks in [(5, "identity", range(4)), (7, "normalized", [0])]:
+    for n, kind, blocks in [(5, "identity", 4), (7, "normalized", 1)]:
         key = (n, None, FIXED_L1[kind](make_field(n)), kind == "normalized")
-        for b in blocks:
-            counts = search._fixed_l1_block((*key, b * search.BLOCK))["counts"]
+        for res in search._fixed_l1_chunk(key, (0, blocks)):
+            counts = res["counts"]
             assert list(counts) == STAGE_NAMES
             assert kind != "identity" or counts["mod16-necessary"] == 0
     batches = search.canonical_batches

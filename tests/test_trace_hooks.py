@@ -22,7 +22,7 @@ from invperm.search import canonical_pair_count
 ROOT = Path(__file__).resolve().parent.parent
 
 # the field degrees of each workload's subcommands (perfbench/workloads.py)
-WORKLOAD_FIELDS = {"full-n3n4": (3, 4), "identity-n5-w2": (5,)}
+WORKLOAD_FIELDS = {"full-n3n4": (3, 4), "identity-n5-w2": (5,), "normalized-n7": (7,)}
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_FIELDS))
@@ -51,6 +51,10 @@ def test_traced_child_passes_every_step(workload, tmp_path):
         # one row per representative in the canonical pass of full n = 4
         # and in that of verify proposition2
         assert layers["search.canonical_candidates"] == 2 * canonical_pair_count(4) == 617986
-    else:
+    elif workload == "identity-n5-w2":
         # two workers: the search's process pool was wrapped and opened
         assert spans["dispatch.pool"]["calls"] == 1
+    else:
+        # one worker: the fixed-L1 search runs in process and opens no pool
+        assert "dispatch.pool" not in spans
+        assert layers["search.blocks"] == 32
