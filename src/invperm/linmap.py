@@ -12,7 +12,9 @@ the matrix to the bit-vector of x evaluates the map.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,10 +33,14 @@ class LinearizedPoly:
     coeffs: Tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != self.ctx.n:
+        # any integer sequence is stored as a tuple of Python ints, so
+        # equal maps compare and hash equal whatever form they came in
+        coeffs = tuple(map(operator.index, self.coeffs))
+        if len(coeffs) != self.ctx.n:
             raise ValueError(f"need exactly {self.ctx.n} coefficients")
-        for c in self.coeffs:
+        for c in coeffs:
             self.ctx.check(c)
+        object.__setattr__(self, "coeffs", coeffs)
 
     # -- constructors ---------------------------------------------------
 
@@ -89,16 +95,27 @@ class LinearizedPoly:
         return acc
 
     def _basis_images(self) -> np.ndarray:
-        """The images L(2^j) for j < n, in one step:
-        XOR over i of c_i (2^j)^(2^i), read from the Frobenius table."""
+        """The images L(2^j) for j < n, in one step: XOR over the nonzero
+        c_i of exp[log c_i + log (2^j)^(2^i)], the second log read from
+        the field's cached (n, n) table (_frobenius_basis_logs)."""
         ctx = self.ctx
-        basis = ctx.pow2k_table[:, 1 << np.arange(ctx.n)]
-        terms = ctx.mul_vec(np.array(self.coeffs, dtype=np.int64)[:, None], basis)
-        return np.bitwise_xor.reduce(terms, axis=0)
+        c = np.array(self.coeffs)
+        i = np.flatnonzero(c)
+        images = ctx.exp_table[_frobenius_basis_logs(ctx)[i] + ctx.log_table[c[i]][:, None]]
+        return np.bitwise_xor.reduce(images, axis=0)  # the zero map: all 0
 
     def table(self) -> np.ndarray:
-        """Values on all 2^n inputs, by linear extension from the basis."""
-        return span_table(self._basis_images())
+        """Values on all 2^n inputs, by linear extension from the basis.
+
+        Built on the first call and kept outside the dataclass fields:
+        every call returns the same read-only array."""
+        return self._table
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        tab = span_table(self._basis_images())
+        tab.setflags(write=False)
+        return tab
 
     # -- algebra -----------------------------------------------------------
 
@@ -148,6 +165,15 @@ class LinearizedPoly:
         if s.ctx != self.ctx:
             raise ValueError("context mismatch")
         return Subspace(self.ctx, (self(b) for b in s.basis))
+
+
+@lru_cache(maxsize=None)
+def _frobenius_basis_logs(ctx: FieldContext) -> np.ndarray:
+    """t[i, j] = log (2^j)^(2^i) = 2^i log 2^j mod 2^n - 1, read-only."""
+    bits = np.arange(ctx.n)
+    t = (ctx.log_table[1 << bits][None, :] << bits[:, None]) % (ctx.order - 1)
+    t.setflags(write=False)
+    return t
 
 
 class Subspace:

@@ -63,11 +63,13 @@ last two as (L1, L2) coefficient-tuple pairs.  A run is a fixed-L1
 block, a canonical batch or, at n <= 3, the pairs of one L1 (a batch
 holds many); each run is one progress record.  The audit rule
 takes the first 8 candidates of each run that the funnel rejected, up to
-256 in all, and re-checks them with build_F(...).is_permutation().
-build_F evaluates F from the two maps themselves, so it is an oracle
-independent of the decoders.  Candidates the presolve skips fail a
-necessary condition and are never sampled (ROADMAP.md, item 4, plans an
-audit that also covers them).
+256 in all, and re-checks them with build_F(...).is_permutation(), once
+per pair.  It makes one LinearizedPoly per distinct map of the sample;
+a map builds its table on first use and keeps it, so a fixed L1's table
+is built once per audit.  build_F evaluates F from the two maps
+themselves, so it is an oracle independent of the decoders.  Candidates
+the presolve skips fail a necessary condition and are never sampled
+(ROADMAP.md, item 4, plans an audit that also covers them).
 """
 
 from __future__ import annotations
@@ -310,9 +312,9 @@ def _report(ctx: FieldContext, results, **fields) -> SearchReport:
         witnesses.extend(res["witnesses"])
         audit.extend(res["audit"][: AUDIT_CAP - len(audit)])
 
-    violations = sum(
-        build_F(*(LinearizedPoly(ctx, c) for c in pair)).is_permutation() for pair in audit
-    )
+    # one LinearizedPoly, and so one table, per distinct map; build_F per pair
+    polys = {c: LinearizedPoly(ctx, c) for c in set(chain.from_iterable(audit))}
+    violations = sum(build_F(polys[l1], polys[l2]).is_permutation() for l1, l2 in audit)
     # a map recurs in many witnesses, so each distinct one is formatted once
     maps = {m for pair in witnesses for m in pair}
     text = {m: ",".join(f"{c:x}" for c in m) for m in maps}

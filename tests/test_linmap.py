@@ -49,14 +49,42 @@ def test_table_matches_pointwise_eval():
 @pytest.mark.parametrize("n", range(2, 11))
 def test_basis_images_match_pointwise_eval(n):
     # table, matrix and image share one vectorized step; __call__ is the oracle
-    ctx = make_field(n)
-    rng = random.Random(n)
-    for _ in range(4):
-        l = LinearizedPoly.random(ctx, rng)
-        assert l.table().tolist() == [l(x) for x in ctx.elements()]
-        cols = [l(1 << j) for j in range(n)]
-        assert l.matrix() == [sum(((cols[j] >> i) & 1) << j for j in range(n)) for i in range(n)]
-        assert l.image() == Subspace(ctx, cols)
+    for modulus in {None, alternate_modulus(n)}:
+        ctx = make_field(n, modulus)
+        rng = random.Random(n)
+        # the step reads the nonzero coefficients only: the zero map and the
+        # single-term maps c x^(2^i) (every c at n <= 4) are its edge cases
+        scalars = range(1, ctx.order) if n <= 4 else (1, rng.randrange(2, ctx.mask), ctx.mask)
+        edges = [LinearizedPoly.frobenius(ctx, i, c) for i in range(n) for c in scalars]
+        for l in [LinearizedPoly.zero(ctx), *edges]:
+            assert l.table().tolist() == [l(x) for x in ctx.elements()]
+        for _ in range(4):
+            l = LinearizedPoly.random(ctx, rng)
+            assert l.table().tolist() == [l(x) for x in ctx.elements()]
+            cols = [l(1 << j) for j in range(n)]
+            assert l.matrix() == [sum(((cols[j] >> i) & 1) << j for j in range(n)) for i in range(n)]
+            assert l.image() == Subspace(ctx, cols)
+
+
+def test_table_is_built_once_and_read_only():
+    l = LinearizedPoly.random(make_field(5), random.Random(3))
+    tab = l.table()
+    assert l.table() is tab
+    with pytest.raises(ValueError, match="read-only"):
+        tab[0] = 1
+    # the cache is no field: equality, hashing and the coefficients ignore it
+    fresh = LinearizedPoly(l.ctx, l.coeffs)
+    assert fresh == l and hash(fresh) == hash(l)
+
+
+def test_coefficient_forms_give_equal_maps():
+    ctx = make_field(3)
+    forms = [[1, 0, 5], (1, 0, 5), np.array([1, 0, 5]), (np.uint8(1), np.int64(0), np.int32(5))]
+    maps = [LinearizedPoly(ctx, c) for c in forms]
+    assert all(m == maps[0] and hash(m) == hash(maps[0]) for m in maps)
+    assert all(m.coeffs == (1, 0, 5) and {type(c) for c in m.coeffs} == {int} for m in maps)
+    with pytest.raises(TypeError):
+        LinearizedPoly(ctx, (1.0, 0, 5))
 
 
 def test_adjoint_formula_examples():

@@ -98,6 +98,33 @@ def test_every_search_audits(full3_report, full4_report, identity3_report, norma
         assert rep.audit_violations == 0
 
 
+def test_audit_catches_a_funnel_that_rejects_everything(monkeypatch):
+    # the audit's oracle shares no state with the funnel: when bijectivity
+    # rejects every row, the sampled permutations show up as violations
+    # (at n = 3 the first 8 rows of each sampled L1 are no permutations)
+    monkeypatch.setattr(search, "_permutes", lambda tab: np.zeros(len(tab), dtype=bool))
+    rep = search.full_search(2)
+    assert rep.witness_count == 0
+    assert 0 < rep.audit_violations <= rep.audit_sampled
+
+
+@pytest.mark.parametrize("run", [
+    lambda: search.full_search(3),
+    lambda: search.identity_L1_search(5),
+    lambda: search.normalized_search(7),
+], ids=["full-3", "identity-l1-5", "normalized-7"])
+def test_audit_calls_build_F_once_per_pair(run, monkeypatch):
+    calls = []
+
+    def counted(l1, l2):
+        calls.append(1)
+        return build_F(l1, l2)
+
+    monkeypatch.setattr(search, "build_F", counted)
+    rep = run()
+    assert len(calls) == rep.audit_sampled > 0
+
+
 def test_gaussian_binomial_and_counts():
     assert search.gaussian_binomial(4, 1) == 15
     assert search.gaussian_binomial(4, 2) == 35

@@ -23,6 +23,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # the field degrees of each workload's subcommands (perfbench/workloads.py)
 WORKLOAD_FIELDS = {"full-n3n4": (3, 4), "identity-n5-w2": (5,), "normalized-n7": (7,)}
+# the audit's build_F calls, one per sampled pair: 256 per search at most
+AUDIT_CALLS = {"full-n3n4": 296, "identity-n5-w2": 256, "normalized-n7": 256}
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_FIELDS))
@@ -45,7 +47,7 @@ def test_traced_child_passes_every_step(workload, tmp_path):
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["steps"] and all(step["problems"] == [] for step in out["steps"])
     layers = out["layers"]
-    assert layers["search.audit_calls"] > 0
+    assert layers["search.audit_calls"] == AUDIT_CALLS[workload]
     spans = json.loads(spans_path.read_text())["summary"]
     if workload == "full-n3n4":
         # one row per representative in the canonical pass of full n = 4
