@@ -13,7 +13,10 @@ manifest carrying the tool version, the arguments, a timestamp, the
 wall time of the subcommand (elapsed_ms) and the digest, sha256 of the
 canonical JSON of the result.  The result holds no wall time and no
 worker count (--workers is recorded in the manifest's argv), so
-identical logical inputs give identical results and digests.
+identical logical inputs give identical results and digests.  The
+result is encoded once: that text is hashed for the digest and spliced
+into the report, which is byte for byte the canonical JSON of
+{"manifest": ..., "result": ...}.
 """
 
 from __future__ import annotations
@@ -55,26 +58,30 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _digest(text: str) -> str:
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+
 def result_digest(result: dict) -> str:
-    return "sha256:" + hashlib.sha256(canonical_json(result).encode()).hexdigest()
+    return _digest(canonical_json(result))
 
 
 def _emit(args, argv, ctx, result: dict, summary: str, elapsed_s: float) -> None:
-    envelope = {
-        "manifest": {
-            "tool": "invperm",
-            "version": __version__,
-            "subcommand": args.subcommand,
-            "argv": list(argv),
-            "field": ctx.spec,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            # reports carry no floats; wall time is integer milliseconds
-            "elapsed_ms": int(round(elapsed_s * 1000)),
-            "digest": result_digest(result),
-        },
-        "result": result,
+    text = canonical_json(result)
+    manifest = {
+        "tool": "invperm",
+        "version": __version__,
+        "subcommand": args.subcommand,
+        "argv": list(argv),
+        "field": ctx.spec,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        # reports carry no floats; wall time is integer milliseconds
+        "elapsed_ms": int(round(elapsed_s * 1000)),
+        "digest": _digest(text),
     }
-    print(canonical_json(envelope))
+    # canonical_json({"manifest": manifest, "result": result}), with the
+    # result encoded once
+    print(f'{{"manifest":{canonical_json(manifest)},"result":{text}}}')
     print(summary, file=sys.stderr)
 
 

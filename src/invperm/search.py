@@ -30,29 +30,31 @@ A row of F's table permutes when it hits every value (_permutes).
 
 full_search and verify_proposition2 read batches of (L1, L2) pairs: all
 nonzero pairs at n <= 3, canonical orbit representatives at n = 4, or
-random rows.  A batch names its maps by two int64 words per row, each
-a map's packed coefficients (bit t of c_i at n*i + t); the canonical
+random rows.  A batch names its maps by two int64 words per row, each a
+map's packed coefficients (bit t of c_i at n*i + t); the canonical
 representatives are built as such words (_rref_words).  Each stage
 decodes from the words only the part of the maps that it reads
 (_part_decoders): adjoint tables for the kernel row and R, 8 adjoint
 columns for the probe, value tables for F's survivors; the reported
-rows read coefficients as the words' digits.  R is a flat product-table
-lookup.  The other two drivers call one fixed-L1 search, whose
-candidates are the indices of a coset of L2* in blocks of BLOCK.  Its
-unit of work is a chunk of consecutive blocks, (lo, hi) under the key
-(n, modulus, L1, value_one); each process builds the state of a key
-once (_fixed_l1_env): the coset that the GF(2) solve returns as packed
-words, origin first, and its decoders.  L2's map rows and R are affine
-in L2*, so they decode from the map rows of L2 at the coset's words.
-A block's indices share all bytes but the low two, so each prefix stage
-is a join over those two bytes (_SpanJoin): per block and high byte, an
-AND of precomputed 256-bit masks of the low bytes, one gather per row
-position for the whole chunk, with no row decoded per candidate.  The
-masks stay packed: stage counts are their popcounts, and survivors are
-unpacked from their nonzero words alone.  Only the survivors (191 of
-2^25 - 1 at identity n = 5, about 600 a block at normalized n = 7) run
-the rest of the stage list, one block at a time, and a block with none
-decodes nothing.
+rows read coefficients as the words' digits.  R is not multiplied out:
+the probe and R rows hold the pair indices x << n | y of the two
+adjoint values, and their stages read criterion tables lifted through
+the product table, one gather per entry.  The other two drivers call
+one fixed-L1 search, whose candidates are the indices of a coset of L2*
+in blocks of BLOCK.  Its unit of work is a chunk of consecutive blocks,
+(lo, hi) under the key (n, modulus, L1, value_one); each process builds
+the state of a key once (_fixed_l1_env): the coset that the GF(2) solve
+returns as packed words, origin first, and its decoders.  L2's map rows
+and R are affine in L2*, so they decode from the map rows of L2 at the
+coset's words.  A block's indices share all bytes but the low two, so
+each prefix stage is a join over those two bytes (_SpanJoin): per block
+and high byte, an AND of precomputed 256-bit masks of the low bytes,
+one gather per row position for the whole chunk, with no row decoded
+per candidate.  The masks stay packed: stage counts are their
+popcounts, and survivors are unpacked from their nonzero words alone.
+Only the survivors (191 of 2^25 - 1 at identity n = 5, about 600 a
+block at normalized n = 7) run the rest of the stage list, one block at
+a time, and a block with none decodes nothing.
 
 Every unit of work is deterministic and the results are merged in
 block order, so witness lists, counts and the audit sample are
@@ -64,9 +66,15 @@ block, a canonical batch or, at n <= 3, the pairs of one L1 (a batch
 holds many); each run is one progress record.  The audit rule
 takes the first 8 candidates of each run that the funnel rejected, up to
 256 in all, and re-checks them with build_F(...).is_permutation(), once
-per pair.  It makes one LinearizedPoly per distinct map of the sample;
-a map builds its table on first use and keeps it, so a fixed L1's table
-is built once per audit.  build_F evaluates F from the two maps
+per pair.  _block_results finds every run's witnesses and audit rows
+at once, with no loop over runs, and decodes only those rows.
+full_search runs its batches here, in order, and passes on the audit
+budget left (AUDIT_CAP less the rows already sampled), so it decodes
+no audit row that the report would drop; a fixed-L1 chunk decodes 8 a
+block, so that its results do not depend on where chunks split.  The
+audit makes one LinearizedPoly per distinct map of the sample; a map
+builds its table on first use and keeps it, so a fixed L1's table is
+built once per audit.  build_F evaluates F from the two maps
 themselves, so it is an oracle independent of the decoders.  Candidates
 the presolve skips fail a necessary condition and are never sampled
 (ROADMAP.md, item 4, plans an audit that also covers them).
@@ -78,7 +86,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -216,18 +224,23 @@ def _trace_rows(ctx: FieldContext, l1star_tab: np.ndarray) -> List[int]:
 _PROBE = list(range(1, 9))
 
 
-def _criterion_stages(ctx: FieldContext, kernel, probe, r) -> list:
+def _criterion_stages(ctx: FieldContext, kernel, probe, r, lift=None) -> list:
     """The criterion's ordered stage list (name, rows, table) over a
     source's row decoders: kernel (adjoint values, all nonzero exactly
     when the adjoint kernels meet trivially), probe (R at _PROBE; None
     leaves out the mod-16 stages) and r (R everywhere).  The mod-16
     stages test R on the Tr = Q = 0 table of divisible_by_16, the last
-    stage on K(a) = 0."""
+    stage on K(a) = 0.  Given lift, an array of field elements, the probe
+    and r rows hold positions in lift in place of R's values, and their
+    stages read the criterion table lifted through it (table[lift]).
+    """
     stages = [("kernel-intersection", kernel, np.arange(ctx.order) != 0)]
     if probe is not None:  # a few points first, then the full mod-16 condition
         d16 = divisible_by_16(ctx, np.arange(ctx.order))
         stages += [(None, probe, d16), ("mod16-necessary", r, d16)]
     stages.append(("kloosterman-zero", r, kloosterman_all(ctx) == 0))
+    if lift is not None:
+        stages[1:] = [(name, rows, table[lift]) for name, rows, table in stages[1:]]
     return stages
 
 
@@ -265,40 +278,58 @@ def _chunked(mask, alive: np.ndarray) -> np.ndarray:
 def _permutes(tab: np.ndarray) -> np.ndarray:
     """Rows of q values below q that hit every value: the permutations.
     Up to q = 32 a row's OR of 1 << v covers all q bits of one 32-bit
-    word; above, a bool row per candidate marks the values seen."""
+    word, built one column at a time into one word array (no (b, q)
+    temporary to reduce); above, a bool row per candidate marks the
+    values seen."""
     b, q = tab.shape
     if q <= 32:
-        words = np.bitwise_or.reduce(np.left_shift(np.uint32(1), tab, dtype=np.uint32), axis=1)
+        words = np.zeros(b, dtype=np.uint32)
+        for col in tab.T:
+            words |= np.left_shift(np.uint32(1), col, dtype=np.uint32)
         return words == np.uint32((1 << q) - 1)
     seen = np.zeros((b, q), dtype=bool)
     seen[np.arange(b)[:, None], tab] = True
     return seen.all(axis=1)
 
 
-def _block_results(counts: list, runs: list, alive: np.ndarray, bij: np.ndarray, pairs) -> list:
+def _block_results(
+    counts: list, bounds, alive: np.ndarray, bij: np.ndarray, pairs, rows=None, budget=None
+) -> list:
     """The outcome of a batch of candidates, one dict per run of them: the
     run's stage counts (counts[i] for run i), its witnesses and, by the
     audit rule, the first 8 candidates of the run that the funnel
     rejected.
 
-    runs split the batch's sorted candidates into consecutive sorted runs
-    (arrays or ranges).  A run's witnesses are a subset of it, so its
-    audit rows lie in its first 8 + (witness count) entries and no run is
-    scanned whole.  pairs maps candidate indices to (L1, L2)
-    coefficient-tuple pairs; it decodes the whole batch's rows at once.
+    The batch's sorted candidates are rows[p] at the positions p of
+    range(bounds[0], bounds[-1]) (the positions themselves when rows is
+    None), and run i holds positions bounds[i] .. bounds[i + 1] - 1.  A
+    run's witnesses are a subset of it, so its audit rows lie in its
+    first 8 + (witness count) positions: these heads are gathered for
+    every run at once, and each run's rejected entries are ranked by a
+    running count.  budget, when given, keeps only the first budget audit
+    rows of the batch, in run order.  pairs maps candidate indices to
+    (L1, L2) coefficient-tuple pairs; it decodes the batch's witnesses
+    and audit rows in one call.
     """
+    bounds = np.asarray(bounds, dtype=np.int64)
     kept = alive[bij]
-    mine = np.split(kept, np.searchsorted(kept, [run[0] for run in runs[1:]]))
-    picks = []
-    for run, wit in zip(runs, mine):
-        head = np.asarray(run[: 8 + wit.size], dtype=np.int64)
-        # wit is sorted: an entry of head is rejected when none of wit equals it
-        rejected = np.searchsorted(wit, head) == np.searchsorted(wit, head, "right")
-        picks += [wit, head[rejected][:8]]
-    rows = iter(pairs(np.concatenate(picks)))
+    at = kept if rows is None else np.searchsorted(rows, kept)  # witness positions
+    wits = np.diff(np.searchsorted(at, bounds))
+    heads = np.minimum(np.diff(bounds), 8 + wits)
+    firsts = np.cumsum(heads) - heads  # where each run's head starts among the heads
+    run_of = np.repeat(np.arange(heads.size), heads)
+    pos = np.arange(heads.sum()) + (bounds[:-1] - firsts)[run_of]
+    rejected = np.searchsorted(at, pos) == np.searchsorted(at, pos, "right")
+    seen = np.concatenate([[0], np.cumsum(rejected)])  # rejected heads ahead of each head
+    rank = seen[:-1] - seen[firsts][run_of]  # ... and ahead of it in its run
+    picked = np.flatnonzero(rejected & (rank < 8))[:budget]
+    audit = pos[picked] if rows is None else rows[pos[picked]]
+    found = pairs(np.concatenate([kept, audit]))
+    wit_at = np.cumsum(wits).tolist()
+    audit_at = np.cumsum(np.bincount(run_of[picked], minlength=heads.size)).tolist()
     return [
-        {"counts": c, "witnesses": list(islice(rows, w.size)), "audit": list(islice(rows, a.size))}
-        for c, w, a in zip(counts, picks[::2], picks[1::2])
+        {"counts": c, "witnesses": found[w0:w1], "audit": found[kept.size + a0 : kept.size + a1]}
+        for c, w0, w1, a0, a1 in zip(counts, [0] + wit_at, wit_at, [0] + audit_at, audit_at)
     ]
 
 
@@ -531,8 +562,9 @@ def _fixed_l1_chunk(key: tuple, chunk: Tuple[int, int]) -> list:
     def pairs(sel):
         return [(l1_coeffs, tuple(row)) for row in env["dec"]["coeffs"](sel).tolist()]
 
-    runs = [range(first, end) for first, end in zip(firsts.tolist(), ends.tolist())]
-    return _block_results(counts, runs, np.concatenate(survivors), np.concatenate(bij), pairs)
+    # block b's run is its indices firsts[b] .. ends[b] - 1, and ends[b] = firsts[b + 1]
+    bounds = np.append(firsts, ends[-1])
+    return _block_results(counts, bounds, np.concatenate(survivors), np.concatenate(bij), pairs)
 
 
 def _run_fixed_l1(
@@ -625,7 +657,10 @@ def _rref_words(ctx: FieldContext) -> np.ndarray:
     Coefficients are GF(2)-linear in the matrix, so the words of one pivot
     pattern are its pivot units' words XOR the span of its free units'
     words: span index = free-bit counter.  Unit k * 2n + c is the stacked
-    matrix with the one bit c in row k (L1's matrix for c < n).
+    matrix with the one bit c in row k (L1's matrix for c < n).  Each
+    pattern fills its own segment of the one output array in place: its
+    pivot word, then the span by doubling (entries 2^t .. 2^(t+1) - 1 are
+    the first 2^t XOR free unit t).
     """
     n, width = ctx.n, 2 * ctx.n
     mats = [[1 << j if i == k else 0 for i in range(n)] for k, j in np.ndindex(n, n)]
@@ -633,7 +668,8 @@ def _rref_words(ctx: FieldContext) -> np.ndarray:
     units = np.zeros((n, width, 2), dtype=np.int64)
     units[:, :n, 0] = units[:, n:, 1] = words.view(np.int64).reshape(n, n)
     units = units.reshape(n * width, 2)
-    parts = []
+    rows = np.empty((2, canonical_pair_count(n)), dtype=np.int64)
+    at = 0
     for r in range(n + 1):
         for pivots in combinations(range(width), r):
             pivot = [k * width + p for k, p in enumerate(pivots)]
@@ -643,8 +679,11 @@ def _rref_words(ctx: FieldContext) -> np.ndarray:
                 for c in range(pivots[k] + 1, width)
                 if c not in pivots
             ]
-            parts.append(np.bitwise_xor.reduce(units[pivot]) ^ span_table(units[free]))
-    rows = np.ascontiguousarray(np.concatenate(parts).T)
+            rows[:, at] = np.bitwise_xor.reduce(units[pivot])
+            for t, unit in enumerate(units[free, :, None]):
+                lo = at + (1 << t)
+                np.bitwise_xor(rows[:, at:lo], unit, out=rows[:, lo : lo + (1 << t)])
+            at += 1 << len(free)
     rows.setflags(write=False)
     return rows
 
@@ -735,12 +774,14 @@ def _pair_decoder(ctx: FieldContext, batch: dict, mod16: bool):
     that it needs, through _part_decoders: the adjoint tables for the
     kernel row and R, the probe columns for the probe, the value tables
     for F.  The kernel row is the OR of the two adjoint tables, 0 exactly
-    where b lies in both kernels, with column 0 (b = 0) set; R is one
-    lookup in the flat product table.
+    where b lies in both kernels, with column 0 (b = 0) set.  R is not
+    multiplied out: the probe and R rows hold the uint16 pair index
+    x << n | y of the adjoint values x = L1*(b), y = L2*(b), and their
+    stages read the criterion tables lifted through the flat product
+    table (q^2 bools), one gather per entry.
     """
     n = ctx.n
     dec = _part_decoders(ctx)
-    mt = ctx.mul_table.astype(np.uint8).ravel()
 
     def both(part, join):
         decode = dec[part]
@@ -751,14 +792,16 @@ def _pair_decoder(ctx: FieldContext, batch: dict, mod16: bool):
         x[:, 0] = 1
         return x
 
-    def product(x, y):
-        idx = x.astype(np.intp)
+    def pair_index(x, y):
+        idx = x.astype(np.uint16)
         idx <<= n
         idx |= y
-        return np.take(mt, idx)
+        return idx
 
-    probe = both("probe", product) if mod16 else None
-    stages = _criterion_stages(ctx, both("adjoint", kernel), probe, both("adjoint", product))
+    probe = both("probe", pair_index) if mod16 else None
+    stages = _criterion_stages(
+        ctx, both("adjoint", kernel), probe, both("adjoint", pair_index), ctx.mul_table.ravel()
+    )
     return stages, both("table", lambda x, y: x[:, ctx.inv_table] ^ y)
 
 
@@ -810,14 +853,22 @@ def full_search(
         partitions = -(-examined // BLOCK)
         mode, block, notes = "canonical", BLOCK, ("one representative per left-composition orbit",)
 
+    sampled = 0  # audit rows so far: the batches run here, in order
+
     def run(batch):
         # the audit rule's runs: one per L1 at n <= 3, the whole batch at n = 4
+        nonlocal sampled
         rows = np.flatnonzero(batch["nonzero"])
         stages, f = _pair_decoder(ctx, batch, n >= 4)
         counts, alive, bij = _funnel(rows, stages, f, {"nonzero": int(rows.size)})
-        runs = [rows[lo : lo + block] for lo in range(0, rows.size, block)]
-        counts = [counts] + [{} for _ in runs[1:]]  # a batch's counts go with its first run
-        return _block_results(counts, runs, alive, bij, partial(_batch_pairs, ctx, batch))
+        bounds = [*range(0, rows.size, block), rows.size]
+        counts = [counts] + [{} for _ in bounds[2:]]  # a batch's counts go with its first run
+        results = _block_results(
+            counts, bounds, alive, bij, partial(_batch_pairs, ctx, batch), rows,
+            budget=AUDIT_CAP - sampled,
+        )
+        sampled += sum(len(res["audit"]) for res in results)
+        return results
 
     results = _collect(chain.from_iterable(map(run, batches)), partitions, progress)
     return _report(

@@ -94,6 +94,13 @@ def verify_theorem3(n: int, modulus: Optional[int] = None) -> VerifyResult:
     return res
 
 
+def _check_samples(samples: Optional[int]) -> None:
+    """A sampled claim checks at least one case: samples < 1 would pass
+    without checking anything."""
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1; got {samples}")
+
+
 def verify_proposition2(
     n: int,
     modulus: Optional[int] = None,
@@ -106,12 +113,14 @@ def verify_proposition2(
     orbit representatives at n = 4, and over seeded random pairs for
     5 <= n <= 8 (100000 unless samples says otherwise, seed 20240 unless
     seed does; a drawn pair with a zero map is not counted).  samples and
-    seed are rejected where they would be ignored.  Pair tables hold
+    seed are rejected where they would be ignored, samples below 1
+    everywhere.  Pair tables hold
     field elements as bytes and R is a product-table lookup, so n > 8 is
     rejected.
     """
     if n > 8:
         raise ValueError(f"proposition2 supports n <= 8, where pair tables fit; got n={n}")
+    _check_samples(samples)
     if n <= 4 and samples is not None:
         raise ValueError("proposition2 takes no samples at n <= 4, where it checks every case")
     if n <= 4 and seed is not None:
@@ -178,11 +187,12 @@ def verify_lemma4(
 
     hyperplane_union_size over distinct nonzero triples, exhaustively
     for n <= 6 and on seeded random triples beyond (20000 unless samples
-    says otherwise; samples is rejected at n <= 6): the union is the
-    whole field exactly when a + b = c, and has q/2 + q/4 + q/8 elements
-    otherwise.  Also checks the covering triple built inside any scaled
+    says otherwise; samples is rejected at n <= 6 and below 1): the union
+    is the whole field exactly when a + b = c, and has q/2 + q/4 + q/8
+    elements otherwise.  Also checks the covering triple built inside any scaled
     subfield with k > 1.
     """
+    _check_samples(samples)
     if n <= 6 and samples is not None:
         raise ValueError("lemma4 takes no samples at n <= 6, where it checks every case")
     ctx = make_field(n, modulus)

@@ -125,6 +125,91 @@ def test_audit_calls_build_F_once_per_pair(run, monkeypatch):
     assert len(calls) == rep.audit_sampled > 0
 
 
+def _block_results_by_run(counts, runs, kept, budget):
+    """Reference for _block_results: the audit rule run by run, scanning
+    each run whole; a candidate c decodes to the pair (c, -c)."""
+    kept, left, out = set(kept), budget, []
+    for c, run in zip(counts, runs):
+        rejected = [m for m in run if m not in kept][:8]
+        if left is not None:
+            rejected, left = rejected[:left], left - len(rejected[:left])
+        out.append({
+            "counts": c,
+            "witnesses": [(m, -m) for m in run if m in kept],
+            "audit": [(m, -m) for m in rejected],
+        })
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_block_results_match_per_run_loop(seed):
+    # random layouts: runs over an array of candidates or over a range of
+    # indices, of any length (empty ones and ones shorter than 8 too),
+    # with witnesses at random or filling a run's first 8 + w rows, and
+    # batches with no survivors; with and without an audit budget
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(0, 400))
+    cuts = np.sort(rng.integers(0, size + 1, int(rng.integers(0, 30))))
+    bounds = np.concatenate([[0], cuts, [size]])
+    if seed % 2:  # candidates are their positions, from a random first
+        rows, first = None, int(rng.integers(0, 3))
+        bounds += first
+        cands = np.arange(first, first + size)
+    else:
+        rows = cands = np.sort(rng.choice(4 * size + 1, size, replace=False))
+    runs = [cands[lo - bounds[0] : hi - bounds[0]].tolist() for lo, hi in zip(bounds[:-1], bounds[1:])]
+    alive = cands[rng.random(size) < 0.6]
+    kept = set()
+    if seed % 3:  # else no survivors
+        kept.update(alive[rng.random(alive.size) < 0.3].tolist())
+        for run in runs:
+            if rng.random() < 0.3:  # a run whose head is all witnesses
+                kept.update(run[:12])
+    alive = np.union1d(alive, sorted(kept)).astype(np.int64)
+    bij = np.isin(alive, sorted(kept))
+    counts = [{"run": i} for i in range(len(runs))]
+    decoded = []
+
+    def pairs(sel):
+        decoded.append(sel.size)
+        return [(m, -m) for m in sel.tolist()]
+
+    for budget in (None, 0, 5, 100):
+        decoded.clear()
+        got = search._block_results(counts, bounds, alive, bij, pairs, rows, budget)
+        want = _block_results_by_run(counts, runs, alive[bij].tolist(), budget)
+        assert got == want
+        assert decoded == [sum(len(r["witnesses"]) + len(r["audit"]) for r in want)]
+
+
+def test_full_search_decodes_only_reported_rows(full3_report, monkeypatch):
+    # the audit budget: only the witnesses and the 256 audit rows that
+    # the report keeps are decoded to pairs, and the merged audit is the
+    # first 8 rejected pairs of each of the first 32 L1 runs
+    decoded, merged = [], []
+    batch_pairs, report = search._batch_pairs, search._report
+
+    def spied_pairs(ctx, batch, rows):
+        decoded.append(rows.size)
+        return batch_pairs(ctx, batch, rows)
+
+    def spied_report(ctx, results, **fields):
+        merged.extend(results)
+        return report(ctx, results, **fields)
+
+    monkeypatch.setattr(search, "_batch_pairs", spied_pairs)
+    monkeypatch.setattr(search, "_report", spied_report)
+    assert search.full_search(3) == full3_report
+    assert sum(decoded) <= 4704 + search.AUDIT_CAP
+    ctx = make_field(3)
+    maps = [LinearizedPoly(ctx, tuple((w >> (3 * i)) & 7 for i in range(3))) for w in range(512)]
+    want = []
+    for l1 in maps[1:33]:
+        rejected = (l2 for l2 in maps[1:] if not build_F(l1, l2).is_permutation())
+        want += [(l1.coeffs, l2.coeffs) for l2 in islice(rejected, 8)]
+    assert [pair for res in merged for pair in res["audit"]] == want
+
+
 def test_gaussian_binomial_and_counts():
     assert search.gaussian_binomial(4, 1) == 15
     assert search.gaussian_binomial(4, 2) == 35
@@ -210,6 +295,32 @@ def test_rref_rows_built_once_and_read_only():
         with pytest.raises(ValueError, match="read-only"):
             w[0, 0] = 1
     assert not np.array_equal(*words)
+
+
+def _rref_words_by_span_table(ctx):
+    """Reference for _rref_words: per pivot pattern, its pivot word XOR a
+    span_table of its free units, the patterns concatenated."""
+    n, width = ctx.n, 2 * ctx.n
+    units = np.zeros((n, width, 2), dtype=np.int64)
+    for k, j in np.ndindex(n, n):
+        m = LinearizedPoly.from_matrix(ctx, [1 << j if i == k else 0 for i in range(n)])
+        units[k, j, 0] = units[k, n + j, 1] = sum(c << (n * i) for i, c in enumerate(m.coeffs))
+    units = units.reshape(n * width, 2)
+    parts = []
+    for r in range(n + 1):
+        for pivots in combinations(range(width), r):
+            free = [k * width + c for k in range(r) for c in range(pivots[k] + 1, width) if c not in pivots]
+            base = np.bitwise_xor.reduce(units[[k * width + p for k, p in enumerate(pivots)]])
+            parts.append(base ^ span_table(units[free]))
+    return np.concatenate(parts).T
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rref_words_match_span_table_reference(n):
+    for ctx in fields(n):
+        words = search._rref_words(ctx)
+        assert np.array_equal(words, _rref_words_by_span_table(ctx))
+        assert words.flags.c_contiguous and not words.flags.writeable
 
 
 @pytest.mark.parametrize("alternate", [False, True])
@@ -495,6 +606,28 @@ def test_permutes_matches_sorted_rows(q):
     assert want == [True] * 60 + [False] * 80
     assert search._permutes(rows).tolist() == want
     assert search._permutes(rows[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_lifted_r_stages_match_product_then_lookup(n):
+    # the pair decoder's probe and R rows are pair indices of the adjoint
+    # values, read through tables lifted by the product table: entry for
+    # entry, the same as multiplying L1*(b) L2*(b), then looking R up
+    ctx = make_field(n)
+    batch = next(search.random_pair_batches(ctx, 300, seed=n))
+    rows = np.arange(300)
+    l1s, l2s = (
+        np.array([LinearizedPoly(ctx, c).adjoint().table() for c in coeffs])
+        for coeffs in zip(*search._batch_pairs(ctx, batch, rows))
+    )
+    r = ctx.mul_vec(l1s, l2s)
+    lifted = search._pair_decoder(ctx, batch, n >= 4)[0]
+    plain = search._criterion_stages(ctx, None, "probe" if n >= 4 else None, "r")
+    assert [name for name, _, _ in lifted] == [name for name, _, _ in plain]
+    for (_, decode, table), (_, part, want) in zip(lifted[1:], plain[1:]):
+        got = table[decode(rows)]
+        assert got.shape == (300, len(search._PROBE) if part == "probe" else ctx.order)
+        assert np.array_equal(got, want[r[:, search._PROBE] if part == "probe" else r])
 
 
 def test_criterion_mismatches_canonical_n4():

@@ -78,6 +78,16 @@ def test_sampled_claims_keep_default_counts_and_reject_ignored_samples():
         verify.verify_proposition2(3, seed=20240)
 
 
+@pytest.mark.parametrize("claim, n, samples", [
+    ("proposition2", 5, 0), ("proposition2", 5, -3), ("lemma4", 7, 0), ("lemma4", 7, -2),
+])
+def test_sampled_claims_reject_samples_below_one(claim, n, samples):
+    # with no sample drawn the claim would pass having checked nothing
+    # (lemma4: only its 64 fixed triples)
+    with pytest.raises(ValueError, match=f"samples must be at least 1; got {samples}"):
+        verify.CLAIMS[claim](n, samples=samples)
+
+
 @pytest.mark.parametrize("n", list(range(3, 11)))
 def test_prop3_driver(n):
     res = verify.verify_prop3(n)
