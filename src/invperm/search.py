@@ -11,13 +11,15 @@ Three drivers:
 * identity_L1_search (n <= 6): L1 = x, all nonzero L2.
 
 Every search, and verify_proposition2, runs one filter funnel
-(_funnel): nonzero -> kernel-intersection -> mod-16 necessary condition
-(n >= 4) -> Kloosterman-zero membership -> full bijectivity.  Each
-candidate source hands the funnel the same thing: an ordered stage list
-of (name, rows, table) and a decoder f of F's table.  rows is a decoder,
-a function of candidate indices, and a stage keeps the candidates whose
-row lies in the bool table entry by entry (_all_in: one lookup, then one
-word compare per row where the row fits a word).  One builder,
+(_funnel) over the nonzero candidates: kernel-intersection -> mod-16
+necessary condition (n >= 4) -> Kloosterman-zero membership -> full
+bijectivity.  The funnel is its stage list: each candidate source hands
+it an ordered list of (name, rows, table), and it returns the survivors.
+rows is a decoder, a function of candidate indices, and a stage keeps
+the candidates whose row lies in the bool table entry by entry (_all_in:
+one lookup, then one word compare per row where the row fits a word).
+The last stage, "bijective", has no table: its rows are F's table, and
+it keeps those that hit every value (_permutes).  One builder,
 _criterion_stages, makes every source's list from its row decoders.
 The mod-16 stage is preceded by an unnamed probe stage that reads R at
 the 8 _PROBE points, 8 bytes per candidate.  The stages before the
@@ -25,8 +27,6 @@ full mod-16 one, kernel and probe, are the funnel's prefix.  A map's
 coefficients, table and adjoint table (its map rows, _map_rows) are
 GF(2)-linear in the map, so maps decode as XORs of precomputed map rows
 through a _SpanMap, with no field multiplications.
-
-A row of F's table permutes when it hits every value (_permutes).
 
 full_search and verify_proposition2 read batches of (L1, L2) pairs: all
 nonzero pairs at n <= 3, canonical orbit representatives at n = 4, or
@@ -59,15 +59,16 @@ a time, and a block with none decodes nothing.
 Every unit of work is deterministic and the results are merged in
 block order, so witness lists, counts and the audit sample are
 identical for any worker count.  Every driver ends a unit of work (a
-chunk of fixed-L1 blocks, a pair batch) with _block_results: per run of
-its candidates, the stage counts, the witnesses and the audit rows, the
-last two as (L1, L2) coefficient-tuple pairs.  A run is a fixed-L1
-block, a canonical batch or, at n <= 3, the pairs of one L1 (a batch
-holds many); each run is one progress record.  The audit rule
-takes the first 8 candidates of each run that the funnel rejected, up to
-256 in all, and re-checks them with build_F(...).is_permutation(), once
-per pair.  _block_results finds every run's witnesses and audit rows
-at once, with no loop over runs, and decodes only those rows.
+chunk of fixed-L1 blocks, a pair batch) with _block_results on the
+funnel's survivors: per run of its candidates, the stage counts, the
+witnesses and the audit rows, the last two as (L1, L2) coefficient-tuple
+pairs.  A run is a fixed-L1 block, a canonical batch or, at n <= 3, the
+pairs of one L1 (a batch holds many); each run is one progress record.
+The audit rule takes the first 8 candidates of each run that the funnel
+rejected, up to 256 in all, and re-checks them with
+build_F(...).is_permutation(), once per pair.  _block_results finds
+every run's witnesses and audit rows at once, with no loop over runs,
+and decodes only those rows.
 full_search runs its batches here, in order, and passes on the audit
 budget left (AUDIT_CAP less the rows already sampled), so it decodes
 no audit row that the report would drop; a fixed-L1 chunk decodes 8 a
@@ -224,15 +225,15 @@ def _trace_rows(ctx: FieldContext, l1star_tab: np.ndarray) -> List[int]:
 _PROBE = list(range(1, 9))
 
 
-def _criterion_stages(ctx: FieldContext, kernel, probe, r, lift=None) -> list:
-    """The criterion's ordered stage list (name, rows, table) over a
-    source's row decoders: kernel (adjoint values, all nonzero exactly
-    when the adjoint kernels meet trivially), probe (R at _PROBE; None
-    leaves out the mod-16 stages) and r (R everywhere).  The mod-16
-    stages test R on the Tr = Q = 0 table of divisible_by_16, the last
-    stage on K(a) = 0.  Given lift, an array of field elements, the probe
-    and r rows hold positions in lift in place of R's values, and their
-    stages read the criterion table lifted through it (table[lift]).
+def _criterion_stages(ctx: FieldContext, kernel, probe, r, f, lift=None) -> list:
+    """The funnel's ordered stage list (name, rows, table) over a source's
+    row decoders: kernel (adjoint values, all nonzero exactly when the
+    adjoint kernels meet trivially), probe (R at _PROBE; None leaves out
+    the mod-16 stages), r (R everywhere) and f (F's table, tested last,
+    by "bijective").  The mod-16 stages test R on the Tr = Q = 0 table of
+    divisible_by_16, the next on K(a) = 0.  Given lift, an array of field
+    elements, the probe and r rows hold positions in lift in place of R's
+    values, and their stages read the criterion table lifted through it.
     """
     stages = [("kernel-intersection", kernel, np.arange(ctx.order) != 0)]
     if probe is not None:  # a few points first, then the full mod-16 condition
@@ -241,31 +242,28 @@ def _criterion_stages(ctx: FieldContext, kernel, probe, r, lift=None) -> list:
     stages.append(("kloosterman-zero", r, kloosterman_all(ctx) == 0))
     if lift is not None:
         stages[1:] = [(name, rows, table[lift]) for name, rows, table in stages[1:]]
-    return stages
+    return stages + [("bijective", f, None)]
 
 
-def _funnel(alive: np.ndarray, stages: list, f, counts: dict):
-    """Filter the sorted candidate indices alive through a stage list,
-    then test the survivors' bijectivity.
+def _funnel(alive: np.ndarray, stages: list, counts: dict) -> np.ndarray:
+    """Filter the sorted candidate indices alive through a stage list and
+    return the survivors.
 
     stages is an ordered list of (name, rows, table): rows is a decoder,
     a function of candidate indices giving one row per candidate, and
     the stage keeps the candidates whose row lies in the bool table entry
-    by entry (_all_in).  A named stage records its survivors in counts;
-    an unnamed one (the 8-point probe) records nothing.  f decodes the
-    table of F = L1(x^-1) + L2(x), and "bijective" counts the survivors
-    whose F permutes.  A decoder sees at most _CHUNK candidates a call.
-    Once no candidate is left no decoder is called,
-    but every named count is still recorded.  Returns counts, the
-    survivors of the stages and their bijectivity mask.
+    by entry (_all_in), or, with no table, whose row permutes
+    (_permutes).  A named stage records its survivors in counts; an
+    unnamed one (the 8-point probe) records nothing.  A decoder sees at
+    most _CHUNK candidates a call.  Once no candidate is left no decoder
+    is called, but every named count is still recorded.
     """
     for name, rows, table in stages:
-        alive = alive[_chunked(lambda m: _all_in(table, rows(m)), alive)]
+        test = _permutes if table is None else partial(_all_in, table)
+        alive = alive[_chunked(lambda m: test(rows(m)), alive)]
         if name:
             counts[name] = int(alive.size)
-    bij = _chunked(lambda m: _permutes(f(m)), alive)
-    counts["bijective"] = int(bij.sum())
-    return counts, alive, bij
+    return alive
 
 
 def _chunked(mask, alive: np.ndarray) -> np.ndarray:
@@ -292,13 +290,11 @@ def _permutes(tab: np.ndarray) -> np.ndarray:
     return seen.all(axis=1)
 
 
-def _block_results(
-    counts: list, bounds, alive: np.ndarray, bij: np.ndarray, pairs, rows=None, budget=None
-) -> list:
+def _block_results(counts: list, bounds, kept: np.ndarray, pairs, rows=None, budget=None) -> list:
     """The outcome of a batch of candidates, one dict per run of them: the
     run's stage counts (counts[i] for run i), its witnesses and, by the
     audit rule, the first 8 candidates of the run that the funnel
-    rejected.
+    rejected.  kept holds the funnel's survivors, sorted.
 
     The batch's sorted candidates are rows[p] at the positions p of
     range(bounds[0], bounds[-1]) (the positions themselves when rows is
@@ -312,7 +308,6 @@ def _block_results(
     and audit rows in one call.
     """
     bounds = np.asarray(bounds, dtype=np.int64)
-    kept = alive[bij]
     at = kept if rows is None else np.searchsorted(rows, kept)  # witness positions
     wits = np.diff(np.searchsorted(at, bounds))
     heads = np.minimum(np.diff(bounds), 8 + wits)
@@ -449,7 +444,7 @@ def _fixed_l1_env(
     if n >= 4:
         tabs["probe"] = r[:, _PROBE]
     dec = {name: _SpanMap(tab[0], tab[1:]) for name, tab in tabs.items()}
-    stages = _criterion_stages(ctx, dec["kernel"], dec.get("probe"), dec["r"])
+    stages = _criterion_stages(ctx, dec["kernel"], dec.get("probe"), dec["r"], dec["f"])
     split = next(i for i, (_, rows, _) in enumerate(stages) if rows is dec["r"])
     return {
         "coset": coset, "dec": dec,
@@ -546,8 +541,8 @@ def _fixed_l1_chunk(key: tuple, chunk: Tuple[int, int]) -> list:
         if name:
             for c, passed in zip(counts, np.bitwise_count(keep).sum(axis=1).tolist()):
                 c[name] = passed
-    rest = [name for name, _, _ in env["stages"] if name] + ["bijective"]
-    survivors, bij = [starts[:0]], [np.zeros(0, dtype=bool)]
+    rest = [name for name, _, _ in env["stages"] if name]
+    survivors = [starts[:0]]
     for c, start, mask in zip(counts, starts.tolist(), keep):
         words = np.flatnonzero(mask)
         if not words.size:
@@ -555,16 +550,14 @@ def _fixed_l1_chunk(key: tuple, chunk: Tuple[int, int]) -> list:
             continue
         # bit t of word w is index start + 64 w + t
         at = np.flatnonzero(np.unpackbits(mask[words].view(np.uint8), bitorder="little").view(bool))
-        _, live, ok = _funnel(start + 64 * words[at >> 6] + (at & 63), env["stages"], env["dec"]["f"], c)
-        survivors.append(live)
-        bij.append(ok)
+        survivors.append(_funnel(start + 64 * words[at >> 6] + (at & 63), env["stages"], c))
 
     def pairs(sel):
         return [(l1_coeffs, tuple(row)) for row in env["dec"]["coeffs"](sel).tolist()]
 
     # block b's run is its indices firsts[b] .. ends[b] - 1, and ends[b] = firsts[b + 1]
     bounds = np.append(firsts, ends[-1])
-    return _block_results(counts, bounds, np.concatenate(survivors), np.concatenate(bij), pairs)
+    return _block_results(counts, bounds, np.concatenate(survivors), pairs)
 
 
 def _run_fixed_l1(
@@ -701,20 +694,19 @@ def canonical_key(l1: LinearizedPoly, l2: LinearizedPoly) -> Tuple[int, ...]:
 def canonical_batches(ctx: FieldContext):
     """Canonical representatives, the words of _rref_words in order, as
     pair batches of BLOCK rows; "stacked" is the batch's (B, 2) view of
-    its (w1, w2) rows.  A half of the stacked matrix is 0 exactly when
-    its word is."""
+    its (w1, w2) rows."""
     words = _rref_words(ctx)
     for lo in range(0, words.shape[1], BLOCK):
         w1, w2 = stacked = words[:, lo : lo + BLOCK]
-        yield dict(w1=w1, w2=w2, nonzero=(w1 != 0) & (w2 != 0), stacked=stacked.T)
+        yield dict(w1=w1, w2=w2, stacked=stacked.T)
 
 
 # -- pair batches ----------------------------------------------------------------
 #
 # A pair batch holds, per row, int64 words w1 and w2 that name the maps L1
-# and L2 by their packed coefficients, and a nonzero mask.  The funnel's
-# stages decode from the words only the parts that they read
-# (_part_decoders).
+# and L2 by their packed coefficients; a map is 0 exactly when its word
+# is (_nonzero_rows).  The funnel's stages decode from the words only the
+# parts that they read (_part_decoders).
 
 
 @lru_cache(maxsize=None)
@@ -748,10 +740,7 @@ def all_pair_batches(ctx: FieldContext) -> Iterator[dict]:
     per = max(1, BLOCK // words.size)
     for lo in range(0, words.size, per):
         l1 = words[lo : lo + per]
-        yield dict(
-            w1=np.repeat(l1, words.size), w2=np.tile(words, l1.size),
-            nonzero=np.ones(l1.size * words.size, dtype=bool),
-        )
+        yield dict(w1=np.repeat(l1, words.size), w2=np.tile(words, l1.size))
 
 
 def random_pair_batches(ctx: FieldContext, samples: int, seed: int) -> Iterator[dict]:
@@ -764,11 +753,16 @@ def random_pair_batches(ctx: FieldContext, samples: int, seed: int) -> Iterator[
         c1 = rng.integers(0, ctx.order, (b, ctx.n), dtype=np.int64)
         c2 = rng.integers(0, ctx.order, (b, ctx.n), dtype=np.int64)
         w1, w2 = (_pack(ctx.n, c).view(np.int64) for c in (c1, c2))
-        yield dict(w1=w1, w2=w2, nonzero=c1.any(axis=1) & c2.any(axis=1))
+        yield dict(w1=w1, w2=w2)
 
 
-def _pair_decoder(ctx: FieldContext, batch: dict, mod16: bool):
-    """The funnel's (stages, f) over the row indices of a pair batch.
+def _nonzero_rows(batch: dict) -> np.ndarray:
+    """The rows of a pair batch whose maps are both nonzero."""
+    return np.flatnonzero((batch["w1"] != 0) & (batch["w2"] != 0))
+
+
+def _pair_decoder(ctx: FieldContext, batch: dict, mod16: bool) -> list:
+    """The funnel's stage list over the row indices of a pair batch.
 
     Each decoder reads the words of its rows and decodes only the part
     that it needs, through _part_decoders: the adjoint tables for the
@@ -799,10 +793,10 @@ def _pair_decoder(ctx: FieldContext, batch: dict, mod16: bool):
         return idx
 
     probe = both("probe", pair_index) if mod16 else None
-    stages = _criterion_stages(
-        ctx, both("adjoint", kernel), probe, both("adjoint", pair_index), ctx.mul_table.ravel()
+    return _criterion_stages(
+        ctx, both("adjoint", kernel), probe, both("adjoint", pair_index),
+        both("table", lambda x, y: x[:, ctx.inv_table] ^ y), ctx.mul_table.ravel(),
     )
-    return stages, both("table", lambda x, y: x[:, ctx.inv_table] ^ y)
 
 
 def _batch_pairs(ctx: FieldContext, batch: dict, rows: np.ndarray) -> list:
@@ -816,18 +810,18 @@ def _batch_pairs(ctx: FieldContext, batch: dict, rows: np.ndarray) -> list:
 def criterion_mismatches(ctx: FieldContext, batches) -> Iterator[tuple]:
     """Rows of pair batches where the exact criterion and bijectivity differ.
 
-    The criterion is the funnel without its mod-16 stage (a consequence
-    of the criterion, not part of it); bijectivity is the funnel run with
-    no stage.  Yields, per batch, the number of nonzero rows checked and
-    the (L1, L2) coefficient-tuple pairs that disagree.
+    The criterion is the stage list without its mod-16 stage (a
+    consequence of the criterion, not part of it) and its last,
+    bijective, stage; the two run as two funnels over the same nonzero
+    rows.  Yields, per batch, the number of nonzero rows checked
+    and the (L1, L2) coefficient-tuple pairs that disagree.
     """
     for batch in batches:
-        rows = np.flatnonzero(batch["nonzero"])
-        stages, f = _pair_decoder(ctx, batch, mod16=False)
-        _, crit, _ = _funnel(rows, stages, f, {})
-        _, _, bij = _funnel(rows, [], f, {})
-        del stages, f  # not held while the next batch decodes
-        yield rows.size, _batch_pairs(ctx, batch, rows[np.isin(rows, crit) != bij])
+        rows = _nonzero_rows(batch)
+        *criterion, bijective = _pair_decoder(ctx, batch, mod16=False)
+        crit = _funnel(rows, criterion, {})
+        bij = _funnel(rows, [bijective], {})
+        yield rows.size, _batch_pairs(ctx, batch, rows[np.isin(rows, crit) != np.isin(rows, bij)])
 
 
 def full_search(
@@ -858,13 +852,13 @@ def full_search(
     def run(batch):
         # the audit rule's runs: one per L1 at n <= 3, the whole batch at n = 4
         nonlocal sampled
-        rows = np.flatnonzero(batch["nonzero"])
-        stages, f = _pair_decoder(ctx, batch, n >= 4)
-        counts, alive, bij = _funnel(rows, stages, f, {"nonzero": int(rows.size)})
+        rows = _nonzero_rows(batch)
+        counts = {"nonzero": int(rows.size)}
+        kept = _funnel(rows, _pair_decoder(ctx, batch, n >= 4), counts)
         bounds = [*range(0, rows.size, block), rows.size]
         counts = [counts] + [{} for _ in bounds[2:]]  # a batch's counts go with its first run
         results = _block_results(
-            counts, bounds, alive, bij, partial(_batch_pairs, ctx, batch), rows,
+            counts, bounds, kept, partial(_batch_pairs, ctx, batch), rows,
             budget=AUDIT_CAP - sampled,
         )
         sampled += sum(len(res["audit"]) for res in results)

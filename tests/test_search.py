@@ -13,7 +13,7 @@ from invperm import gf2mat, search
 from invperm.gf2n import FieldContext, alternate_modulus, make_field, span_table
 from invperm.inverse_perm import build_F, perm_criterion_kloosterman, recurrence_coeffs
 from invperm.kloosterman import kloosterman_all, qform_table
-from invperm.linmap import LinearizedPoly
+from invperm.linmap import LinearizedPoly, kernels_intersect_trivially
 
 
 def _tables_from_coeffs(ctx: FieldContext, coeffs: np.ndarray) -> np.ndarray:
@@ -165,8 +165,7 @@ def test_block_results_match_per_run_loop(seed):
         for run in runs:
             if rng.random() < 0.3:  # a run whose head is all witnesses
                 kept.update(run[:12])
-    alive = np.union1d(alive, sorted(kept)).astype(np.int64)
-    bij = np.isin(alive, sorted(kept))
+    kept = np.array(sorted(kept), dtype=np.int64)
     counts = [{"run": i} for i in range(len(runs))]
     decoded = []
 
@@ -176,8 +175,8 @@ def test_block_results_match_per_run_loop(seed):
 
     for budget in (None, 0, 5, 100):
         decoded.clear()
-        got = search._block_results(counts, bounds, alive, bij, pairs, rows, budget)
-        want = _block_results_by_run(counts, runs, alive[bij].tolist(), budget)
+        got = search._block_results(counts, bounds, kept, pairs, rows, budget)
+        want = _block_results_by_run(counts, runs, kept.tolist(), budget)
         assert got == want
         assert decoded == [sum(len(r["witnesses"]) + len(r["audit"]) for r in want)]
 
@@ -413,7 +412,8 @@ def test_canonical_batches_match_maps(source, n, alternate):
     # at n = 2, 3 and the first batch at n = 4.  All-pairs rows pair each nonzero packed coefficient word, in
     # order, with every word from 1 up: every batch at n = 2, 3, one batch
     # at n = 2 and four at n = 3.  Random rows are the seeded coefficient
-    # stream: its first 200 rows.
+    # stream: its first 200 rows.  A batch holds only the words, and
+    # _nonzero_rows reads from them the rows whose two maps are nonzero.
     ctx = make_field(n, alternate_modulus(n) if alternate else None)
     maps = {}
 
@@ -459,7 +459,8 @@ def test_canonical_batches_match_maps(source, n, alternate):
         ]
     rows = zero_rows = 0
     for batch, pairs in named:
-        assert len(pairs) == len(batch["w1"]) == len(batch["w2"]) == len(batch["nonzero"])
+        assert len(pairs) == len(batch["w1"]) == len(batch["w2"])
+        assert set(batch) == ({"w1", "w2", "stacked"} if source == "canonical" else {"w1", "w2"})
         assert batch["w1"].dtype == batch["w2"].dtype == np.int64
         dec = search._part_decoders(ctx)
         both = np.ones(len(pairs), dtype=bool)  # both maps nonzero
@@ -475,7 +476,7 @@ def test_canonical_batches_match_maps(source, n, alternate):
             coeffs.append([oracle[i][0] for i in at.tolist()])
             both &= np.array([any(o[0]) for o in oracle])[at]
         assert search._batch_pairs(ctx, batch, np.arange(len(pairs))) == list(zip(*coeffs))
-        assert np.array_equal(batch["nonzero"], both)
+        assert np.array_equal(search._nonzero_rows(batch), np.flatnonzero(both))
         zero_rows += int(np.count_nonzero(~both))
         rows += len(pairs)
     if source == "canonical":
@@ -621,10 +622,11 @@ def test_lifted_r_stages_match_product_then_lookup(n):
         for coeffs in zip(*search._batch_pairs(ctx, batch, rows))
     )
     r = ctx.mul_vec(l1s, l2s)
-    lifted = search._pair_decoder(ctx, batch, n >= 4)[0]
-    plain = search._criterion_stages(ctx, None, "probe" if n >= 4 else None, "r")
+    lifted = search._pair_decoder(ctx, batch, n >= 4)
+    plain = search._criterion_stages(ctx, None, "probe" if n >= 4 else None, "r", "f")
     assert [name for name, _, _ in lifted] == [name for name, _, _ in plain]
-    for (_, decode, table), (_, part, want) in zip(lifted[1:], plain[1:]):
+    assert lifted[-1][2] is plain[-1][2] is None  # bijectivity has no table
+    for (_, decode, table), (_, part, want) in zip(lifted[1:-1], plain[1:-1]):
         got = table[decode(rows)]
         assert got.shape == (300, len(search._PROBE) if part == "probe" else ctx.order)
         assert np.array_equal(got, want[r[:, search._PROBE] if part == "probe" else r])
@@ -638,6 +640,60 @@ def test_criterion_mismatches_canonical_n4():
     results = list(search.criterion_mismatches(ctx, search.canonical_batches(ctx)))
     assert sum(checked for checked, _ in results) == 308860
     assert [bad for _, bad in results] == [[]] * 5
+
+
+@pytest.mark.parametrize("fault", ["bijectivity", "no-zeros", "kloosterman"])
+def test_criterion_mismatches_are_the_disagreements(fault, full3_report, monkeypatch):
+    # criterion_mismatches reports exactly the pairs on which the criterion
+    # and bijectivity disagree, under an injected fault at n = 3.  With
+    # bijectivity rejecting every row, or every K(a) read as 1 so that
+    # the criterion rejects every row, they are the 4,704 witnesses; with
+    # every K(a) read as 0 the criterion is the kernel stage alone, and
+    # they are its 234,024 survivors less the 4,704 permutations
+    ctx = make_field(3)
+    if fault == "bijectivity":
+        monkeypatch.setattr(search, "_permutes", lambda tab: np.zeros(len(tab), dtype=bool))
+    else:
+        k = int(fault == "no-zeros")
+        monkeypatch.setattr(search, "kloosterman_all", lambda ctx: np.full(ctx.order, k, dtype=np.int64))
+    results = list(search.criterion_mismatches(ctx, search.all_pair_batches(ctx)))
+    assert sum(checked for checked, _ in results) == 511 * 511
+    bad = [pair for _, pairs in results for pair in pairs]
+    witnesses = {
+        tuple(LinearizedPoly.from_text(ctx, t).coeffs for t in pair) for pair in full3_report.witnesses
+    }
+    if fault != "kloosterman":
+        assert len(bad) == 4704 and set(bad) == witnesses
+        return
+    assert len(bad) == len(set(bad)) == 234024 - 4704
+    assert witnesses.isdisjoint(bad)
+    for l1, l2 in random.Random(0).sample(bad, 200):
+        l1, l2 = LinearizedPoly(ctx, l1), LinearizedPoly(ctx, l2)
+        assert kernels_intersect_trivially(l1.adjoint(), l2.adjoint())
+        assert not build_F(l1, l2).is_permutation()
+
+
+@pytest.mark.parametrize("modulus", [0xB, 0xD], ids=["0xb", "0xd"])
+def test_full_search_n3_witnesses_closed_under_symmetries(modulus):
+    # (L1, L2) permutes exactly when (L2, L1) does (substitute x -> x^-1),
+    # when (L1 o s, L2 o s) does for the Frobenius s, and when
+    # (L1 o c^-1, L2 o c) does for a nonzero scalar c (substitute
+    # x -> c x): the witness set is closed under each, at both moduli
+    ctx = make_field(3, modulus)
+    witnesses = set(search.full_search(3, modulus).witnesses)
+    assert len(witnesses) == 4704
+    maps = {t: LinearizedPoly.from_text(ctx, t) for pair in witnesses for t in pair}
+
+    @lru_cache(maxsize=None)
+    def after(text, right):
+        return maps[text].compose(right).to_text()
+
+    frob = LinearizedPoly.frobenius(ctx, 1)
+    assert {(l2, l1) for l1, l2 in witnesses} == witnesses
+    assert {(after(l1, frob), after(l2, frob)) for l1, l2 in witnesses} == witnesses
+    for c in range(1, ctx.order):
+        inv, mul = (LinearizedPoly.frobenius(ctx, 0, s) for s in (int(ctx.inv_table[c]), c))
+        assert {(after(l1, inv), after(l2, mul)) for l1, l2 in witnesses} == witnesses
 
 
 def test_funnel_chunks_do_not_change_results(full3_report, full4_report, monkeypatch):
@@ -679,8 +735,8 @@ def test_kernel_stage_keeps_pairs_of_full_rank(n, full3_report, full4_report):
         batches, want_total = search.canonical_batches(ctx), search.gaussian_binomial(8, 4) - 2
     total = 0
     for batch in batches:
-        rows = np.flatnonzero(batch["nonzero"])
-        (name, kernel, table), *_ = search._pair_decoder(ctx, batch, n >= 4)[0]
+        rows = search._nonzero_rows(batch)
+        (name, kernel, table), *_ = search._pair_decoder(ctx, batch, n >= 4)
         assert name == "kernel-intersection"
         got = rows[search._all_in(table, kernel(rows))]
         mats_of = stacked(batch)
@@ -1155,8 +1211,9 @@ def test_theorem8_candidates_fail_mod16_in_normalized_coset(n, forced):
         ms.append(m)
     ms = np.sort(np.array(ms, dtype=np.int64))
     dec = env["dec"]
-    stages = search._criterion_stages(ctx, dec["kernel"], dec["probe"], dec["r"])
-    counts, _, _ = search._funnel(ms, stages, dec["f"], {"nonzero": int(ms.size)})
+    stages = search._criterion_stages(ctx, dec["kernel"], dec["probe"], dec["r"], dec["f"])
+    counts = {"nonzero": int(ms.size)}
+    search._funnel(ms, stages, counts)
     assert counts["nonzero"] == forced
     assert counts["mod16-necessary"] == 0
 
@@ -1173,11 +1230,12 @@ def test_funnel_decodes_nothing_after_last_survivor(monkeypatch):
     # the order of _criterion_stages: fixed-L1 blocks, canonical and
     # all-pairs batches (no mod-16 stage below n = 4) and a
     # criterion_mismatches batch (no mod-16 stage: it is not the criterion)
-    sizes, names = [], []
+    sizes, names, called = [], [], []
 
     def spy(fn):
         def decode(*args):
             sizes.append(np.size(args[-1]))
+            called.append(args[0])
             return fn(*args)
 
         return decode
@@ -1186,9 +1244,9 @@ def test_funnel_decodes_nothing_after_last_survivor(monkeypatch):
     pair_decoder = search._pair_decoder
 
     def spied_pair_decoder(*args, **kw):
-        stages, f = pair_decoder(*args, **kw)
+        stages = pair_decoder(*args, **kw)
         names.append([name for name, _, _ in stages if name])
-        return [(name, spy(rows), table) for name, rows, table in stages], spy(f)
+        return [(name, spy(rows), table) for name, rows, table in stages]
 
     monkeypatch.setattr(search, "_pair_decoder", spied_pair_decoder)
     for n, kind, blocks in [(5, "identity", 4), (7, "normalized", 1)]:
@@ -1201,16 +1259,40 @@ def test_funnel_decodes_nothing_after_last_survivor(monkeypatch):
     monkeypatch.setattr(search, "canonical_batches", lambda ctx: islice(batches(ctx), 1))
     rep = search.full_search(4)
     assert [name for name, _ in rep.stages] == STAGE_NAMES
-    assert names == [STAGE_NAMES[1:-1]]
+    assert names == [STAGE_NAMES[1:]]
     assert dict(rep.stages)["kernel-intersection"] == 0
     no_mod16 = [name for name in STAGE_NAMES if name != "mod16-necessary"]
     rep = search.full_search(3)
     assert [name for name, _ in rep.stages] == no_mod16
-    assert names[1:] == [no_mod16[1:-1]] * 4  # one decoder per batch of 128 L1s
+    assert names[1:] == [no_mod16[1:]] * 4  # one decoder per batch of 128 L1s
     ctx = make_field(3)
     next(search.criterion_mismatches(ctx, search.all_pair_batches(ctx)))
-    assert names[-1] == no_mod16[1:-1]
+    assert names[-1] == no_mod16[1:]
     assert sizes and min(sizes) > 0
+
+    # a stage list without the bijective stage, the shape of a level that
+    # decides no permutation: the funnel records only that list's counts
+    # and never decodes F's table, with survivors (all-pairs n = 3 batch
+    # 0, the identity n = 4 block past its prefix) or without (canonical
+    # n = 4 batch 0)
+    ctx4 = make_field(4)
+    all3, canon4 = next(search.all_pair_batches(ctx)), next(batches(ctx4))
+    env = search._fixed_l1_env(4, None, FIXED_L1["identity"](ctx4), False)
+    f_decoders = [search._part_decoders(c)["table"] for c in (ctx, ctx4)] + [env["dec"]["f"]]
+    assert any(c is f_decoders[0] for c in called)  # the bijective stage decodes F
+    called.clear()
+    for stages, alive, want, survive in [
+        (pair_decoder(ctx, all3, False), search._nonzero_rows(all3), no_mod16[1:-1], True),
+        (pair_decoder(ctx4, canon4, True), search._nonzero_rows(canon4), STAGE_NAMES[1:-1], False),
+        (env["stages"], np.arange(1, search.BLOCK), STAGE_NAMES[2:-1], True),
+    ]:
+        *stages, (last, _, _) = stages
+        assert last == "bijective"
+        counts = {}
+        kept = search._funnel(alive, stages, counts)
+        assert list(counts) == want
+        assert kept.size == counts[want[-1]] and (kept.size > 0) == survive
+    assert called and not any(c is f for c in called for f in f_decoders)
 
 
 def test_report_json_shape(identity4_report):
